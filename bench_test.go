@@ -26,6 +26,16 @@ const (
 	benchRuns = 2
 )
 
+// runFreshBench simulates cfg once on a freshly built arena: the build is
+// part of what the single-run benchmarks measure.
+func runFreshBench(cfg repro.Config) (repro.Result, error) {
+	a, err := repro.NewArena(cfg)
+	if err != nil {
+		return repro.Result{}, err
+	}
+	return a.Run(cfg.Seed)
+}
+
 func benchConfig(p repro.Platform, strat repro.Strategy) repro.Config {
 	return repro.Config{
 		Platform:    p,
@@ -64,10 +74,10 @@ func BenchmarkTable1WorkloadGeneration(b *testing.B) {
 func BenchmarkFigure1WasteVsBandwidth(b *testing.B) {
 	for _, bw := range []float64{40, 100, 160} {
 		b.Run(fmt.Sprintf("bw=%vGBps", bw), func(b *testing.B) {
+			session := repro.NewSession(repro.WithKeepWasteRatios(true))
+			base := benchConfig(repro.Cielo(bw, 2), repro.Strategy{})
 			for i := 0; i < b.N; i++ {
-				base := benchConfig(repro.Cielo(bw, 2), repro.Strategy{})
-				if _, err := repro.CompareStrategiesOpts(base, repro.LegendStrategies(), benchRuns, 0,
-					repro.MCOptions{KeepWasteRatios: true}); err != nil {
+				if _, err := session.Compare(context.Background(), base, repro.LegendStrategies(), benchRuns); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -80,10 +90,10 @@ func BenchmarkFigure1WasteVsBandwidth(b *testing.B) {
 func BenchmarkFigure2WasteVsMTBF(b *testing.B) {
 	for _, years := range []float64{2, 10, 50} {
 		b.Run(fmt.Sprintf("mtbf=%vy", years), func(b *testing.B) {
+			session := repro.NewSession(repro.WithKeepWasteRatios(true))
+			base := benchConfig(repro.Cielo(40, years), repro.Strategy{})
 			for i := 0; i < b.N; i++ {
-				base := benchConfig(repro.Cielo(40, years), repro.Strategy{})
-				if _, err := repro.CompareStrategiesOpts(base, repro.LegendStrategies(), benchRuns, 0,
-					repro.MCOptions{KeepWasteRatios: true}); err != nil {
+				if _, err := session.Compare(context.Background(), base, repro.LegendStrategies(), benchRuns); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -98,9 +108,10 @@ func BenchmarkFigure2WasteVsMTBF(b *testing.B) {
 func BenchmarkFigure3MinBandwidth(b *testing.B) {
 	for _, strat := range []repro.Strategy{repro.OrderedNBDaly(), repro.LeastWaste()} {
 		b.Run(strat.Name(), func(b *testing.B) {
+			session := repro.NewSession()
+			cfg := benchConfig(repro.Prospective(1000, 15), strat)
 			for i := 0; i < b.N; i++ {
-				cfg := benchConfig(repro.Prospective(1000, 15), strat)
-				if _, err := repro.MinBandwidthForEfficiency(cfg, 0.8, 50e9, 400e12, benchRuns, 0, 6); err != nil {
+				if _, err := session.MinBandwidth(context.Background(), cfg, 0.8, 50e9, 400e12, benchRuns, 6); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -148,7 +159,7 @@ func BenchmarkEngine(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = uint64(i)
-		res, err := repro.Run(cfg)
+		res, err := runFreshBench(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -237,7 +248,7 @@ func BenchmarkMonteCarlo(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			c := cfg
 			c.Seed = uint64(i)
-			if _, err := repro.Run(c); err != nil {
+			if _, err := runFreshBench(c); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -282,12 +293,13 @@ func BenchmarkSessionReuse(b *testing.B) {
 	})
 }
 
-// BenchmarkSweepGrid measures the grid-level sweep scheduler against the
-// sequential per-point path on a strategy-heavy grid — every registered
-// strategy times token channels {1, 2} under sequential stopping, the
-// workload the work-stealing dispatch exists for. All variants produce
-// bit-identical results (pinned by TestSweepGridBitIdentity); wall-clock
-// and the cache hit rate are what's measured. Recorded in BENCH_*.json.
+// BenchmarkSweepGrid measures the grid coordinator across worker counts
+// on a strategy-heavy grid — every registered strategy times token
+// channels {1, 2} under sequential stopping, the workload the
+// work-stealing dispatch exists for — and against a warm result cache.
+// All variants produce bit-identical results (pinned against the
+// sequential reference by TestSweepGridBitIdentity); wall-clock and the
+// cache hit rate are what's measured.
 func BenchmarkSweepGrid(b *testing.B) {
 	ctx := context.Background()
 	base := benchConfig(repro.Cielo(40, 2), repro.Strategy{})
@@ -304,20 +316,14 @@ func BenchmarkSweepGrid(b *testing.B) {
 	variants := []struct {
 		name    string
 		workers int
-		opts    []repro.SessionOption
 	}{
-		{"sequential/w1", 1, []repro.SessionOption{repro.WithGridDispatch(false)}},
-		{"grid/w1", 1, nil},
-		{"grid/w4", 4, nil},
-		{fmt.Sprintf("grid/w%d", runtime.GOMAXPROCS(0)), 0, nil},
+		{"grid/w1", 1},
+		{"grid/w4", 4},
+		{fmt.Sprintf("grid/w%d", runtime.GOMAXPROCS(0)), 0},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
-			opts := append([]repro.SessionOption{
-				repro.WithWorkers(v.workers),
-				repro.WithTargetCI(0.02, 0, 4, 0),
-			}, v.opts...)
-			session := repro.NewSession(opts...)
+			session := repro.NewSession(repro.WithWorkers(v.workers), repro.WithTargetCI(0.02, 0, 4, 0))
 			sweepOnce(b, session) // warm the pool outside the timer
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -376,7 +382,7 @@ func BenchmarkMonteCarloStream(b *testing.B) {
 	cfg := benchConfig(repro.Cielo(40, 2), repro.OrderedNBDaly())
 	b.ReportAllocs()
 	b.ResetTimer()
-	mc, err := repro.MonteCarloStream(cfg, b.N, 0, nil)
+	mc, err := repro.NewSession().MonteCarlo(context.Background(), cfg, b.N)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -394,7 +400,7 @@ func BenchmarkSingleRun(b *testing.B) {
 			cfg.HorizonDays = 60
 			for i := 0; i < b.N; i++ {
 				cfg.Seed = uint64(i)
-				if _, err := repro.Run(cfg); err != nil {
+				if _, err := runFreshBench(cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -420,7 +426,7 @@ func BenchmarkAblationInterference(b *testing.B) {
 			cfg.Interference = m.model
 			for i := 0; i < b.N; i++ {
 				cfg.Seed = uint64(i)
-				if _, err := repro.Run(cfg); err != nil {
+				if _, err := runFreshBench(cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -457,7 +463,7 @@ func BenchmarkAblationBurstBuffer(b *testing.B) {
 			cfg.BurstBuffer = tc.bb
 			for i := 0; i < b.N; i++ {
 				cfg.Seed = uint64(i)
-				if _, err := repro.Run(cfg); err != nil {
+				if _, err := runFreshBench(cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -484,7 +490,7 @@ func BenchmarkAblationFailureLaw(b *testing.B) {
 			cfg.WeibullShape = l.shape
 			for i := 0; i < b.N; i++ {
 				cfg.Seed = uint64(i)
-				if _, err := repro.Run(cfg); err != nil {
+				if _, err := runFreshBench(cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

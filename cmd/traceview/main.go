@@ -11,6 +11,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -95,7 +96,7 @@ func main() {
 	if !*summary {
 		fmt.Fprintln(out, "time_s,kind,job,class,note")
 	}
-	res, err := repro.Run(cfg)
+	res, err := repro.NewSession(repro.WithWorkers(1)).Run(context.Background(), cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "traceview: %v\n", err)
 		os.Exit(1)

@@ -58,10 +58,10 @@ func ExampleLowerBound() {
 	// waste bound: 0.50
 }
 
-// ExampleRun simulates one 20-day segment of the APEX workload under the
-// cooperative Least-Waste strategy.
-func ExampleRun() {
-	res, err := repro.Run(repro.Config{
+// ExampleSession_Run simulates one 20-day segment of the APEX workload
+// under the cooperative Least-Waste strategy.
+func ExampleSession_Run() {
+	res, err := repro.NewSession().Run(context.Background(), repro.Config{
 		Platform:    repro.Cielo(40, 2),
 		Classes:     repro.APEXClasses(),
 		Strategy:    repro.LeastWaste(),

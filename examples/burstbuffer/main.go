@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,8 @@ import (
 
 func main() {
 	const runs = 6
+	ctx := context.Background()
+	session := repro.NewSession(repro.WithKeepResults(true), repro.WithKeepWasteRatios(true))
 	for _, scenario := range []struct {
 		label     string
 		bwGBps    float64
@@ -48,7 +51,7 @@ func main() {
 		} {
 			cfg := base
 			cfg.BurstBuffer = tier.bb
-			mc, err := repro.MonteCarlo(cfg, runs, 0)
+			mc, err := session.MonteCarlo(ctx, cfg, runs)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,16 +44,20 @@ func main() {
 		HorizonDays: 15,
 	}
 
+	// One session runs every simulation below on one warm arena.
+	ctx := context.Background()
+	session := repro.NewSession(repro.WithWorkers(1))
+
 	// 1. Exponential vs Weibull failures (same mean rate, shape 0.7:
 	// clustered infant failures).
-	exp, err := repro.Run(base)
+	exp, err := session.Run(ctx, base)
 	if err != nil {
 		log.Fatal(err)
 	}
 	weib := base
 	weib.FailureModel = repro.FailuresWeibull
 	weib.WeibullShape = 0.7
-	weibRes, err := repro.Run(weib)
+	weibRes, err := session.Run(ctx, weib)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,13 +68,13 @@ func main() {
 	// discipline (footnote 2's "more adversarial interference model").
 	obl := base
 	obl.Strategy = repro.ObliviousDaly()
-	lin, err := repro.Run(obl)
+	lin, err := session.Run(ctx, obl)
 	if err != nil {
 		log.Fatal(err)
 	}
 	adv := obl
 	adv.Interference = repro.Degraded{Gamma: 0.8}
-	advRes, err := repro.Run(adv)
+	advRes, err := session.Run(ctx, adv)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -88,7 +93,7 @@ func main() {
 			count++
 		}
 	}
-	if _, err := repro.Run(traced); err != nil {
+	if _, err := session.Run(ctx, traced); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("(%d checkpoint grant/commit events in 3 days)\n", count)

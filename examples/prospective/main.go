@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,6 +30,8 @@ func main() {
 		repro.OrderedNBDaly(),
 		repro.LeastWaste(),
 	}
+	ctx := context.Background()
+	session := repro.NewSession()
 	for _, strat := range strategies {
 		cfg := repro.Config{
 			Platform:    p,
@@ -37,7 +40,7 @@ func main() {
 			Seed:        3,
 			HorizonDays: 20, // reduced from the paper's 60 for example speed
 		}
-		bw, err := repro.MinBandwidthForEfficiency(cfg, target, loBps, hiBps, 3, 0, 8)
+		bw, err := session.MinBandwidth(ctx, cfg, target, loBps, hiBps, 3, 8)
 		if err != nil {
 			fmt.Printf("%-18s cannot reach target below %.0f TB/s\n", strat.Name(), hiBps/1e12)
 			continue

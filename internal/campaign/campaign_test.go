@@ -501,6 +501,17 @@ func TestCampaignChildProcess(t *testing.T) {
 	if path == "" {
 		t.Skip("helper process for TestCampaignSIGKILLResume")
 	}
+	// Pace the replicates so the campaign outlasts several of the
+	// parent's 5 ms journal polls: unpaced, the tiny sweep can finish
+	// between two polls and the kill lands on a sealed journal. The hook
+	// returns nil, so every result is unchanged.
+	defer faultinject.Set(faultinject.SiteWorkerReplicate, func(ctx context.Context, _ any) error {
+		select {
+		case <-time.After(2 * time.Millisecond):
+		case <-ctx.Done():
+		}
+		return nil
+	})()
 	base := tinyConfig(mustStrategy(t, "Ordered-NB-Daly"), 97)
 	// SyncEvery 1: every snapshot durable, so the parent's kill point is
 	// always recoverable. Slow on purpose-built hardware is fine here —

@@ -22,7 +22,7 @@ import (
 // a fresh-build run of the same configuration and seed: every reset path
 // restores the exact initial state (see the package's arena tests).
 //
-// An Arena is not safe for concurrent use; Monte-Carlo drivers create one
+// An Arena is not safe for concurrent use; the grid coordinator holds one
 // per worker. Reconfigure swaps the scenario (bandwidth, MTBF, strategy,
 // failure model, ...) while keeping the pools, which is what makes
 // multi-point parameter sweeps cheap.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -146,8 +147,8 @@ func TestArenaInvalidConfig(t *testing.T) {
 
 // TestSweepMatchesPointwiseMonteCarlo pins Sweep against the ground truth:
 // every grid point's MCResult must be bit-identical to an independent
-// MonteCarloOpts evaluation of that point's configuration, even though the
-// sweep reuses one arena set across the whole grid.
+// Session.MonteCarlo of that point's configuration on a fresh session,
+// even though the sweep reuses one arena set across the whole grid.
 func TestSweepMatchesPointwiseMonteCarlo(t *testing.T) {
 	base := tinyConfig(OrderedDaly(), 29)
 	grid := SweepGrid{
@@ -155,16 +156,7 @@ func TestSweepMatchesPointwiseMonteCarlo(t *testing.T) {
 		Strategies:    []Strategy{OrderedNBDaly(), LeastWaste()},
 	}
 	const runs = 3
-	var pts []SweepPoint
-	var got []MCResult
-	err := Sweep(base, grid, runs, 2, MCOptions{KeepWasteRatios: true},
-		func(pt SweepPoint, mc MCResult) {
-			pts = append(pts, pt)
-			got = append(got, mc)
-		})
-	if err != nil {
-		t.Fatalf("Sweep: %v", err)
-	}
+	pts, got := collectSweep(t, NewSession(WithWorkers(2), WithKeepWasteRatios(true)), base, grid, runs)
 	if len(got) != 4 {
 		t.Fatalf("sweep delivered %d points, want 4", len(got))
 	}
@@ -176,7 +168,7 @@ func TestSweepMatchesPointwiseMonteCarlo(t *testing.T) {
 		cfg.Platform.BandwidthBps = pt.BandwidthBps
 		cfg.Platform.NodeMTBFSeconds = pt.NodeMTBFSeconds
 		cfg.Strategy = pt.Strategy
-		want, err := MonteCarloOpts(cfg, runs, 2, MCOptions{KeepWasteRatios: true})
+		want, err := NewSession(WithWorkers(2), WithKeepWasteRatios(true)).MonteCarlo(context.Background(), cfg, runs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,16 +190,7 @@ func TestSweepChannelAxis(t *testing.T) {
 		Strategies: []Strategy{OrderedNBDaly(), LeastWaste()},
 	}
 	const runs = 2
-	var pts []SweepPoint
-	var got []MCResult
-	err := Sweep(base, grid, runs, 2, MCOptions{KeepWasteRatios: true},
-		func(pt SweepPoint, mc MCResult) {
-			pts = append(pts, pt)
-			got = append(got, mc)
-		})
-	if err != nil {
-		t.Fatalf("Sweep: %v", err)
-	}
+	pts, got := collectSweep(t, NewSession(WithWorkers(2), WithKeepWasteRatios(true)), base, grid, runs)
 	if len(pts) != 4 {
 		t.Fatalf("sweep delivered %d points, want 4", len(pts))
 	}
@@ -219,7 +202,7 @@ func TestSweepChannelAxis(t *testing.T) {
 		cfg := base
 		cfg.Channels = pt.Channels
 		cfg.Strategy = pt.Strategy
-		want, err := MonteCarloOpts(cfg, runs, 2, MCOptions{KeepWasteRatios: true})
+		want, err := NewSession(WithWorkers(2), WithKeepWasteRatios(true)).MonteCarlo(context.Background(), cfg, runs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,14 +233,15 @@ func TestSweepGridDefaults(t *testing.T) {
 		pt.Failure.Model != base.FailureModel {
 		t.Fatalf("default point %+v does not match base", pt)
 	}
-	count := 0
-	if err := Sweep(base, SweepGrid{}, 2, 1, MCOptions{}, func(SweepPoint, MCResult) { count++ }); err != nil {
-		t.Fatal(err)
+	s := NewSession(WithWorkers(1))
+	if _, mcs := collectSweep(t, s, base, SweepGrid{}, 2); len(mcs) != 1 {
+		t.Fatalf("empty-grid sweep yielded %d points, want 1", len(mcs))
 	}
-	if count != 1 {
-		t.Fatalf("empty-grid sweep fired %d callbacks, want 1", count)
+	points, errf := s.Sweep(context.Background(), base, SweepGrid{}, 0)
+	for range points {
+		t.Fatal("zero-run sweep yielded a point")
 	}
-	if err := Sweep(base, SweepGrid{}, 0, 1, MCOptions{}, nil); err == nil {
+	if errf() == nil {
 		t.Fatal("zero runs accepted")
 	}
 }

@@ -168,10 +168,10 @@ func (c Config) withDefaults() Config {
 // descriptive error per offending field, joined with errors.Join — so a
 // config that is wrong in three ways surfaces all three at once instead
 // of one deep failure per fix attempt. Every driver entry point (arena
-// construction, the Monte-Carlo core, hence Session.Run / MonteCarlo /
-// Sweep / Compare / MinBandwidth and all deprecated shims) validates
-// through here before any simulation state is touched; a nil return
-// guarantees the configuration builds.
+// construction and the grid coordinator, hence Session.Run / MonteCarlo
+// / Sweep / Compare / MinBandwidth) validates through here before any
+// simulation state is touched; a nil return guarantees the configuration
+// builds.
 func (c Config) Validate() error {
 	return c.withDefaults().validate()
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"os"
 	"testing"
@@ -381,9 +382,16 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// batchSession is a Session that materialises every run: per-run Results
+// and waste ratios, with the exact sorted Summary.
+func batchSession(workers int) *Session {
+	return NewSession(WithWorkers(workers), WithKeepResults(true), WithKeepWasteRatios(true))
+}
+
 func TestMonteCarlo(t *testing.T) {
+	ctx := context.Background()
 	cfg := tinyConfig(OrderedNBDaly(), 41)
-	mc, err := MonteCarlo(cfg, 6, 2)
+	mc, err := batchSession(2).MonteCarlo(ctx, cfg, 6)
 	if err != nil {
 		t.Fatalf("MonteCarlo: %v", err)
 	}
@@ -395,7 +403,7 @@ func TestMonteCarlo(t *testing.T) {
 	}
 	// Replication must be deterministic and prefix-stable: run i is the
 	// same regardless of total run count.
-	mc2, err := MonteCarlo(cfg, 3, 1)
+	mc2, err := batchSession(1).MonteCarlo(ctx, cfg, 3)
 	if err != nil {
 		t.Fatalf("MonteCarlo: %v", err)
 	}
@@ -404,7 +412,7 @@ func TestMonteCarlo(t *testing.T) {
 			t.Fatalf("run %d not prefix-stable: %v vs %v", i, mc.WasteRatios[i], mc2.WasteRatios[i])
 		}
 	}
-	if _, err := MonteCarlo(cfg, 0, 1); err == nil {
+	if _, err := batchSession(1).MonteCarlo(ctx, cfg, 0); err == nil {
 		t.Error("zero runs accepted")
 	}
 }
@@ -412,9 +420,9 @@ func TestMonteCarlo(t *testing.T) {
 func TestCompareStrategies(t *testing.T) {
 	cfg := tinyConfig(OrderedDaly(), 43)
 	strats := []Strategy{ObliviousDaly(), LeastWaste()}
-	out, err := CompareStrategies(cfg, strats, 3, 2)
+	out, err := batchSession(2).Compare(context.Background(), cfg, strats, 3)
 	if err != nil {
-		t.Fatalf("CompareStrategies: %v", err)
+		t.Fatalf("Compare: %v", err)
 	}
 	if len(out) != 2 || out[0].Strategy != "Oblivious-Daly" || out[1].Strategy != "Least-Waste" {
 		t.Fatalf("unexpected output: %+v", out)
@@ -428,10 +436,12 @@ func TestMinBandwidthForEfficiency(t *testing.T) {
 	cfg := tinyConfig(OrderedNBDaly(), 47)
 	cfg.HorizonDays = 4
 	cfg.Gen.MinDays = 4
+	ctx := context.Background()
+	s := NewSession(WithWorkers(2))
 	lo, hi := units.GBps(0.05), units.GBps(50)
-	bw, err := MinBandwidthForEfficiency(cfg, 0.6, lo, hi, 2, 2, 8)
+	bw, err := s.MinBandwidth(ctx, cfg, 0.6, lo, hi, 2, 8)
 	if err != nil {
-		t.Fatalf("MinBandwidthForEfficiency: %v", err)
+		t.Fatalf("MinBandwidth: %v", err)
 	}
 	if bw < lo || bw > hi {
 		t.Fatalf("returned bandwidth %v outside bracket", bw)
@@ -439,17 +449,17 @@ func TestMinBandwidthForEfficiency(t *testing.T) {
 	// The mean waste at the found bandwidth must meet the target.
 	check := cfg
 	check.Platform.BandwidthBps = bw
-	mc, err := MonteCarlo(check, 2, 2)
+	mc, err := batchSession(2).MonteCarlo(ctx, check, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mc.Summary.Mean > 0.4+1e-9 {
 		t.Fatalf("waste %v at returned bandwidth exceeds target 0.4", mc.Summary.Mean)
 	}
-	if _, err := MinBandwidthForEfficiency(cfg, 1.5, lo, hi, 1, 1, 4); err == nil {
+	if _, err := s.MinBandwidth(ctx, cfg, 1.5, lo, hi, 1, 4); err == nil {
 		t.Error("invalid target accepted")
 	}
-	if _, err := MinBandwidthForEfficiency(cfg, 0.8, hi, lo, 1, 1, 4); err == nil {
+	if _, err := s.MinBandwidth(ctx, cfg, 0.8, hi, lo, 1, 4); err == nil {
 		t.Error("inverted bracket accepted")
 	}
 }

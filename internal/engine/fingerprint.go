@@ -94,12 +94,8 @@ func ExperimentKey(cfg Config, runs int, opts MCOptions) (string, bool) {
 		return "", false
 	}
 	seq := opts.TargetCI.withDefaults()
-	total := runs
-	if seq.HalfWidth > 0 {
-		if seq.MaxRuns > 0 {
-			total = seq.MaxRuns
-		}
-	} else {
+	total := opts.budget(runs)
+	if seq.HalfWidth <= 0 {
 		seq = TargetCI{Confidence: seq.Confidence}
 	}
 	seq.MaxRuns = 0
@@ -147,10 +143,12 @@ func cloneMCResult(mc MCResult) MCResult {
 	return mc
 }
 
-// sweepMemo is the per-sweep memo both Sweep paths consult: an in-grid
-// tier (repeated cells within one grid — the k-axis × shared-device case)
-// backed by the session's ResultCache, when one is installed. A nil memo
-// disables memoisation (per-run observers must see every simulation).
+// sweepMemo is the per-sweep memo the grid coordinator consults: an
+// in-grid tier (repeated cells within one grid — the k-axis ×
+// shared-device case) backed by the session's ResultCache, when one is
+// installed. A nil memo disables memoisation: per-run observers must see
+// every simulation, and single experiments (MonteCarlo, the paired
+// comparison, bisection probes) are never memoised.
 type sweepMemo struct {
 	runs  int
 	opts  MCOptions

@@ -9,22 +9,29 @@ import (
 	"repro/internal/faultinject"
 )
 
-// This file is the grid-level sweep scheduler (WithGridDispatch): the
-// whole grid runs as one experiment whose unit of dispatch is a
-// (point, replicate-chunk) work item. Workers steal across point
-// boundaries — no worker idles at a point boundary while any point in
-// the dispatch horizon still has work — while the coordinator (the
-// caller's goroutine, inside the pull iterator) folds each point's
-// replicates in strict run order through the same mcFold the sequential
-// driver uses and releases finished points to the consumer in grid
-// order through a bounded reorder window.
+// This file is the grid coordinator, the one replicate scheduler every
+// Monte-Carlo experiment runs on. MonteCarlo, MonteCarloResume and each
+// MinBandwidth probe are one-point grids; Sweep, Compare and the
+// non-reference strategies of ComparePaired are n-point grids. The unit of
+// dispatch is a (point, replicate-chunk) work item. Workers steal across
+// point boundaries — no worker idles at a point boundary while any point
+// in the dispatch horizon still has work — while the coordinator (the
+// caller's goroutine) folds each point's replicates in strict run order
+// through mcFold and releases finished points in point order through a
+// bounded reorder window.
 //
-// Bit-identity with the sequential schedule holds by construction:
-// replicate i of a point is a pure function of (cfg.Seed, i) under the
-// CRN schedule regardless of which worker simulates it, and all
-// aggregation — including sequential-stopping decisions, which are
-// evaluated at the same fold boundaries on the same prefix — happens in
-// per-point run order on the coordinator.
+// Results do not depend on the schedule: replicate i of a point is a pure
+// function of (cfg.Seed, i) under the CRN schedule regardless of which
+// worker simulates it, and all aggregation — including sequential-stopping
+// decisions, evaluated at the fold boundaries of the same prefix — happens
+// in per-point run order on the coordinator.
+
+// gridPoint is one Monte-Carlo experiment of a grid run.
+type gridPoint struct {
+	cfg  Config
+	runs int
+	opts MCOptions
+}
 
 // gridItem is one simulated replicate in flight from a worker to the
 // coordinator. Every dispatched run index produces exactly one item: a
@@ -43,14 +50,13 @@ type gridItem struct {
 // fold state (fold, pending, nextFold, mc, err, done) belongs to the
 // coordinator alone.
 type gridPointState struct {
-	cfg Config
-	key string
-	// dupOf is the lowest-index grid point with the same content
-	// address (-1 when this point is the canonical cell): the
-	// provably-duplicate k-axis × shared-device case SweepGrid
-	// documents. Duplicates are never dispatched; they receive a clone
-	// of the canonical result, marked Cached.
-	dupOf int
+	cfg  Config
+	key  string
+	anti bool
+	// chunk is the work-item length: a few runs under fixed
+	// replication, single runs (pairs under antithetic) under sequential
+	// stopping so speculation past a stopping decision stays bounded.
+	chunk int
 
 	// Coordinator-private fold state.
 	fold     *mcFold
@@ -59,7 +65,7 @@ type gridPointState struct {
 	total    int
 	mc       MCResult
 	err      error
-	invalid  bool // err came from configuration validation at setup
+	invalid  bool // err came from run-count or configuration validation
 	done     bool
 
 	// Scheduling state, guarded by gridSweep.mu.
@@ -68,20 +74,13 @@ type gridPointState struct {
 	active    bool // dispatchable: not done, not errored, not a duplicate
 }
 
-// gridSweep is one grid-scheduled sweep execution.
+// gridSweep is one grid execution.
 type gridSweep struct {
 	states []*gridPointState
 	arenas []*Arena
-	anti   bool
 
-	// chunk is the work-item length: a batch under fixed replication,
-	// single runs (pairs under antithetic) under sequential stopping so
-	// speculation past a stopping decision stays as bounded as the
-	// sequential driver's dispatch gate.
-	chunk int
-	// window bounds per-point dispatch past the fold frontier — the
-	// same 4×workers speculation bound the sequential driver's reorder
-	// gate enforces, which also caps the pending map per point.
+	// window bounds per-point dispatch past the fold frontier (4 per
+	// worker), which also caps the pending map per point.
 	window int
 	// lookahead bounds dispatch past the yield frontier in points,
 	// capping how many finished MCResults the reorder window can hold.
@@ -93,123 +92,98 @@ type gridSweep struct {
 	// delivered to the consumer. Written by the coordinator only.
 	nextYield int
 	// errPoint is the lowest grid point that failed; dispatch freezes at
-	// it (points before it still complete, exactly the prefix the
-	// sequential schedule would have delivered) and the sweep surfaces
-	// its error when the yield frontier reaches it.
+	// it (points before it still complete) and the run surfaces its
+	// error when the yield frontier reaches it.
 	errPoint int
 	halted   bool
 
+	// dups lists, per canonical point, the later points that repeat its
+	// content address.
 	dups map[int][]int
 	memo *sweepMemo
 }
 
-// sweepGrid evaluates the grid under the grid-level scheduler. It is
-// pinned bit-identical to sweepSequential (including MCResult.Cached
-// provenance) for every combination of options that routes here.
-func (s *Session) sweepGrid(ctx context.Context, base Config, pts []SweepPoint, runs int, yield func(SweepPoint, MCResult) bool) error {
-	if len(pts) == 0 {
-		return nil
-	}
-	if runs <= 0 {
-		return sweepPointErr(pts[0], fmt.Errorf("engine: non-positive run count %d", runs))
-	}
-	// The pool sizes to the total outstanding grid work, not any single
-	// point's replication count: a 30-point × 4-run grid keeps 16 workers
-	// busy even though no point alone would.
-	arenas := s.arenasFor(len(pts) * runs)
-	workers := len(arenas)
-
+// runGrid evaluates pts under the grid coordinator, yielding each point's
+// result in point order on the caller's goroutine. memo (nil disables
+// it) serves and stores cacheable points and deduplicates repeated cells;
+// progress (nil disables it) observes the running count of folded
+// replicates across the grid. On failure it returns the failing point's
+// index and the unwrapped cause — ctx.Err() on cancellation, "engine:
+// run %d: ..." on a replicate failure; otherwise (-1, nil), also when
+// yield stops the iteration early.
+//
+// With WithOnResult the lookahead is one point, so the per-run hook sees
+// whole-experiment run order: point p+1 dispatches only once point p has
+// been yielded.
+func (s *Session) runGrid(ctx context.Context, pts []gridPoint, memo *sweepMemo, progress func(done int), yield func(p int, mc MCResult) bool) (int, error) {
 	g := &gridSweep{
-		states:    make([]*gridPointState, len(pts)),
-		arenas:    arenas,
-		anti:      s.opts.Antithetic,
-		chunk:     8,
-		window:    4 * workers,
-		lookahead: 2*workers + 2,
-		errPoint:  len(pts),
-		dups:      map[int][]int{},
-		memo:      newSweepMemo(s, runs),
+		states:   make([]*gridPointState, len(pts)),
+		errPoint: len(pts),
+		dups:     map[int][]int{},
+		memo:     memo,
 	}
 	g.cond = sync.NewCond(&g.mu)
-	if s.opts.TargetCI.withDefaults().HalfWidth > 0 {
-		g.chunk = 1
-		if g.anti {
-			g.chunk = 2
-		}
+	keyOwner := map[string]int{}
+	runs := 0
+	for idx, pt := range pts {
+		g.setup(idx, pt, keyOwner)
+		runs += max(pt.runs, 0)
 	}
 
-	keyOwner := map[string]int{}
-	for idx, pt := range pts {
-		cfg := pt.Apply(base)
-		st := &gridPointState{cfg: cfg, dupOf: -1}
-		g.states[idx] = st
-		if err := cfg.Validate(); err != nil {
-			st.err, st.invalid = err, true
-			if idx < g.errPoint {
-				g.errPoint = idx
-			}
+	// The pool sizes to the grid's whole replication, not any single
+	// point's: a 30-point × 4-run grid keeps 16 workers busy even though
+	// no point alone would. Workers never outnumber the outstanding runs.
+	g.arenas = s.arenasFor(runs)
+	work := 0
+	for _, st := range g.states {
+		if st.active {
+			work += st.total - st.cursor
+		}
+	}
+	workers := min(len(g.arenas), work)
+	g.window = 4 * workers
+	g.lookahead = 2*workers + 2
+	if s.opts.OnResult != nil {
+		g.lookahead = 1
+	}
+	// A fixed-runs chunk is at most window/workers runs, so every worker
+	// can hold a chunk of the same point, and at most an even share of
+	// the outstanding work, so a small one-point grid still fans out.
+	chunk := 4
+	if workers > 0 {
+		chunk = min(chunk, (work+workers-1)/workers)
+	}
+	done := 0
+	for _, st := range g.states {
+		if !st.active {
 			continue
 		}
-		st.key = g.memo.key(cfg)
-		if st.key != "" {
-			if owner, ok := keyOwner[st.key]; ok {
-				st.dupOf = owner
-				if can := g.states[owner]; can.done {
-					st.mc = cloneMCResult(can.mc)
-					st.mc.Cached = true
-					st.done = true
-				} else {
-					g.dups[owner] = append(g.dups[owner], idx)
-				}
-				continue
-			}
-			keyOwner[st.key] = idx
-			if mc, ok := g.memo.lookup(st.key); ok {
-				st.mc = mc
-				st.done = true
-				continue
+		st.chunk = chunk
+		if st.fold.seqOn {
+			st.chunk = 1
+			if st.anti {
+				st.chunk = 2
 			}
 		}
-		st.fold = newMCFold(cfg, runs, s.opts)
-		st.total = st.fold.total
-		st.pending = make(map[int]gridItem, g.window)
-		st.active = true
-	}
-
-	// One global monotone progress counter spans the grid: replicates of
-	// concurrent points fold interleaved, so per-point offsets (the
-	// sequential schedule's doneBase) would run backwards here.
-	totalRuns := len(pts) * runs
-	if s.progress != nil {
-		gDone := 0
-		report := func(int) {
-			gDone++
-			s.progress(gDone, totalRuns)
-		}
-		for _, st := range g.states {
-			if st.fold != nil {
-				st.fold.progress = report
+		if progress != nil {
+			st.fold.progress = func() {
+				done++
+				progress(done)
 			}
 		}
 	}
 
+	// Room for every run the workers may hold past the fold frontiers of
+	// a few points, so a worker rarely blocks on a busy coordinator.
 	resCh := make(chan gridItem, 4*workers+4)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			g.work(ctx, w, resCh)
-		}(w)
-	}
-	go func() {
-		wg.Wait()
-		close(resCh)
-	}()
+	started := false
 	// Halt dispatch and drain on every exit — error, cancellation, early
-	// break, even a panicking yield — so the iterator never leaks a
-	// worker goroutine past its return.
+	// break, even a panicking yield — so the run never leaks a worker
+	// goroutine past its return.
 	defer func() {
+		if !started {
+			return
+		}
 		g.mu.Lock()
 		g.halted = true
 		g.cond.Broadcast()
@@ -219,26 +193,26 @@ func (s *Session) sweepGrid(ctx context.Context, base Config, pts []SweepPoint, 
 	}()
 
 	for {
-		// Release finished points in grid order. The checks mirror the
-		// sequential schedule's per-point entry: an invalid
-		// configuration surfaces at its point, cancellation surfaces at
+		// Release finished points in order. An invalid point surfaces
+		// at its position before anything else; cancellation surfaces at
 		// the first point not yet delivered when it was observed.
 		for g.nextYield < len(pts) {
-			st := g.states[g.nextYield]
+			p := g.nextYield
+			st := g.states[p]
 			if st.invalid {
-				return sweepPointErr(pts[g.nextYield], st.err)
+				return p, st.err
 			}
 			if e := ctx.Err(); e != nil {
-				return sweepPointErr(pts[g.nextYield], e)
+				return p, e
 			}
 			if st.err != nil {
-				return sweepPointErr(pts[g.nextYield], st.err)
+				return p, st.err
 			}
 			if !st.done {
 				break
 			}
-			if !yield(pts[g.nextYield], st.mc) {
-				return nil
+			if !yield(p, st.mc) {
+				return -1, nil
 			}
 			g.mu.Lock()
 			g.nextYield++
@@ -246,25 +220,111 @@ func (s *Session) sweepGrid(ctx context.Context, base Config, pts []SweepPoint, 
 			g.mu.Unlock()
 		}
 		if g.nextYield == len(pts) {
-			return nil
+			return -1, nil
+		}
+		if !started {
+			// Workers start only once a point needs simulating: a
+			// pre-cancelled context or a fully memoised grid spawns none.
+			started = true
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					g.work(ctx, w, resCh)
+				}(w)
+			}
+			go func() {
+				wg.Wait()
+				close(resCh)
+			}()
 		}
 		select {
 		case it, ok := <-resCh:
 			if !ok {
 				// Workers only exit once halted, which only the defer
 				// sets — unreachable, but fail loudly over hanging.
-				return fmt.Errorf("engine: grid sweep: result channel closed with %d points pending", len(pts)-g.nextYield)
+				return g.nextYield, fmt.Errorf("engine: grid: result channel closed with %d points pending", len(pts)-g.nextYield)
 			}
-			g.process(it)
+			g.process(ctx, it)
 		case <-ctx.Done():
 			// Surfaced by the yield loop's ctx check next iteration.
 		}
 	}
 }
 
+// setup resolves point idx before any dispatch: a validation or resume
+// failure, a memo or in-grid duplicate hit, a resumed point that is
+// already complete, or an active point with its fold state. The checks
+// run in the order a caller sees their errors: run count and
+// configuration first, then (after the coordinator's context check) the
+// resume and snapshot preconditions.
+func (g *gridSweep) setup(idx int, pt gridPoint, keyOwner map[string]int) {
+	st := &gridPointState{cfg: pt.cfg, anti: pt.opts.Antithetic}
+	g.states[idx] = st
+	fail := func(err error, invalid bool) {
+		st.err, st.invalid = err, invalid
+		g.errPoint = min(g.errPoint, idx)
+	}
+	if pt.runs <= 0 {
+		fail(fmt.Errorf("engine: non-positive run count %d", pt.runs), true)
+		return
+	}
+	if err := pt.cfg.Validate(); err != nil {
+		fail(err, true)
+		return
+	}
+	if err := pt.opts.checkStreaming(); err != nil {
+		fail(err, false)
+		return
+	}
+	st.key = g.memo.key(pt.cfg)
+	if st.key != "" {
+		if owner, ok := keyOwner[st.key]; ok {
+			// A repeat of an earlier cell's content address (the
+			// k-axis × shared-device case SweepGrid documents) is never
+			// dispatched: it receives a clone of that cell's result,
+			// marked Cached.
+			if can := g.states[owner]; can.done {
+				st.mc = cloneMCResult(can.mc)
+				st.mc.Cached = true
+				st.done = true
+			} else {
+				g.dups[owner] = append(g.dups[owner], idx)
+			}
+			return
+		}
+		keyOwner[st.key] = idx
+		if mc, ok := g.memo.lookup(st.key); ok {
+			st.mc = mc
+			st.done = true
+			return
+		}
+	}
+	st.fold = newMCFold(pt.cfg, pt.runs, pt.opts)
+	st.total = st.fold.total
+	if rs := pt.opts.resume; rs != nil {
+		if rs.Folded > st.total {
+			fail(fmt.Errorf("engine: resume snapshot folds %d replicates, experiment has %d", rs.Folded, st.total), false)
+			return
+		}
+		if err := st.fold.restore(rs); err != nil {
+			fail(err, false)
+			return
+		}
+		st.cursor, st.nextFold, st.foldedPub = rs.Folded, rs.Folded, rs.Folded
+		if st.nextFold == st.total {
+			st.mc, st.done = st.fold.finalize(), true
+			return
+		}
+	}
+	st.pending = map[int]gridItem{}
+	st.active = true
+}
+
 // work is one grid worker: claim a work item, simulate its runs on this
 // worker's arena (reconfigured when the claim switches points), send one
-// item per run. Exits when next reports the sweep halted.
+// item per run. Exits when next reports the run halted.
 func (g *gridSweep) work(ctx context.Context, w int, resCh chan<- gridItem) {
 	lastP := -1
 	reconfigured := false
@@ -277,7 +337,7 @@ func (g *gridSweep) work(ctx context.Context, w int, resCh chan<- gridItem) {
 			lastP = p
 			reconfigured = false
 		}
-		cfg := g.states[p].cfg
+		st := g.states[p]
 		var claimErr error
 		if faultinject.Armed() {
 			claimErr = fireGridDispatch(ctx, p, i, n)
@@ -291,7 +351,7 @@ func (g *gridSweep) work(ctx context.Context, w int, resCh chan<- gridItem) {
 				resCh <- gridItem{p: p, i: k, err: err, canceled: true}
 				continue
 			}
-			r, err := runReplicate(ctx, g.arenas, w, &reconfigured, cfg, k, g.anti)
+			r, err := runReplicate(ctx, g.arenas, w, &reconfigured, st.cfg, k, st.anti)
 			resCh <- gridItem{p: p, i: k, r: r, err: err}
 		}
 	}
@@ -314,7 +374,7 @@ func fireGridDispatch(ctx context.Context, p, i, n int) (err error) {
 // that point has dispatchable work (keeping the arena configured), else
 // the lowest-index point in the dispatch horizon — work stealing across
 // point boundaries. Blocks while no work is eligible; returns p = -1
-// once the sweep halts.
+// once the run halts.
 func (g *gridSweep) next(lastP int) (p, i, n int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -336,7 +396,7 @@ func (g *gridSweep) next(lastP int) (p, i, n int) {
 		}
 		if p >= 0 {
 			st := g.states[p]
-			n = min(g.chunk, g.window-(st.cursor-st.foldedPub), st.total-st.cursor)
+			n = min(st.chunk, g.window-(st.cursor-st.foldedPub), st.total-st.cursor)
 			i = st.cursor
 			st.cursor += n
 			return p, i, n
@@ -359,15 +419,17 @@ func (g *gridSweep) eligibleLocked(p int) bool {
 // the point's contiguous prefix in run order, and finalize the point when
 // its stopping rule fires or its budget completes. Items for points that
 // already finished (runs speculated past a stop, or past a failure) are
-// dropped, exactly as the sequential driver ignores post-stop deliveries.
-func (g *gridSweep) process(it gridItem) {
+// dropped. Once ctx is done nothing more folds, so the OnResult and
+// progress deliveries made before the cancellation was observed form an
+// exact in-order prefix.
+func (g *gridSweep) process(ctx context.Context, it gridItem) {
 	st := g.states[it.p]
 	if st.done || st.err != nil || it.canceled {
 		return
 	}
 	st.pending[it.i] = it
 	changed := false
-	for {
+	for ctx.Err() == nil {
 		q, ok := st.pending[st.nextFold]
 		if !ok {
 			break

@@ -31,10 +31,45 @@ func collectSweep(t *testing.T, s *Session, base Config, grid SweepGrid, runs in
 	return pts, mcs
 }
 
-// TestSweepGridBitIdentity pins the grid scheduler's core contract:
-// whatever the worker count and steal interleaving, a grid-dispatched
-// Sweep delivers bit-identical results to the sequential per-point path —
-// across every registered strategy, both event schedulers, fixed-runs and
+// referenceSweep is the sequential reference the grid coordinator is
+// pinned against: every point in order, one replicate at a time in run
+// order on a freshly built arena, folded through newMCFold until the
+// budget or the stopping rule ends it. A cell whose content address
+// repeats an earlier cell's is marked Cached, as in-grid dedup marks it.
+func referenceSweep(t *testing.T, base Config, grid SweepGrid, runs int, opts MCOptions) []MCResult {
+	t.Helper()
+	var out []MCResult
+	seen := map[string]bool{}
+	for _, pt := range grid.Points(base) {
+		cfg := pt.Apply(base)
+		f := newMCFold(cfg, runs, opts)
+		for i := 0; i < f.total; i++ {
+			a, err := NewArena(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := a.RunAnti(replicateDraw(cfg.Seed, i, opts.Antithetic))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.fold(i, r) {
+				break
+			}
+		}
+		mc := f.finalize()
+		if key, ok := ExperimentKey(cfg, runs, opts); ok {
+			mc.Cached = seen[key]
+			seen[key] = true
+		}
+		out = append(out, mc)
+	}
+	return out
+}
+
+// TestSweepGridBitIdentity pins the grid coordinator's core contract:
+// whatever the worker count and steal interleaving, a Sweep delivers
+// bit-identical results to the sequential reference — across every
+// registered strategy, both event schedulers, fixed-runs and
 // sequential-stopping experiments, and antithetic pairing.
 func TestSweepGridBitIdentity(t *testing.T) {
 	base := tinyConfig(Strategy{}, 7)
@@ -54,8 +89,7 @@ func TestSweepGridBitIdentity(t *testing.T) {
 		cfg.Scheduler = sched
 		for _, v := range variants {
 			t.Run(sched+"/"+v.name, func(t *testing.T) {
-				seqOpts := append([]SessionOption{WithWorkers(1), WithGridDispatch(false)}, v.opts...)
-				_, want := collectSweep(t, NewSession(seqOpts...), cfg, grid, v.runs)
+				want := referenceSweep(t, cfg, grid, v.runs, NewSession(v.opts...).opts)
 				for _, workers := range []int{1, 3, 7} {
 					gridOpts := append([]SessionOption{WithWorkers(workers)}, v.opts...)
 					pts, got := collectSweep(t, NewSession(gridOpts...), cfg, grid, v.runs)
@@ -64,7 +98,7 @@ func TestSweepGridBitIdentity(t *testing.T) {
 					}
 					for i := range want {
 						if !reflect.DeepEqual(got[i], want[i]) {
-							t.Errorf("workers=%d point %d (%s): grid result diverges from sequential\n got %+v\nwant %+v",
+							t.Errorf("workers=%d point %d (%s): grid result diverges from the reference\n got %+v\nwant %+v",
 								workers, i, pts[i].Strategy.Name(), got[i], want[i])
 						}
 					}
@@ -76,40 +110,38 @@ func TestSweepGridBitIdentity(t *testing.T) {
 
 // TestSweepGridDedupe: grid cells whose content address coincides — the
 // token-channel axis of a shared-device strategy — are simulated once and
-// served as clones flagged Cached, on both execution paths.
+// served as clones flagged Cached, equal to the sequential reference.
 func TestSweepGridDedupe(t *testing.T) {
 	base := tinyConfig(Strategy{}, 3)
 	grid := SweepGrid{
 		Strategies: []Strategy{ObliviousDaly(), OrderedDaly()},
 		Channels:   []int{1, 2, 4},
 	}
-	for _, gridDispatch := range []bool{true, false} {
-		t.Run(fmt.Sprintf("grid=%v", gridDispatch), func(t *testing.T) {
-			s := NewSession(WithWorkers(2), WithGridDispatch(gridDispatch))
-			pts, mcs := collectSweep(t, s, base, grid, 4)
-			canonical := map[string]MCResult{}
-			for i, mc := range mcs {
-				shared := !pts[i].Strategy.Discipline.UsesToken()
-				name := pts[i].Strategy.Name()
-				first, seen := canonical[name]
-				switch {
-				case shared && seen:
-					if !mc.Cached {
-						t.Errorf("point %d (%s k=%d): duplicate shared-device cell not flagged Cached", i, name, pts[i].Channels)
-					}
-					got := mc
-					got.Cached = false
-					if !reflect.DeepEqual(got, first) {
-						t.Errorf("point %d (%s k=%d): deduplicated cell differs from canonical", i, name, pts[i].Channels)
-					}
-				case mc.Cached:
-					t.Errorf("point %d (%s k=%d): unexpected Cached flag", i, name, pts[i].Channels)
-				}
-				if !seen {
-					canonical[name] = mc
-				}
+	pts, mcs := collectSweep(t, NewSession(WithWorkers(2)), base, grid, 4)
+	canonical := map[string]MCResult{}
+	for i, mc := range mcs {
+		shared := !pts[i].Strategy.Discipline.UsesToken()
+		name := pts[i].Strategy.Name()
+		first, seen := canonical[name]
+		switch {
+		case shared && seen:
+			if !mc.Cached {
+				t.Errorf("point %d (%s k=%d): duplicate shared-device cell not flagged Cached", i, name, pts[i].Channels)
 			}
-		})
+			got := mc
+			got.Cached = false
+			if !reflect.DeepEqual(got, first) {
+				t.Errorf("point %d (%s k=%d): deduplicated cell differs from canonical", i, name, pts[i].Channels)
+			}
+		case mc.Cached:
+			t.Errorf("point %d (%s k=%d): unexpected Cached flag", i, name, pts[i].Channels)
+		}
+		if !seen {
+			canonical[name] = mc
+		}
+	}
+	if want := referenceSweep(t, base, grid, 4, MCOptions{}); !reflect.DeepEqual(mcs, want) {
+		t.Errorf("deduplicated sweep diverges from the sequential reference:\n got %+v\nwant %+v", mcs, want)
 	}
 }
 
@@ -392,17 +424,24 @@ func TestExperimentKey(t *testing.T) {
 	}
 }
 
-// TestSweepGridOnResultFallsBackSequential: the per-run observation hook
-// guarantees strict run order within and across points, so a session with
-// OnResult must route Sweep through the sequential path.
-func TestSweepGridOnResultFallsBackSequential(t *testing.T) {
-	var order []int
-	s := NewSession(WithWorkers(4), WithOnResult(func(i int, _ Result) { order = append(order, i) }))
+// TestSweepOnResultCrossPointRunOrder: the per-run observation hook
+// guarantees strict run order within and across points, so under
+// WithOnResult no point starts before the previous one is complete.
+func TestSweepOnResultCrossPointRunOrder(t *testing.T) {
+	var order []string
+	s := NewSession(WithWorkers(4), WithOnResult(func(i int, r Result) {
+		order = append(order, fmt.Sprintf("%s/%d", r.Strategy, i))
+	}))
 	base := tinyConfig(Strategy{}, 2)
-	grid := SweepGrid{Strategies: []Strategy{ObliviousDaly(), OrderedDaly()}}
+	grid := SweepGrid{Strategies: []Strategy{ObliviousDaly(), OrderedDaly(), LeastWaste()}}
 	collectSweep(t, s, base, grid, 3)
-	want := []int{0, 1, 2, 0, 1, 2}
+	var want []string
+	for _, strat := range grid.Strategies {
+		for i := 0; i < 3; i++ {
+			want = append(want, fmt.Sprintf("%s/%d", strat.Name(), i))
+		}
+	}
 	if !reflect.DeepEqual(order, want) {
-		t.Fatalf("OnResult order = %v, want strict per-point run order %v", order, want)
+		t.Fatalf("OnResult order = %v, want strict cross-point run order %v", order, want)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sync"
 
 	"repro/internal/faultinject"
 	"repro/internal/rng"
@@ -135,44 +134,36 @@ func (t TargetCI) withDefaults() TargetCI {
 	return t
 }
 
-// MonteCarlo runs the configuration `runs` times with independent seeds
-// derived from cfg.Seed and summarises the waste ratios. workers bounds
-// parallelism (0 means GOMAXPROCS).
-//
-// Deprecated: use Session.MonteCarlo on a Session built with
-// WithKeepResults(true) and WithKeepWasteRatios(true) — it adds
-// cancellation and arena reuse across calls. This shim runs a throwaway
-// Session and is pinned bit-identical to it.
-func MonteCarlo(cfg Config, runs, workers int) (MCResult, error) {
-	return newSessionWith(workers, MCOptions{KeepResults: true, KeepWasteRatios: true}).
-		MonteCarlo(context.Background(), cfg, runs)
+// budget is the experiment's replicate budget: TargetCI.MaxRuns under
+// sequential stopping when it is set, else the requested run count.
+func (o MCOptions) budget(runs int) int {
+	if o.TargetCI.HalfWidth > 0 && o.TargetCI.MaxRuns > 0 {
+		return o.TargetCI.MaxRuns
+	}
+	return runs
 }
 
-// MonteCarloStream is the O(1)-memory Monte-Carlo experiment: every run's
-// Result is streamed to fn (which may be nil) in run order and then
-// dropped; the returned MCResult carries only the online aggregates.
-//
-// Deprecated: use Session.MonteCarlo on a Session built with
-// WithOnResult(fn). This shim runs a throwaway Session and is pinned
-// bit-identical to it.
-func MonteCarloStream(cfg Config, runs, workers int, fn func(i int, r Result)) (MCResult, error) {
-	return newSessionWith(workers, MCOptions{OnResult: fn}).
-		MonteCarlo(context.Background(), cfg, runs)
-}
-
-// MonteCarloOpts is the general Monte-Carlo driver with explicit
-// materialisation options.
-//
-// Deprecated: use Session.MonteCarlo — the Session options express the
-// same choices, plus cancellation and arena reuse across calls. This shim
-// runs a throwaway Session and is pinned bit-identical to it.
-func MonteCarloOpts(cfg Config, runs, workers int, opts MCOptions) (MCResult, error) {
-	return newSessionWith(workers, opts).MonteCarlo(context.Background(), cfg, runs)
+// checkStreaming rejects resume and snapshot hooks on a materialising
+// experiment: snapshots capture only the streaming-path state.
+func (o MCOptions) checkStreaming() error {
+	materialises := o.KeepResults || o.KeepWasteRatios
+	if o.resume != nil {
+		if materialises {
+			return fmt.Errorf("engine: resume requires the streaming path (no KeepResults/KeepWasteRatios)")
+		}
+		if o.resume.Folded < 0 {
+			return fmt.Errorf("engine: resume snapshot folds %d replicates", o.resume.Folded)
+		}
+	}
+	if o.onSnapshot != nil && materialises {
+		return fmt.Errorf("engine: snapshots require the streaming path (no KeepResults/KeepWasteRatios)")
+	}
+	return nil
 }
 
 // normWorkers resolves the worker count: 0 means GOMAXPROCS, and never
 // more workers than runs (never negative — an invalid run count resolves
-// to zero workers and is rejected by the core driver's validation).
+// to zero workers and is rejected by the grid coordinator's setup).
 func normWorkers(runs, workers int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -188,19 +179,18 @@ func normWorkers(runs, workers int) int {
 
 // mcFold is the aggregation state of one Monte-Carlo experiment: every
 // run's Result folds in strict run order through fold, and finalize
-// produces the MCResult. It is the single home of the fold semantics —
-// the sequential driver (monteCarloWith) and the grid-sweep scheduler
-// both fold through it, which is what makes the two paths bit-identical
-// by construction rather than by parallel maintenance.
+// produces the MCResult. It is the single home of the fold semantics:
+// the grid coordinator folds every experiment through it, so results do
+// not depend on which worker simulated which replicate.
 type mcFold struct {
 	opts    MCOptions
 	seq     TargetCI
 	seqOn   bool
 	total   int // replicate budget (MaxRuns under sequential stopping)
 	minRuns int // stopping-rule floor, rounded up to a pair boundary
-	// progress, when set, observes each folded run as done = i+1, at the
-	// exact point of the fold the sequential driver always reported from.
-	progress func(done int)
+	// progress, when set, is called after each folded run, once its
+	// OnResult delivery has been made.
+	progress func()
 
 	mc          MCResult
 	acc         stats.Accumulator
@@ -215,10 +205,7 @@ type mcFold struct {
 func newMCFold(cfg Config, runs int, opts MCOptions) *mcFold {
 	seq := opts.TargetCI.withDefaults()
 	seqOn := seq.HalfWidth > 0
-	total := runs
-	if seqOn && seq.MaxRuns > 0 {
-		total = seq.MaxRuns
-	}
+	total := opts.budget(runs)
 	minRuns := seq.MinRuns
 	if opts.Antithetic && minRuns%2 == 1 {
 		minRuns++ // stopping decisions only at pair boundaries
@@ -281,7 +268,7 @@ func (f *mcFold) fold(i int, r Result) (stop bool) {
 		f.ciAcc.Add(v)
 	}
 	if f.progress != nil {
-		f.progress(i + 1)
+		f.progress()
 	}
 	if f.opts.onSnapshot != nil {
 		every := f.opts.snapshotEvery
@@ -339,211 +326,6 @@ func replicateDraw(masterSeed uint64, i int, antithetic bool) (seed uint64, anti
 	return rng.ReplicateSeed(masterSeed, i), false
 }
 
-// monteCarloWith is the core Monte-Carlo driver every entry point funnels
-// into: one reusable Arena per worker (created lazily into arenas,
-// reconfigured in place when the slot already holds one from an earlier
-// scenario) with replicates delivered in deterministic run order, and the
-// single home of the replication-count validation. Callers that evaluate
-// several scenarios — Session.Sweep, the Figure 3 bisection — pass the
-// same arenas slice each time, so the whole grid reuses the per-worker
-// simulation state.
-//
-// Cancellation is observed at replicate boundaries: once ctx is done no
-// new replicate starts, the dispatcher halts, in-flight workers drain,
-// and ctx.Err() is returned. Deliveries (OnResult, progress) made before
-// the cancellation was observed form an exact in-order prefix.
-//
-// Sequential stopping (opts.TargetCI) rides the same machinery as
-// cancellation: when the CI estimator reaches the target half-width the
-// dispatcher halts through the stop channel, in-flight workers drain,
-// and the in-order prefix delivered up to the stopping decision is the
-// experiment (RunsUsed records its length). Antithetic mode remaps run
-// indices onto seed pairs and feeds the CI estimator pair averages.
-func monteCarloWith(ctx context.Context, arenas []*Arena, cfg Config, runs int, opts MCOptions, progress func(done int)) (MCResult, error) {
-	if runs <= 0 {
-		return MCResult{}, fmt.Errorf("engine: non-positive run count %d", runs)
-	}
-	// Validate up front so a bad configuration surfaces as one clean,
-	// per-field error before any worker goroutine spawns, instead of a
-	// deep failure wrapped in worker context.
-	if err := cfg.Validate(); err != nil {
-		return MCResult{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return MCResult{}, err
-	}
-	start := 0
-	if opts.resume != nil {
-		if opts.KeepResults || opts.KeepWasteRatios {
-			return MCResult{}, fmt.Errorf("engine: resume requires the streaming path (no KeepResults/KeepWasteRatios)")
-		}
-		start = opts.resume.Folded
-		if start < 0 {
-			return MCResult{}, fmt.Errorf("engine: resume snapshot folds %d replicates", start)
-		}
-	}
-	if (opts.onSnapshot != nil) && (opts.KeepResults || opts.KeepWasteRatios) {
-		return MCResult{}, fmt.Errorf("engine: snapshots require the streaming path (no KeepResults/KeepWasteRatios)")
-	}
-	f := newMCFold(cfg, runs, opts)
-	f.progress = progress
-	total := f.total
-	if start > total {
-		return MCResult{}, fmt.Errorf("engine: resume snapshot folds %d replicates, experiment has %d", start, total)
-	}
-	workers := len(arenas)
-	if workers > total-start {
-		workers = total - start
-	}
-
-	// Bounded reorder window: run i may only be dispatched once run
-	// i-window has been delivered, so out-of-order completions buffer at
-	// most `window` Results — O(workers), not O(runs).
-	window := 4 * workers
-	type item struct {
-		i   int
-		r   Result
-		err error
-		// canceled marks a context error, delivered unwrapped.
-		canceled bool
-	}
-	next := make(chan int)
-	resCh := make(chan item, window)
-	gate := make(chan struct{}, window)
-	// stop aborts dispatch after the first delivered error, so a failing
-	// million-run experiment surfaces the error after ~window runs
-	// instead of simulating the full replication to completion.
-	stop := make(chan struct{})
-	done := ctx.Done()
-	dispatchedCh := make(chan int, 1)
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// The slot may hold an arena configured for a previous
-			// scenario; point it at this one before the first replicate.
-			reconfigured := false
-			for i := range next {
-				if err := ctx.Err(); err != nil {
-					// Dispatched before the cancellation was observed:
-					// account for the index without simulating it.
-					resCh <- item{i: i, err: err, canceled: true}
-					continue
-				}
-				r, err := runReplicate(ctx, arenas, w, &reconfigured, cfg, i, opts.Antithetic)
-				resCh <- item{i: i, r: r, err: err}
-			}
-		}(w)
-	}
-	go func() {
-		dispatched := 0
-		defer func() {
-			close(next)
-			dispatchedCh <- dispatched
-		}()
-		for i := start; i < total; i++ {
-			select {
-			case gate <- struct{}{}:
-			case <-stop:
-				return
-			case <-done:
-				return
-			}
-			select {
-			case next <- i:
-			case <-stop:
-				return
-			case <-done:
-				return
-			}
-			dispatched++
-		}
-	}()
-
-	var firstErr error
-	if rs := opts.resume; rs != nil {
-		if err := f.restore(rs); err != nil {
-			return MCResult{}, err
-		}
-	}
-	stopClosed := false
-
-	halt := func() {
-		if !stopClosed {
-			stopClosed = true
-			close(stop)
-		}
-	}
-	abort := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-			halt()
-		}
-	}
-	deliver := func(it item) {
-		<-gate
-		if firstErr == nil && !f.stopped && ctx.Err() != nil {
-			abort(ctx.Err())
-		}
-		if it.err != nil {
-			// Errors surfacing from runs dispatched before a graceful
-			// sequential stop cannot invalidate the already-complete
-			// experiment; outside that window they abort it.
-			if !f.stopped {
-				if it.canceled {
-					abort(it.err)
-				} else {
-					abort(fmt.Errorf("engine: run %d: %w", it.i, it.err))
-				}
-			}
-			return
-		}
-		if firstErr != nil || f.stopped {
-			return
-		}
-		if f.fold(it.i, it.r) {
-			halt()
-		}
-	}
-
-	// Consume exactly the dispatched results, delivering in run order;
-	// the dispatched count is only known early when stop or ctx fires.
-	pending := make(map[int]item, window)
-	nextIdx, received, dispatched := start, 0, -1
-	for dispatched < 0 || received < dispatched {
-		select {
-		case it := <-resCh:
-			received++
-			pending[it.i] = it
-			for {
-				queued, ok := pending[nextIdx]
-				if !ok {
-					break
-				}
-				delete(pending, nextIdx)
-				deliver(queued)
-				nextIdx++
-			}
-		case d := <-dispatchedCh:
-			dispatched = d
-		}
-	}
-	wg.Wait()
-
-	if firstErr == nil && !f.stopped && nextIdx < total {
-		// The dispatcher halted early on ctx without any worker
-		// observing the cancellation (all dispatched runs completed
-		// cleanly): the experiment is still incomplete.
-		firstErr = ctx.Err()
-	}
-	if firstErr != nil {
-		return MCResult{}, firstErr
-	}
-	return f.finalize(), nil
-}
-
 // runReplicate simulates run i on worker w's arena under a panic guard: a
 // panic anywhere in the simulation (a user-registered strategy, arbiter
 // or checkpoint policy) is recovered into a *PanicError instead of taking
@@ -580,38 +362,4 @@ func runReplicate(ctx context.Context, arenas []*Arena, w int, reconfigured *boo
 	}
 	seed, anti := replicateDraw(cfg.Seed, i, antithetic)
 	return a.RunAnti(seed, anti)
-}
-
-// CompareStrategies runs the same Monte-Carlo experiment for every given
-// strategy on identical per-run seeds — the paired design of §5's
-// comparisons.
-//
-// Deprecated: use Session.Compare on a Session built with
-// WithKeepResults(true) and WithKeepWasteRatios(true). This shim runs a
-// throwaway Session and is pinned bit-identical to it.
-func CompareStrategies(base Config, strategies []Strategy, runs, workers int) ([]MCResult, error) {
-	return CompareStrategiesOpts(base, strategies, runs, workers,
-		MCOptions{KeepResults: true, KeepWasteRatios: true})
-}
-
-// CompareStrategiesOpts is CompareStrategies with explicit
-// materialisation options.
-//
-// Deprecated: use Session.Compare — the Session options express the same
-// choices, plus cancellation and arena reuse across calls. This shim runs
-// a throwaway Session and is pinned bit-identical to it.
-func CompareStrategiesOpts(base Config, strategies []Strategy, runs, workers int, opts MCOptions) ([]MCResult, error) {
-	return newSessionWith(workers, opts).Compare(context.Background(), base, strategies, runs)
-}
-
-// MinBandwidthForEfficiency bisects for the smallest PFS bandwidth
-// (bytes/s) at which the strategy sustains the target efficiency — the
-// Figure 3 experiment.
-//
-// Deprecated: use Session.MinBandwidth — same bisection, plus
-// cancellation and arena reuse across calls. This shim runs a throwaway
-// Session and is pinned bit-identical to it.
-func MinBandwidthForEfficiency(cfg Config, targetEfficiency float64, loBps, hiBps float64, runs, workers, steps int) (float64, error) {
-	return newSessionWith(workers, MCOptions{}).
-		MinBandwidth(context.Background(), cfg, targetEfficiency, loBps, hiBps, runs, steps)
 }

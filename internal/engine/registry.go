@@ -3,9 +3,8 @@ package engine
 import "fmt"
 
 // The strategy registry: every runnable strategy variant is registered
-// here by name, and every driver — Sweep, CompareStrategiesOpts, the
-// Monte-Carlo entry points, the cmd front ends — resolves strategies from
-// it. Adding a discipline therefore needs no engine edits: implement
+// here by name, and every driver — the Session methods, the campaign
+// runner, the cmd front ends — resolves strategies from it. Adding a discipline therefore needs no engine edits: implement
 // iosched.Arbiter, register a named Strategy for it (typically from an
 // init function), and each sweep, comparison and CLI picks it up.
 //

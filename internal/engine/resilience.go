@@ -82,5 +82,11 @@ func (s *Session) MonteCarloResume(ctx context.Context, cfg Config, runs int, sp
 	opts.resume = spec.From
 	opts.onSnapshot = spec.OnSnapshot
 	opts.snapshotEvery = spec.SnapshotEvery
-	return s.monteCarlo(ctx, cfg, runs, opts, 0, runs)
+	// Progress counts the replicates the snapshot already folds, so a
+	// resumed experiment reports done = From.Folded+1 … onwards.
+	base := 0
+	if spec.From != nil {
+		base = spec.From.Folded
+	}
+	return s.monteCarlo(ctx, cfg, runs, opts, s.reporter(base, opts.budget(runs)))
 }

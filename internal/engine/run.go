@@ -80,7 +80,7 @@ func (s *simulation) fireTimer(j *jobRun, kind timerKind) {
 // Run executes one simulation and returns its measurements. It is the
 // fresh-build path: a single-use Arena is assembled and run once. Code
 // that replicates a configuration over many seeds should hold an Arena
-// (or use the Monte-Carlo drivers, which do) so the per-run setup is
+// (or use a Session, which holds one per worker) so the per-run setup is
 // reused instead of rebuilt.
 func Run(cfg Config) (Result, error) {
 	a, err := NewArena(cfg)

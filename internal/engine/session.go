@@ -42,10 +42,6 @@ type Session struct {
 	// Session's lifetime. Slot w belongs to worker w; an arena configured
 	// for an earlier scenario is reconfigured in place, never rebuilt.
 	arenas []*Arena
-	// noGrid disables the grid-level sweep scheduler (WithGridDispatch);
-	// the zero value keeps it on, so every construction path — including
-	// the legacy shims — defaults to grid dispatch.
-	noGrid bool
 	// cache, when non-nil, memoises cacheable sweep points by content
 	// address (WithResultCache).
 	cache ResultCache
@@ -78,7 +74,9 @@ func WithKeepWasteRatios(keep bool) SessionOption {
 
 // WithOnResult streams every run's Result to fn in strict run order
 // (i ascending, 0-based) on the caller's goroutine, then drops it —
-// the O(1)-memory observation hook.
+// the O(1)-memory observation hook. Across the points of a Sweep or
+// Compare the order is whole-experiment: such a session runs the points
+// one at a time, point p+1 starting only once point p is complete.
 func WithOnResult(fn func(i int, r Result)) SessionOption {
 	return func(s *Session) { s.opts.OnResult = fn }
 }
@@ -114,32 +112,17 @@ func WithAntithetic(on bool) SessionOption {
 
 // WithProgress reports campaign progress to fn as (done, total) replicate
 // counts, on the caller's goroutine. Within MonteCarlo the total is the
-// replication count; within Sweep and Compare it spans the whole grid
-// (points × runs), so one callback renders a whole-campaign progress bar.
+// replicate budget (the replication count, or TargetCI's MaxRuns when
+// set); within Sweep, Compare and ComparePaired it spans every point
+// (points × budget), so one callback renders a whole-campaign progress
+// bar. done strictly increases, once per folded replicate, and never
+// passes total; points that stop early or are served from a cache leave
+// it short of total. MonteCarloResume counts the snapshot's replicates
+// as done.
 // MinBandwidth does not report progress: its bisection probes are an
 // open-ended search, not a campaign with a known total.
 func WithProgress(fn func(done, total int)) SessionOption {
 	return func(s *Session) { s.progress = fn }
-}
-
-// WithGridDispatch selects the sweep execution schedule. On (the
-// default), Session.Sweep runs as one grid-level experiment: workers draw
-// (point, replicate-chunk) work items from the whole grid and steal
-// across point boundaries, so no worker idles at a point boundary while
-// any point still has work; a reorder window delivers results to the pull
-// iterator in grid order exactly as the sequential schedule does. Off
-// evaluates the grid one point at a time with a full worker barrier
-// between points — the reference schedule grid dispatch is pinned
-// bit-identical to.
-//
-// The two schedules produce bit-identical results regardless of
-// interleaving (each replicate is a pure function of the configuration
-// seed and run index, and each point folds in strict run order), so this
-// knob is purely a wall-clock trade. A session with WithOnResult falls
-// back to the sequential schedule: that hook contracts whole-experiment
-// run order, which concurrent points would interleave.
-func WithGridDispatch(on bool) SessionOption {
-	return func(s *Session) { s.noGrid = !on }
 }
 
 // WithResultCache memoises the session's cacheable Sweep points in c:
@@ -162,12 +145,6 @@ func NewSession(opts ...SessionOption) *Session {
 		o(s)
 	}
 	return s
-}
-
-// newSessionWith is the shim constructor: a throwaway Session carrying a
-// legacy (workers, MCOptions) pair verbatim.
-func newSessionWith(workers int, opts MCOptions) *Session {
-	return &Session{workers: workers, opts: opts}
 }
 
 // arenasFor returns the per-worker arena slice for an experiment of the
@@ -211,17 +188,31 @@ func (s *Session) Run(ctx context.Context, cfg Config) (Result, error) {
 // order. Cancelling ctx stops dispatch at the next replicate boundary,
 // drains the workers and returns ctx.Err().
 func (s *Session) MonteCarlo(ctx context.Context, cfg Config, runs int) (MCResult, error) {
-	return s.monteCarlo(ctx, cfg, runs, s.opts, 0, runs)
+	return s.monteCarlo(ctx, cfg, runs, s.opts, s.reporter(0, s.opts.budget(runs)))
 }
 
-// monteCarlo runs one experiment against the session pool, offsetting the
-// progress report into a campaign of `total` replicates.
-func (s *Session) monteCarlo(ctx context.Context, cfg Config, runs int, opts MCOptions, doneBase, total int) (MCResult, error) {
-	var progress func(done int)
-	if s.progress != nil {
-		progress = func(done int) { s.progress(doneBase+done, total) }
+// monteCarlo runs one experiment as a one-point grid, never memoised.
+func (s *Session) monteCarlo(ctx context.Context, cfg Config, runs int, opts MCOptions, progress func(done int)) (MCResult, error) {
+	var mc MCResult
+	_, err := s.runGrid(ctx, []gridPoint{{cfg: cfg, runs: runs, opts: opts}}, nil, progress,
+		func(_ int, r MCResult) bool {
+			mc = r
+			return true
+		})
+	if err != nil {
+		return MCResult{}, err
 	}
-	return monteCarloWith(ctx, s.arenasFor(runs), cfg, runs, opts, progress)
+	return mc, nil
+}
+
+// reporter maps the grid's running count of folded replicates onto the
+// session's progress hook as (base+done, total), or returns nil when the
+// session has no hook.
+func (s *Session) reporter(base, total int) func(done int) {
+	if s.progress == nil {
+		return nil
+	}
+	return func(done int) { s.progress(base+done, total) }
 }
 
 // Sweep evaluates the same Monte-Carlo experiment at every point of the
@@ -245,20 +236,26 @@ func (s *Session) monteCarlo(ctx context.Context, cfg Config, runs int, opts MCO
 //
 // The sequence is single-use: re-ranging it re-runs the experiments.
 //
-// Execution schedule: by default the whole grid runs as one experiment —
-// workers steal (point, replicate-chunk) work items across point
-// boundaries (see WithGridDispatch) — and repeated cells are served once
-// and deduplicated (see WithResultCache). Both behaviours are pinned
-// bit-identical to the sequential one-point-at-a-time schedule.
+// Execution schedule: the whole grid runs as one experiment — workers
+// steal (point, replicate-chunk) work items across point boundaries, so
+// no worker idles at a point boundary while a later point has work — and
+// repeated cells are served once and deduplicated (see WithResultCache).
+// Neither changes a result: each replicate is a pure function of the
+// configuration seed and run index, and each point folds in run order.
+// A session with WithOnResult runs the points one at a time.
 func (s *Session) Sweep(ctx context.Context, base Config, grid SweepGrid, runs int) (iter.Seq2[SweepPoint, MCResult], func() error) {
 	var err error
 	seq := func(yield func(SweepPoint, MCResult) bool) {
 		err = nil
 		pts := grid.Points(base)
-		if s.noGrid || s.opts.OnResult != nil {
-			err = s.sweepSequential(ctx, base, pts, runs, yield)
-		} else {
-			err = s.sweepGrid(ctx, base, pts, runs, yield)
+		gps := make([]gridPoint, len(pts))
+		for i, pt := range pts {
+			gps[i] = gridPoint{cfg: pt.Apply(base), runs: runs, opts: s.opts}
+		}
+		p, e := s.runGrid(ctx, gps, newSweepMemo(s, runs), s.reporter(0, len(pts)*s.opts.budget(runs)),
+			func(p int, mc MCResult) bool { return yield(pts[p], mc) })
+		if e != nil {
+			err = sweepPointErr(pts[p], e)
 		}
 	}
 	return seq, func() error { return err }
@@ -267,36 +264,6 @@ func (s *Session) Sweep(ctx context.Context, base Config, grid SweepGrid, runs i
 // sweepPointErr wraps a point failure exactly as Sweep reports it.
 func sweepPointErr(pt SweepPoint, err error) error {
 	return fmt.Errorf("engine: sweep point %d (%s): %w", pt.Index, pt.Strategy.Name(), err)
-}
-
-// sweepSequential is the reference schedule: one point at a time, a full
-// worker barrier between points.
-func (s *Session) sweepSequential(ctx context.Context, base Config, pts []SweepPoint, runs int, yield func(SweepPoint, MCResult) bool) error {
-	total := len(pts) * runs
-	memo := newSweepMemo(s, runs)
-	for _, pt := range pts {
-		cfg := pt.Apply(base)
-		key := memo.key(cfg)
-		mc, hit := memo.lookup(key)
-		if hit {
-			// The computing path observes cancellation on entry to the
-			// point; a memo hit must not slip past it.
-			if e := ctx.Err(); e != nil {
-				return sweepPointErr(pt, e)
-			}
-		} else {
-			var e error
-			mc, e = s.monteCarlo(ctx, cfg, runs, s.opts, pt.Index*runs, total)
-			if e != nil {
-				return sweepPointErr(pt, e)
-			}
-			memo.store(key, mc)
-		}
-		if !yield(pt, mc) {
-			return nil
-		}
-	}
-	return nil
 }
 
 // Compare runs the same Monte-Carlo experiment for every given strategy —
@@ -368,15 +335,14 @@ func (s *Session) ComparePaired(ctx context.Context, base Config, strategies []S
 	if len(strategies) < 2 {
 		return nil, nil, fmt.Errorf("engine: paired comparison needs at least two strategies, got %d", len(strategies))
 	}
-	total := len(strategies) * runs
-	out := make([]MCResult, 0, len(strategies))
-	cmps := make([]PairedComparison, 0, len(strategies)-1)
+	budget := s.opts.budget(runs)
+	total := len(strategies) * budget
 
 	refOpts := s.opts
 	refOpts.KeepWasteRatios = true
 	refCfg := base
 	refCfg.Strategy = strategies[0]
-	refMC, err := s.monteCarlo(ctx, refCfg, runs, refOpts, 0, total)
+	refMC, err := s.monteCarlo(ctx, refCfg, runs, refOpts, s.reporter(0, total))
 	if err != nil {
 		return nil, nil, fmt.Errorf("engine: paired reference (%s): %w", strategies[0].Name(), err)
 	}
@@ -384,11 +350,15 @@ func (s *Session) ComparePaired(ctx context.Context, base Config, strategies []S
 	if !s.opts.KeepWasteRatios {
 		refMC.WasteRatios = nil
 	}
-	out = append(out, refMC)
 
-	for k, strat := range strategies[1:] {
+	// The other strategies run as one grid on the reference's replicate
+	// count, each point folding its paired differences.
+	rest := strategies[1:]
+	pas := make([]stats.PairedAccumulator, len(rest))
+	pts := make([]gridPoint, len(rest))
+	for k, strat := range rest {
 		opts := s.opts
-		var pa stats.PairedAccumulator
+		pa := &pas[k]
 		user := opts.OnResult
 		opts.OnResult = func(i int, r Result) {
 			pa.Add(r.WasteRatio, refVals[i])
@@ -405,21 +375,26 @@ func (s *Session) ComparePaired(ctx context.Context, base Config, strategies []S
 		}
 		cfg := base
 		cfg.Strategy = strat
-		mc, err := s.monteCarlo(ctx, cfg, refMC.RunsUsed, opts, (k+1)*runs, total)
-		if err != nil {
-			return nil, nil, fmt.Errorf("engine: paired comparison (%s): %w", strat.Name(), err)
-		}
+		pts[k] = gridPoint{cfg: cfg, runs: refMC.RunsUsed, opts: opts}
+	}
+	out := append(make([]MCResult, 0, len(strategies)), refMC)
+	cmps := make([]PairedComparison, 0, len(rest))
+	p, err := s.runGrid(ctx, pts, nil, s.reporter(budget, total), func(k int, mc MCResult) bool {
 		out = append(out, mc)
 		cmps = append(cmps, PairedComparison{
 			Strategy:          mc.Strategy,
 			Reference:         refMC.Strategy,
-			N:                 pa.N(),
-			MeanDiff:          pa.MeanDiff(),
+			N:                 pas[k].N(),
+			MeanDiff:          pas[k].MeanDiff(),
 			CIHalfWidth:       mc.CIHalfWidth,
 			Confidence:        mc.Confidence,
-			Correlation:       pa.Correlation(),
-			VarianceReduction: pa.VarianceReduction(),
+			Correlation:       pas[k].Correlation(),
+			VarianceReduction: pas[k].VarianceReduction(),
 		})
+		return true
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("engine: paired comparison (%s): %w", rest[p].Name(), err)
 	}
 	return out, cmps, nil
 }
@@ -457,7 +432,7 @@ func (s *Session) MinBandwidth(ctx context.Context, cfg Config, targetEfficiency
 	meanWaste := func(bps float64) (float64, error) {
 		c := cfg
 		c.Platform.BandwidthBps = bps
-		mc, err := monteCarloWith(ctx, s.arenasFor(runs), c, runs,
+		mc, err := s.monteCarlo(ctx, c, runs,
 			MCOptions{TargetCI: s.opts.TargetCI, Antithetic: s.opts.Antithetic}, nil)
 		if err != nil {
 			return 0, err

@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/units"
 )
 
 // checkNoGoroutineLeak waits for the goroutine count to settle back to
@@ -134,47 +132,44 @@ func TestSessionSweepEarlyBreak(t *testing.T) {
 	checkNoGoroutineLeak(t, before)
 }
 
-// TestSessionMonteCarloShimBitIdentity pins every registered strategy:
-// the deprecated MonteCarlo shim and a Session with the matching options
-// produce byte-identical MCResults, and a second call on the same warm
-// session (reusing the arenas) stays identical.
-func TestSessionMonteCarloShimBitIdentity(t *testing.T) {
+// TestSessionMonteCarloBitIdentity pins every registered strategy: a
+// Session.MonteCarlo on the grid coordinator equals the sequential
+// reference (fresh arenas, run order) byte for byte, and a second call on
+// the same warm session (reusing the arenas) stays identical.
+func TestSessionMonteCarloBitIdentity(t *testing.T) {
 	ctx := context.Background()
 	for _, strat := range AllStrategies() {
 		t.Run(strat.Name(), func(t *testing.T) {
 			cfg := tinyConfig(strat, 23)
-			legacy, err := MonteCarlo(cfg, 4, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := NewSession(WithWorkers(2), WithKeepResults(true), WithKeepWasteRatios(true))
+			s := batchSession(2)
+			want := referenceSweep(t, cfg, SweepGrid{}, 4, s.opts)[0]
 			got, err := s.MonteCarlo(ctx, cfg, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(legacy, got) {
-				t.Fatalf("Session diverged from legacy MonteCarlo:\n legacy  %+v\n session %+v", legacy, got)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("Session diverged from the sequential reference:\n reference %+v\n session   %+v", want, got)
 			}
 			again, err := s.MonteCarlo(ctx, cfg, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(legacy, again) {
-				t.Fatalf("warm-session rerun diverged:\n legacy %+v\n again  %+v", legacy, again)
+			if !reflect.DeepEqual(want, again) {
+				t.Fatalf("warm-session rerun diverged:\n reference %+v\n again     %+v", want, again)
 			}
 		})
 	}
 }
 
-// TestSessionRunShimBitIdentity: Session.Run equals the legacy Run for
-// every registered strategy, including after the session arena has been
-// dirtied by a different scenario.
+// TestSessionRunShimBitIdentity: Session.Run equals the fresh-build Run
+// for every registered strategy, including after the session arena has
+// been dirtied by a different scenario.
 func TestSessionRunShimBitIdentity(t *testing.T) {
 	ctx := context.Background()
 	s := NewSession()
 	for _, strat := range AllStrategies() {
 		cfg := tinyConfig(strat, 31)
-		legacy, err := Run(cfg)
+		fresh, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", strat.Name(), err)
 		}
@@ -184,125 +179,9 @@ func TestSessionRunShimBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", strat.Name(), err)
 		}
-		if !reflect.DeepEqual(legacy, got) {
-			t.Fatalf("%s: Session.Run diverged from Run:\n fresh   %+v\n session %+v", strat.Name(), legacy, got)
+		if !reflect.DeepEqual(fresh, got) {
+			t.Fatalf("%s: Session.Run diverged from Run:\n fresh   %+v\n session %+v", strat.Name(), fresh, got)
 		}
-	}
-}
-
-// TestSessionStreamShimBitIdentity: the deprecated MonteCarloStream shim
-// and a Session with WithOnResult deliver identical ordered streams and
-// aggregates.
-func TestSessionStreamShimBitIdentity(t *testing.T) {
-	cfg := tinyConfig(LeastWaste(), 77)
-	var legacyStream []float64
-	legacy, err := MonteCarloStream(cfg, 8, 3, func(i int, r Result) {
-		legacyStream = append(legacyStream, r.WasteRatio)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sessionStream []float64
-	s := NewSession(WithWorkers(3), WithOnResult(func(i int, r Result) {
-		sessionStream = append(sessionStream, r.WasteRatio)
-	}))
-	got, err := s.MonteCarlo(context.Background(), cfg, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacyStream, sessionStream) {
-		t.Fatalf("streams diverged:\n legacy  %v\n session %v", legacyStream, sessionStream)
-	}
-	if !reflect.DeepEqual(legacy, got) {
-		t.Fatalf("aggregates diverged:\n legacy  %+v\n session %+v", legacy, got)
-	}
-}
-
-// TestSessionSweepShimBitIdentity: the deprecated callback Sweep and the
-// Session pull iterator walk the same grid — every registered strategy
-// times a bandwidth axis — with byte-identical points and results.
-func TestSessionSweepShimBitIdentity(t *testing.T) {
-	base := tinyConfig(OrderedDaly(), 41)
-	grid := SweepGrid{
-		BandwidthsBps: []float64{units.GBps(0.25), units.GBps(0.5)},
-		Strategies:    AllStrategies(),
-	}
-	const runs = 2
-	opts := MCOptions{KeepWasteRatios: true}
-
-	var legacyPts []SweepPoint
-	var legacyMCs []MCResult
-	if err := Sweep(base, grid, runs, 2, opts, func(pt SweepPoint, mc MCResult) {
-		legacyPts = append(legacyPts, pt)
-		legacyMCs = append(legacyMCs, mc)
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	s := NewSession(WithWorkers(2), WithKeepWasteRatios(true))
-	var gotPts []SweepPoint
-	var gotMCs []MCResult
-	points, errf := s.Sweep(context.Background(), base, grid, runs)
-	for pt, mc := range points {
-		gotPts = append(gotPts, pt)
-		gotMCs = append(gotMCs, mc)
-	}
-	if err := errf(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacyPts, gotPts) {
-		t.Fatalf("sweep points diverged:\n legacy  %+v\n session %+v", legacyPts, gotPts)
-	}
-	if !reflect.DeepEqual(legacyMCs, gotMCs) {
-		t.Fatal("sweep results diverged from the legacy callback driver")
-	}
-}
-
-// TestSessionCompareShimBitIdentity: the deprecated CompareStrategies
-// shim equals Session.Compare across every registered strategy.
-func TestSessionCompareShimBitIdentity(t *testing.T) {
-	base := tinyConfig(Strategy{}, 53)
-	strategies := AllStrategies()
-	legacy, err := CompareStrategies(base, strategies, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewSession(WithWorkers(2), WithKeepResults(true), WithKeepWasteRatios(true))
-	got, err := s.Compare(context.Background(), base, strategies, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy, got) {
-		t.Fatal("Session.Compare diverged from legacy CompareStrategies")
-	}
-}
-
-// TestSessionMinBandwidthShimBitIdentity: the deprecated bisection shim
-// and Session.MinBandwidth land on the same bandwidth, probe for probe.
-func TestSessionMinBandwidthShimBitIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bisection search in -short mode")
-	}
-	cfg := tinyConfig(OrderedNBDaly(), 19)
-	cfg.HorizonDays = 4
-	cfg.Gen.MinDays = 4
-	const (
-		target = 0.6
-		lo, hi = 0.05e9, 50e9
-		runs   = 2
-		steps  = 5
-	)
-	legacy, err := MinBandwidthForEfficiency(cfg, target, lo, hi, runs, 2, steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewSession(WithWorkers(2))
-	got, err := s.MinBandwidth(context.Background(), cfg, target, lo, hi, runs, steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy != got {
-		t.Fatalf("Session.MinBandwidth = %v, legacy = %v (must be bit-identical)", got, legacy)
 	}
 }
 
@@ -327,7 +206,10 @@ func TestSessionCampaignArenaReuse(t *testing.T) {
 		t.Fatal("campaign stage 1 (Run) diverged from fresh evaluation")
 	}
 
-	wantMC, err := MonteCarloOpts(cfgA, 3, 2, MCOptions{KeepWasteRatios: true})
+	fresh := func(cfg Config, runs int) (MCResult, error) {
+		return NewSession(WithWorkers(2), WithKeepWasteRatios(true)).MonteCarlo(ctx, cfg, runs)
+	}
+	wantMC, err := fresh(cfgA, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +225,7 @@ func TestSessionCampaignArenaReuse(t *testing.T) {
 	points, errf := s.Sweep(ctx, cfgB, grid, 2)
 	for pt, mc := range points {
 		cfg := pt.Apply(cfgB)
-		want, err := MonteCarloOpts(cfg, 2, 2, MCOptions{KeepWasteRatios: true})
+		want, err := fresh(cfg, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -399,6 +281,78 @@ func TestSessionProgress(t *testing.T) {
 	if len(dones) != 6 || dones[len(dones)-1] != 6 || lastTotal != 6 {
 		t.Fatalf("Sweep progress = %v (total %d), want 1..6 of 6", dones, lastTotal)
 	}
+
+	// Compare, and a Sweep whose points stop before their budget: done
+	// strictly increases and never exceeds the total.
+	type report struct{ done, total int }
+	var reports []report
+	record := WithProgress(func(done, total int) { reports = append(reports, report{done, total}) })
+	checkReports := func(name string) {
+		t.Helper()
+		if len(reports) == 0 {
+			t.Fatalf("%s reported no progress", name)
+		}
+		for k, r := range reports {
+			if r.done > r.total || (k > 0 && r.done <= reports[k-1].done) {
+				t.Fatalf("%s progress %v: done must strictly increase and stay within total", name, reports)
+			}
+		}
+		reports = nil
+	}
+	if _, err := NewSession(WithWorkers(2), record).Compare(ctx, tinyConfig(Strategy{}, 7), grid.Strategies, 3); err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) != 9 || reports[8] != (report{9, 9}) {
+		t.Fatalf("Compare progress = %v, want 1..9 of 9", reports)
+	}
+	checkReports("Compare")
+
+	stopping := NewSession(WithWorkers(2), WithTargetCI(10, 0, 2, 0), record)
+	points, errf = stopping.Sweep(ctx, tinyConfig(Strategy{}, 7), grid, 6)
+	used := 0
+	for _, mc := range points {
+		used += mc.RunsUsed
+	}
+	if err := errf(); err != nil {
+		t.Fatal(err)
+	}
+	if used != 6 || len(reports) != used {
+		t.Fatalf("target-CI Sweep folded %d replicates with %d reports, want 6 of each", used, len(reports))
+	}
+	checkReports("target-CI Sweep")
+}
+
+// TestSessionResumeProgress pins the progress contract the campaign
+// runner builds on (ReplicatesFolded = progressBase + done): a
+// MonteCarloResume from a snapshot folding f replicates reports
+// done = f+1 … total, once per replicate, in order.
+func TestSessionResumeProgress(t *testing.T) {
+	ctx := context.Background()
+	cfg := tinyConfig(OrderedNBDaly(), 5)
+	const runs, f = 8, 3
+	var snap MCSnapshot
+	if _, err := NewSession(WithWorkers(2)).MonteCarloResume(ctx, cfg, runs, ResumeSpec{
+		OnSnapshot: func(s MCSnapshot) {
+			if s.Folded == f {
+				snap = s
+			}
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var dones []int
+	s := NewSession(WithWorkers(2), WithProgress(func(done, total int) {
+		if total != runs {
+			t.Errorf("resumed progress total %d, want %d", total, runs)
+		}
+		dones = append(dones, done)
+	}))
+	if _, err := s.MonteCarloResume(ctx, cfg, runs, ResumeSpec{From: &snap}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{4, 5, 6, 7, 8}; !reflect.DeepEqual(dones, want) {
+		t.Fatalf("resumed progress = %v, want %v", dones, want)
+	}
 }
 
 // TestSessionInvalidConfigRejectedUpfront: a bad configuration surfaces
@@ -434,8 +388,8 @@ func TestSessionRunsValidation(t *testing.T) {
 	if _, err := s.MonteCarlo(ctx, cfg, 0); err == nil {
 		t.Fatal("Session.MonteCarlo accepted zero runs")
 	}
-	if _, err := MonteCarloOpts(cfg, -3, 1, MCOptions{}); err == nil {
-		t.Fatal("MonteCarloOpts accepted negative runs")
+	if _, err := NewSession(WithWorkers(1)).MonteCarlo(ctx, cfg, -3); err == nil {
+		t.Fatal("Session.MonteCarlo accepted negative runs")
 	}
 	points, errf := s.Sweep(ctx, cfg, SweepGrid{}, 0)
 	for range points {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -27,20 +28,21 @@ func TestMonteCarloStreamMatchesBatch(t *testing.T) {
 	const runs = 12
 	cfg := streamCfg()
 
-	batch, err := MonteCarlo(cfg, runs, 3)
+	ctx := context.Background()
+	batch, err := batchSession(3).MonteCarlo(ctx, cfg, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var streamed []float64
 	wantIdx := 0
-	mc, err := MonteCarloStream(cfg, runs, 3, func(i int, r Result) {
+	mc, err := NewSession(WithWorkers(3), WithOnResult(func(i int, r Result) {
 		if i != wantIdx {
 			t.Fatalf("OnResult index %d, want %d (strict run order)", i, wantIdx)
 		}
 		wantIdx++
 		streamed = append(streamed, r.WasteRatio)
-	})
+	})).MonteCarlo(ctx, cfg, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +80,12 @@ func TestMonteCarloOptsKeepWasteRatios(t *testing.T) {
 	cfg := streamCfg()
 	cfg.Strategy = OrderedNBDaly()
 
-	batch, err := MonteCarlo(cfg, runs, 4)
+	ctx := context.Background()
+	batch, err := batchSession(4).MonteCarlo(ctx, cfg, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lean, err := MonteCarloOpts(cfg, runs, 4, MCOptions{KeepWasteRatios: true})
+	lean, err := NewSession(WithWorkers(4), WithKeepWasteRatios(true)).MonteCarlo(ctx, cfg, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,14 +118,15 @@ func TestMonteCarloStreamLargeReplication(t *testing.T) {
 	// Batch-path reference statistics without batch-path memory: the
 	// exact sorted Summary needs only the waste ratios (8 B/run here in
 	// the test), never the Result structs.
-	exact, err := MonteCarloOpts(cfg, runs, 0, MCOptions{KeepWasteRatios: true})
+	ctx := context.Background()
+	exact, err := NewSession(WithKeepWasteRatios(true)).MonteCarlo(ctx, cfg, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	collected := make([]float64, 0, runs)
-	stream, err := MonteCarloStream(cfg, runs, 0, func(i int, r Result) {
+	stream, err := NewSession(WithOnResult(func(i int, r Result) {
 		collected = append(collected, r.WasteRatio)
-	})
+	})).MonteCarlo(ctx, cfg, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +176,7 @@ func TestMonteCarloStreamLargeReplication(t *testing.T) {
 func TestMonteCarloStreamErrorPropagation(t *testing.T) {
 	cfg := streamCfg()
 	cfg.Platform.Nodes = 0 // invalid: every run fails
-	if _, err := MonteCarloStream(cfg, 4, 2, nil); err == nil {
+	if _, err := NewSession(WithWorkers(2)).MonteCarlo(context.Background(), cfg, 4); err == nil {
 		t.Fatal("streaming Monte-Carlo swallowed the run error")
 	}
 }

@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"context"
-
-	"repro/internal/failure"
-)
+import "repro/internal/failure"
 
 // FailureSpec pairs a failure inter-arrival model with its shape parameter
 // (used only by the Weibull model) — one point of a sweep's failure axis.
@@ -117,23 +113,4 @@ func (pt SweepPoint) Apply(base Config) Config {
 	cfg.Channels = pt.Channels
 	cfg.Strategy = pt.Strategy
 	return cfg
-}
-
-// Sweep runs the same Monte-Carlo experiment at every point of the grid,
-// streaming each point's MCResult to fn (which may be nil) in grid order.
-// One set of per-worker arenas serves the whole grid. Aggregation per
-// point follows opts, exactly as MonteCarloOpts.
-//
-// Deprecated: use Session.Sweep — the same grid evaluated through a warm
-// session pool, returned as a pull iterator that supports cancellation
-// and early exit. This shim runs a throwaway Session and is pinned
-// bit-identical to it.
-func Sweep(base Config, grid SweepGrid, runs, workers int, opts MCOptions, fn func(SweepPoint, MCResult)) error {
-	points, errf := newSessionWith(workers, opts).Sweep(context.Background(), base, grid, runs)
-	for pt, mc := range points {
-		if fn != nil {
-			fn(pt, mc)
-		}
-	}
-	return errf()
 }

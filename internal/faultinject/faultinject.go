@@ -34,10 +34,11 @@ const (
 	// SiteJournalSync fires before each journal fsync; detail is nil.
 	// Return an error to fail the sync.
 	SiteJournalSync = "campaign/journal.sync"
-	// SiteGridDispatch fires in the grid sweep scheduler when a worker
-	// claims a (point, replicate-chunk) work item, before any replicate
-	// of the chunk is simulated; detail is a GridDispatch. An error
-	// fails every run of the chunk (aborting the sweep at that point); a
+	// SiteGridDispatch fires in the grid coordinator, which runs every
+	// Monte-Carlo experiment, when a worker claims a (point,
+	// replicate-chunk) work item, before any replicate of the chunk is
+	// simulated; detail is a GridDispatch. An error fails every run of
+	// the chunk (aborting the experiment at that point); a
 	// panic exercises the claim guard's recovery path; a hook blocking
 	// on ctx simulates a stalled worker that cancellation must reap.
 	SiteGridDispatch = "engine/grid.dispatch"

@@ -84,17 +84,35 @@ type run struct {
 	userCancelled bool
 }
 
-func (r *run) setState(state string, err error) {
+// setState moves r to state and is the only writer of run.state, so it
+// also keeps the server's queued and running counters. A terminal state
+// is final. Lock order: run.mu before Server.mu.
+func (s *Server) setState(r *run, state string, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if terminalState(r.state) {
 		return
 	}
+	s.mu.Lock()
+	s.count(r.state, -1)
+	s.count(state, +1)
+	s.mu.Unlock()
 	r.state = state
 	if err != nil && r.err == nil {
 		r.err = err
 	}
 	r.cond.Broadcast()
+}
+
+// count adjusts the counter of a non-terminal state by d. Callers hold
+// s.mu.
+func (s *Server) count(state string, d int) {
+	switch state {
+	case StateQueued:
+		s.queued += d
+	case StateRunning:
+		s.running += d
+	}
 }
 
 func terminalState(s string) bool {
@@ -111,6 +129,10 @@ type Server struct {
 	runs   map[string]*run
 	order  []string
 	closed bool
+	// queued and running count the campaigns in those states, so that
+	// admission and health cost O(1) however many campaigns were ever
+	// submitted. setState keeps them.
+	queued, running int
 
 	wg sync.WaitGroup
 
@@ -227,15 +249,7 @@ func (s *Server) Submit(spec api.CampaignSpec) (string, error) {
 		s.mu.Unlock()
 		return "", ErrShuttingDown
 	}
-	active := 0
-	for _, r := range s.runs {
-		r.mu.Lock()
-		if !terminalState(r.state) {
-			active++
-		}
-		r.mu.Unlock()
-	}
-	if active >= s.opts.MaxConcurrent+s.opts.MaxQueue {
+	if s.queued+s.running >= s.opts.MaxConcurrent+s.opts.MaxQueue {
 		s.mu.Unlock()
 		return "", ErrQueueFull
 	}
@@ -294,9 +308,9 @@ func (s *Server) startRun(id, name string, submittedAt time.Time, res api.Resolv
 		points:      len(res.Grid.Points(res.Base)),
 		camp:        camp,
 		cancel:      cancel,
-		state:       StateQueued,
 	}
 	r.cond = sync.NewCond(&r.mu)
+	s.setState(r, StateQueued, nil)
 
 	s.mu.Lock()
 	s.runs[id] = r
@@ -321,7 +335,7 @@ func (s *Server) execute(ctx context.Context, r *run) {
 		s.finish(r, ctx.Err())
 		return
 	}
-	r.setState(StateRunning, nil)
+	s.setState(r, StateRunning, nil)
 
 	seq, errf := r.camp.RunSweep(ctx, r.res.Base, r.res.Grid, r.res.Runs)
 	for pr := range seq {
@@ -342,11 +356,11 @@ func (s *Server) finish(r *run, err error) {
 	r.mu.Unlock()
 	switch {
 	case err == nil:
-		r.setState(StateDone, nil)
+		s.setState(r, StateDone, nil)
 	case errors.Is(err, context.Canceled):
-		r.setState(StateCancelled, errors.New("campaign cancelled"))
+		s.setState(r, StateCancelled, errors.New("campaign cancelled"))
 	default:
-		r.setState(StateFailed, err)
+		s.setState(r, StateFailed, err)
 	}
 	if cancelled && s.opts.DataDir != "" {
 		os.Remove(s.specPath(r.id))
@@ -497,21 +511,13 @@ func (s *Server) Health() api.Health {
 		Status:   "ok",
 		Version:  s.opts.Version,
 		Total:    len(s.runs),
+		Queued:   s.queued,
+		Running:  s.running,
 		DataDir:  s.opts.DataDir,
 		UptimeMS: time.Since(s.start).Milliseconds(),
 	}
 	if s.closed {
 		h.Status = "draining"
-	}
-	for _, r := range s.runs {
-		r.mu.Lock()
-		switch r.state {
-		case StateQueued:
-			h.Queued++
-		case StateRunning:
-			h.Running++
-		}
-		r.mu.Unlock()
 	}
 	return h
 }

@@ -324,6 +324,105 @@ func TestAdmissionControl(t *testing.T) {
 	s.Cancel(id2)
 }
 
+// checkCounters compares the O(1) queued/running counters Health reports
+// with a full walk over every campaign ever submitted. Callers wait for
+// the server to settle first, so no transition is in flight.
+func checkCounters(t *testing.T, s *Server, step string) {
+	t.Helper()
+	s.mu.Lock()
+	runs := make([]*run, 0, len(s.runs))
+	for _, r := range s.runs {
+		runs = append(runs, r)
+	}
+	s.mu.Unlock()
+	var queued, running int
+	for _, r := range runs {
+		r.mu.Lock()
+		switch r.state {
+		case StateQueued:
+			queued++
+		case StateRunning:
+			running++
+		}
+		r.mu.Unlock()
+	}
+	if h := s.Health(); h.Queued != queued || h.Running != running || h.Total != len(runs) {
+		t.Fatalf("%s: health reports %d queued, %d running of %d; a walk finds %d, %d of %d",
+			step, h.Queued, h.Running, h.Total, queued, running, len(runs))
+	}
+}
+
+// TestStateCountersMatchWalk: admission and health read counters kept by
+// the state setter instead of walking every campaign. Through submits,
+// an admission refusal, cancels of queued and running campaigns, a
+// completion and a drain, the counters must equal a full walk.
+func TestStateCountersMatchWalk(t *testing.T) {
+	s, err := New(Options{MaxConcurrent: 1, MaxQueue: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+	spec := func(name string, horizonDays float64, runs int) api.CampaignSpec {
+		var sp api.CampaignSpec
+		if err := json.Unmarshal(specJSON(t, name, []string{"Least-Waste"}, horizonDays, runs), &sp); err != nil {
+			t.Fatal(err)
+		}
+		return sp
+	}
+	mustSubmit := func(sp api.CampaignSpec) string {
+		t.Helper()
+		id, err := s.Submit(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	state := func(id string) string {
+		info, err := s.Info(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.State
+	}
+	long := spec("long", 5, 4096)
+
+	a := mustSubmit(long)
+	waitFor(t, func() bool { return state(a) == StateRunning })
+	checkCounters(t, s, "one running")
+
+	b, c := mustSubmit(long), mustSubmit(long)
+	checkCounters(t, s, "one running, two queued")
+	if _, err := s.Submit(long); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("submission beyond capacity: %v, want ErrQueueFull", err)
+	}
+	checkCounters(t, s, "after a refused submission")
+
+	s.Cancel(b)
+	waitFor(t, func() bool { return terminalState(state(b)) })
+	checkCounters(t, s, "queued campaign cancelled")
+
+	short := mustSubmit(spec("short", 3, 2))
+	s.Cancel(a)
+	waitFor(t, func() bool { return terminalState(state(a)) && state(c) == StateRunning })
+	checkCounters(t, s, "running campaign cancelled, next one running")
+
+	s.Cancel(c)
+	waitFor(t, func() bool { return state(short) == StateDone })
+	checkCounters(t, s, "campaign completed")
+
+	e, f := mustSubmit(long), mustSubmit(long)
+	// Either may win the free slot.
+	waitFor(t, func() bool { return state(e) == StateRunning || state(f) == StateRunning })
+	checkCounters(t, s, "one running, one queued before the drain")
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if !terminalState(state(e)) || !terminalState(state(f)) {
+		t.Fatalf("drain left campaigns %s / %s", state(e), state(f))
+	}
+	checkCounters(t, s, "drained")
+}
+
 // TestBadSpecAllErrors pins the 400 path and that the body carries
 // every field error at once.
 func TestBadSpecAllErrors(t *testing.T) {

@@ -48,9 +48,8 @@
 //	}
 //	err = errf()
 //
-// The package-level Run/MonteCarlo*/Sweep/CompareStrategies*/
-// MinBandwidthForEfficiency functions remain as deprecated shims over a
-// throwaway Session, pinned bit-identical to the Session methods.
+// For one fresh simulation per call without a Session, build an Arena:
+// NewArena(cfg) then Arena.Run(seed).
 //
 // The exported identifiers are aliases over the internal packages, so the
 // whole public surface lives here; see DESIGN.md for the architecture and
@@ -94,8 +93,8 @@ type (
 	// MCResult aggregates a Monte-Carlo experiment.
 	MCResult = engine.MCResult
 	// MCOptions selects what a Monte-Carlo experiment materialises; the
-	// zero value is the fully streaming O(1)-memory path. New code should
-	// express the same choices as Session options.
+	// zero value is the fully streaming O(1)-memory path. Sessions set it
+	// through their options; ExperimentKey hashes it.
 	MCOptions = engine.MCOptions
 	// TargetCI configures sequential stopping: halt a Monte-Carlo
 	// experiment once the confidence interval on the estimator mean is no
@@ -112,7 +111,7 @@ type (
 	Session = engine.Session
 	// SessionOption configures a Session at construction (WithWorkers,
 	// WithKeepResults, WithKeepWasteRatios, WithOnResult, WithProgress,
-	// WithTargetCI, WithAntithetic, WithGridDispatch, WithResultCache).
+	// WithTargetCI, WithAntithetic, WithResultCache).
 	SessionOption = engine.SessionOption
 	// ResultCache is the content-addressed Monte-Carlo result store a
 	// session consults under WithResultCache; resultcache.New builds the
@@ -416,14 +415,6 @@ func WithTargetCI(halfWidth, confidence float64, minRuns, maxRuns int) SessionOp
 // per-run outputs stay per-replicate.
 func WithAntithetic(on bool) SessionOption { return engine.WithAntithetic(on) }
 
-// WithGridDispatch selects the sweep execution path: on (the default) a
-// Sweep schedules (point, replicate-chunk) work items across the whole
-// grid with work stealing, off runs points one after another. Results are
-// bit-identical either way — the pinned CRN schedule makes every
-// replicate a pure function of (seed, index) — so the switch trades only
-// wall-clock and exists mainly for measurement.
-func WithGridDispatch(on bool) SessionOption { return engine.WithGridDispatch(on) }
-
 // WithResultCache attaches a content-addressed Monte-Carlo result cache
 // (see resultcache.New) to the session: every cacheable experiment is
 // looked up by ExperimentKey before simulating and stored after, and
@@ -440,83 +431,11 @@ func ExperimentKey(cfg Config, runs int, opts MCOptions) (string, bool) {
 	return engine.ExperimentKey(cfg, runs, opts)
 }
 
-// Run executes one simulation (a single-use Arena under the hood).
-//
-// Deprecated: use Session.Run — a session reuses its arena across calls
-// and honours context cancellation. Pinned bit-identical to it.
-func Run(cfg Config) (Result, error) { return engine.Run(cfg) }
-
 // NewArena builds a reusable simulation workspace for the configuration.
 // Arena.Run(seed) executes one replicate reusing every pool, and
 // Arena.Reconfigure swaps the scenario while keeping them. Not safe for
-// concurrent use; the Monte-Carlo drivers hold one arena per worker.
+// concurrent use; a Session holds one arena per worker.
 func NewArena(cfg Config) (*Arena, error) { return engine.NewArena(cfg) }
-
-// Sweep runs the same Monte-Carlo experiment at every point of a scenario
-// grid, streaming per-point results to fn in grid order.
-//
-// Deprecated: use Session.Sweep — the same grid as a pull iterator with
-// cancellation and early exit. Pinned bit-identical to it.
-func Sweep(base Config, grid SweepGrid, runs, workers int, opts MCOptions, fn func(SweepPoint, MCResult)) error {
-	return engine.Sweep(base, grid, runs, workers, opts, fn)
-}
-
-// MonteCarlo replicates a configuration over `runs` independent seeds
-// using up to `workers` goroutines (0 = GOMAXPROCS) and summarises the
-// waste ratios, materialising every per-run Result.
-//
-// Deprecated: use Session.MonteCarlo on a Session built with
-// WithKeepResults(true) and WithKeepWasteRatios(true). Pinned
-// bit-identical to it.
-func MonteCarlo(cfg Config, runs, workers int) (MCResult, error) {
-	return engine.MonteCarlo(cfg, runs, workers)
-}
-
-// MonteCarloStream is the O(1)-memory Monte-Carlo experiment: each run's
-// Result is delivered to fn (which may be nil) in strict run order and
-// then dropped; the returned MCResult carries online aggregates only.
-//
-// Deprecated: use Session.MonteCarlo on a Session built with
-// WithOnResult(fn). Pinned bit-identical to it.
-func MonteCarloStream(cfg Config, runs, workers int, fn func(i int, r Result)) (MCResult, error) {
-	return engine.MonteCarloStream(cfg, runs, workers, fn)
-}
-
-// MonteCarloOpts is the general Monte-Carlo driver with explicit
-// materialisation options.
-//
-// Deprecated: use Session.MonteCarlo — the Session options express the
-// same choices. Pinned bit-identical to it.
-func MonteCarloOpts(cfg Config, runs, workers int, opts MCOptions) (MCResult, error) {
-	return engine.MonteCarloOpts(cfg, runs, workers, opts)
-}
-
-// CompareStrategies evaluates several strategies on identical per-run
-// seeds (paired comparison).
-//
-// Deprecated: use Session.Compare on a Session built with
-// WithKeepResults(true) and WithKeepWasteRatios(true). Pinned
-// bit-identical to it.
-func CompareStrategies(base Config, strategies []Strategy, runs, workers int) ([]MCResult, error) {
-	return engine.CompareStrategies(base, strategies, runs, workers)
-}
-
-// CompareStrategiesOpts is CompareStrategies with explicit
-// materialisation options (zero MCOptions = fully streaming).
-//
-// Deprecated: use Session.Compare. Pinned bit-identical to it.
-func CompareStrategiesOpts(base Config, strategies []Strategy, runs, workers int, opts MCOptions) ([]MCResult, error) {
-	return engine.CompareStrategiesOpts(base, strategies, runs, workers, opts)
-}
-
-// MinBandwidthForEfficiency bisects for the smallest PFS bandwidth
-// (bytes/s) at which the strategy sustains the target efficiency — the
-// Figure 3 experiment.
-//
-// Deprecated: use Session.MinBandwidth. Pinned bit-identical to it.
-func MinBandwidthForEfficiency(cfg Config, targetEfficiency, loBps, hiBps float64, runs, workers, steps int) (float64, error) {
-	return engine.MinBandwidthForEfficiency(cfg, targetEfficiency, loBps, hiBps, runs, workers, steps)
-}
 
 // LowerBound solves Theorem 1 for a platform and class set: the optimal
 // checkpoint periods under the I/O constraint and the platform-waste lower

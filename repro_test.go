@@ -45,8 +45,17 @@ func testConfig(strat repro.Strategy) repro.Config {
 	}
 }
 
+// runFresh simulates cfg once on a freshly built arena.
+func runFresh(cfg repro.Config) (repro.Result, error) {
+	a, err := repro.NewArena(cfg)
+	if err != nil {
+		return repro.Result{}, err
+	}
+	return a.Run(cfg.Seed)
+}
+
 func TestPublicRun(t *testing.T) {
-	res, err := repro.Run(testConfig(repro.LeastWaste()))
+	res, err := repro.NewSession().Run(context.Background(), testConfig(repro.LeastWaste()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +121,7 @@ func TestPublicCustomDiscipline(t *testing.T) {
 	if !ok {
 		t.Fatal("registered strategy not resolvable")
 	}
-	res, err := repro.Run(testConfig(s))
+	res, err := runFresh(testConfig(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +140,7 @@ func TestPublicRegistryExtensionsRun(t *testing.T) {
 		}
 		cfg := testConfig(s)
 		cfg.Channels = 2
-		res, err := repro.Run(cfg)
+		res, err := runFresh(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -174,8 +183,8 @@ func TestPublicAPEXClasses(t *testing.T) {
 
 // TestPublicSession drives a whole campaign through one facade Session:
 // single run, Monte-Carlo, sweep iterator and paired comparison share the
-// warm arena pool, match the deprecated entry points bit for bit, and a
-// cancelled context aborts with ctx.Err().
+// warm arena pool, match a fresh build and a fresh session bit for bit,
+// and a cancelled context aborts with ctx.Err().
 func TestPublicSession(t *testing.T) {
 	ctx := context.Background()
 	cfg := testConfig(repro.LeastWaste())
@@ -189,24 +198,25 @@ func TestPublicSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyRes, err := repro.Run(cfg)
+	freshRes, err := runFresh(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res, legacyRes) {
-		t.Fatal("Session.Run diverged from the deprecated Run")
+	if !reflect.DeepEqual(res, freshRes) {
+		t.Fatal("Session.Run diverged from a fresh arena build")
 	}
 
 	mc, err := session.MonteCarlo(ctx, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyMC, err := repro.MonteCarlo(cfg, 4, 2)
+	freshMC, err := repro.NewSession(repro.WithWorkers(2), repro.WithKeepResults(true), repro.WithKeepWasteRatios(true)).
+		MonteCarlo(ctx, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(mc, legacyMC) {
-		t.Fatal("Session.MonteCarlo diverged from the deprecated MonteCarlo")
+	if !reflect.DeepEqual(mc, freshMC) {
+		t.Fatal("warm Session.MonteCarlo diverged from a fresh session")
 	}
 
 	grid := repro.SweepGrid{Strategies: []repro.Strategy{repro.ObliviousFixed(), repro.LeastWaste()}}
@@ -244,20 +254,22 @@ func TestPublicSession(t *testing.T) {
 }
 
 func TestPublicMonteCarloAndCompare(t *testing.T) {
+	ctx := context.Background()
 	cfg := testConfig(repro.OrderedNBDaly())
-	mc, err := repro.MonteCarlo(cfg, 4, 2)
+	session := repro.NewSession(repro.WithWorkers(2), repro.WithKeepResults(true), repro.WithKeepWasteRatios(true))
+	mc, err := session.MonteCarlo(ctx, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mc.Summary.N != 4 {
 		t.Fatalf("summary N = %d", mc.Summary.N)
 	}
-	out, err := repro.CompareStrategies(cfg, []repro.Strategy{repro.ObliviousFixed(), repro.LeastWaste()}, 2, 2)
+	out, err := session.Compare(ctx, cfg, []repro.Strategy{repro.ObliviousFixed(), repro.LeastWaste()}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 2 {
-		t.Fatalf("CompareStrategies returned %d results", len(out))
+		t.Fatalf("Compare returned %d results", len(out))
 	}
 }
 
@@ -294,7 +306,7 @@ func TestPublicMinBandwidthSearches(t *testing.T) {
 	cfg := testConfig(repro.OrderedNBDaly())
 	cfg.HorizonDays = 4
 	cfg.Gen.MinDays = 4
-	bw, err := repro.MinBandwidthForEfficiency(cfg, 0.6, 0.05e9, 50e9, 2, 2, 6)
+	bw, err := repro.NewSession(repro.WithWorkers(2)).MinBandwidth(context.Background(), cfg, 0.6, 0.05e9, 50e9, 2, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +319,7 @@ func TestPublicBurstBuffer(t *testing.T) {
 	cfg := testConfig(repro.OrderedDaly())
 	bb := repro.DefaultBurstBuffer()
 	cfg.BurstBuffer = &bb
-	res, err := repro.Run(cfg)
+	res, err := runFresh(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +333,7 @@ func TestPublicExtensions(t *testing.T) {
 	cfg.Interference = repro.Degraded{Gamma: 0.8}
 	cfg.FailureModel = repro.FailuresWeibull
 	cfg.WeibullShape = 0.7
-	if _, err := repro.Run(cfg); err != nil {
+	if _, err := runFresh(cfg); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -339,7 +351,7 @@ func TestPublicTrace(t *testing.T) {
 	cfg.Gen.MinDays = 3
 	count := 0
 	cfg.Trace = func(repro.TraceEvent) { count++ }
-	if _, err := repro.Run(cfg); err != nil {
+	if _, err := runFresh(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if count == 0 {
