@@ -254,32 +254,50 @@ func (a *Arena) replicate(seed uint64, antithetic bool) (Result, error) {
 // runChunkSize is how many jobRun structs one pool chunk holds.
 const runChunkSize = 64
 
-// runPool is a chunked bump allocator of jobRun structs. Chunks are
-// retained across replicates (reset rewinds the cursor) and pointers into
-// a chunk stay valid for the whole arena lifetime, so jobRun handles taken
-// during a replicate never move.
+// runPool hands out jobRun structs: finished instances first (put), then
+// fresh slots of chunked backing arrays. Chunks are retained across
+// replicates (reset rewinds the cursor) and pointers into a chunk stay
+// valid for the whole arena lifetime. Because a replicate recycles every
+// killed or completed instance, the pool grows with the peak number of
+// live instances, not with the number the replicate creates.
 type runPool struct {
 	chunks [][]jobRun
 	chunk  int // index of the chunk the cursor is in
 	next   int // next unused slot within that chunk
+	// free holds finished instances awaiting reuse.
+	free []*jobRun
 }
 
-// get returns a zeroed jobRun from the pool, growing it by one chunk when
-// exhausted.
+// get returns a zeroed jobRun: the most recently finished instance if
+// any, else a fresh slot, growing the pool by one chunk when exhausted.
 func (p *runPool) get() *jobRun {
-	if p.chunk == len(p.chunks) {
-		p.chunks = append(p.chunks, make([]jobRun, runChunkSize))
-	}
-	j := &p.chunks[p.chunk][p.next]
-	p.next++
-	if p.next == runChunkSize {
-		p.chunk++
-		p.next = 0
+	var j *jobRun
+	if n := len(p.free); n > 0 {
+		j = p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+	} else {
+		if p.chunk == len(p.chunks) {
+			p.chunks = append(p.chunks, make([]jobRun, runChunkSize))
+		}
+		j = &p.chunks[p.chunk][p.next]
+		p.next++
+		if p.next == runChunkSize {
+			p.chunk++
+			p.next = 0
+		}
 	}
 	*j = jobRun{}
 	return j
 }
 
+// put returns a finished instance to the pool. Nothing may reference it
+// afterwards: its timers are cancelled and its transfers aborted or done.
+func (p *runPool) put(j *jobRun) { p.free = append(p.free, j) }
+
 // reset rewinds the pool so the next replicate reuses the chunks from the
 // start.
-func (p *runPool) reset() { p.chunk, p.next = 0, 0 }
+func (p *runPool) reset() {
+	clear(p.free)
+	p.chunk, p.next, p.free = 0, 0, p.free[:0]
+}

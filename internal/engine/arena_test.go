@@ -128,6 +128,38 @@ func TestArenaPairedBaseline(t *testing.T) {
 	}
 }
 
+// held returns how many jobRun structs the pool's chunks hold.
+func (p *runPool) held() int { return len(p.chunks) * runChunkSize }
+
+// TestArenaPoolFollowsLiveInstances pins the memory bound of instance
+// recycling: in a replicate whose killed instances far outnumber the live
+// ones, the arena holds fewer jobRun structs than the replicate created.
+// A pool that kept every instance ever created would hold at least as many
+// structs as it handed out.
+func TestArenaPoolFollowsLiveInstances(t *testing.T) {
+	cfg := tinyConfig(LeastWaste(), 5)
+	cfg.Platform = tinyPlatform(0.5, 0.02) // a system MTBF of about 40 minutes
+	a, err := NewArena(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := a.Run(cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	created, held := len(a.s.runs), a.pool.held()
+	if created != res.JobsGenerated+res.JobsFailed {
+		t.Fatalf("%d instances created, want %d generated + %d killed", created, res.JobsGenerated, res.JobsFailed)
+	}
+	if res.JobsFailed < 2*res.JobsGenerated {
+		t.Fatalf("only %d instances killed for %d jobs; the scenario must kill far more instances than are live", res.JobsFailed, res.JobsGenerated)
+	}
+	if held >= created {
+		t.Fatalf("arena holds %d jobRun structs after creating %d instances; finished instances are not recycled", held, created)
+	}
+	t.Logf("%d jobs, %d instances created, %d structs held", res.JobsGenerated, created, held)
+}
+
 // TestArenaInvalidConfig ensures configuration errors surface from both
 // NewArena and Reconfigure, and that a failed Reconfigure does not run.
 func TestArenaInvalidConfig(t *testing.T) {

@@ -148,9 +148,10 @@ type jobRun struct {
 	inputVolume float64
 	recovery    bool
 
-	// thresholds are the remaining regular-I/O trigger points (absolute
-	// progress values, ascending); regularVol is the per-phase volume.
-	thresholds []float64
+	// ioPhase is the index k of the next regular-I/O trigger point, the
+	// absolute progress total·k/(phases+1); none remains once it exceeds
+	// the class's phase count. regularVol is the per-phase volume.
+	ioPhase    int
 	regularVol float64
 
 	// transfer points at the in-flight foreground operation (input,
@@ -198,6 +199,21 @@ func (j *jobRun) totalWork() float64 { return j.spec.spec.WorkSeconds }
 
 // remaining returns the work still to do.
 func (j *jobRun) remaining() float64 { return j.totalWork() - j.progress }
+
+// ioThreshold returns the absolute progress at which regular-I/O phase k
+// triggers (1 ≤ k ≤ the class's phase count).
+func (j *jobRun) ioThreshold(k int) float64 {
+	return j.totalWork() * float64(k) / float64(j.spec.class.RegularIOPhases+1)
+}
+
+// nextIOThreshold returns the next regular-I/O trigger point; ok is false
+// once every phase is behind the job.
+func (j *jobRun) nextIOThreshold() (at float64, ok bool) {
+	if j.ioPhase > j.spec.class.RegularIOPhases {
+		return 0, false
+	}
+	return j.ioThreshold(j.ioPhase), true
+}
 
 // newTransfer recycles the job's foreground transfer struct for the next
 // operation and registers it as in flight. The check must precede the

@@ -19,7 +19,7 @@ type simulation struct {
 	eng     *sim.Engine
 	params  []workload.ClassParams
 	specs   []*specState
-	runs    []*jobRun // indexed by runtime instance id
+	runs    []*jobRun // indexed by runtime instance id; nil once retired
 	queue   jobsched.Queue
 	nodes   *platform.NodeMap
 	device  iomodel.Device
@@ -130,13 +130,12 @@ func (s *simulation) newInstance(spec *specState) *jobRun {
 	}
 	if cp.RegularIOPhases > 0 {
 		j.regularVol = cp.RegularIOBytes / float64(cp.RegularIOPhases)
-		total := spec.spec.WorkSeconds
-		for k := 1; k <= cp.RegularIOPhases; k++ {
-			at := total * float64(k) / float64(cp.RegularIOPhases+1)
-			if at > spec.committed {
-				j.thresholds = append(j.thresholds, at)
-			}
-		}
+	}
+	// Skip the phases the recovered checkpoint already covers; the
+	// thresholds ascend with k, so the rest are exactly those past it.
+	j.ioPhase = 1
+	for j.ioPhase <= cp.RegularIOPhases && j.ioThreshold(j.ioPhase) <= spec.committed {
+		j.ioPhase++
 	}
 	spec.attempts++
 	s.runs = append(s.runs, j)
@@ -281,8 +280,8 @@ func (s *simulation) beginCompute(j *jobRun) {
 	j.computeStart = now
 	j.computeBase = j.progress
 	target := j.totalWork()
-	if len(j.thresholds) > 0 && j.thresholds[0] < target {
-		target = j.thresholds[0]
+	if at, ok := j.nextIOThreshold(); ok && at < target {
+		target = at
 	}
 	j.computeTarget = target
 	j.stopEvent = s.eng.AfterHandler(target-j.progress, &j.stopArm)
@@ -317,7 +316,7 @@ func (s *simulation) computeBoundary(j *jobRun, target float64) {
 		return
 	}
 	// Regular-I/O threshold.
-	j.thresholds = j.thresholds[1:]
+	j.ioPhase++
 	if j.phase == phaseCkptWait {
 		// The pending checkpoint request cannot be honoured while the
 		// job blocks on regular I/O; withdraw and re-issue afterwards.
@@ -456,6 +455,7 @@ func (s *simulation) onOutputDone(j *jobRun) {
 	}
 	s.res.JobsCompleted++
 	s.trace("job-complete", j.id, "")
+	s.retire(j)
 	s.trySchedule()
 }
 
@@ -510,8 +510,19 @@ func (s *simulation) killJob(j *jobRun) {
 	if s.cfg.Trace != nil { // guard: Sprintf must not run untraced
 		s.trace("job-killed", j.id, fmt.Sprintf("committed %.0fs of %.0fs", j.spec.committed, j.totalWork()))
 	}
-	s.newInstance(j.spec)
+	spec := j.spec
+	s.retire(j)
+	s.newInstance(spec)
 	s.trySchedule()
+}
+
+// retire recycles a finished (completed or killed) instance: its runs slot
+// is cleared, so finalize and the id-keyed lookups skip it, and the struct
+// goes back to the pool for the next newInstance. The caller must be done
+// with j, tracing included.
+func (s *simulation) retire(j *jobRun) {
+	s.runs[j.id] = nil
+	s.pool.put(j)
 }
 
 // finalize attributes in-flight activity at the horizon and builds the
@@ -521,6 +532,9 @@ func (s *simulation) killJob(j *jobRun) {
 func (s *simulation) finalize() Result {
 	now := s.horizon
 	for _, j := range s.runs {
+		if j == nil { // retired
+			continue
+		}
 		switch j.phase {
 		case phaseQueued, phaseDone:
 			continue

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // TestSchedulerBitIdentity pins the tentpole guarantee: both event
@@ -109,33 +110,46 @@ func TestSchedulerReconfigureKeepsEngine(t *testing.T) {
 
 // TestArenaZeroAllocsBothSchedulers is the satellite regression test:
 // once an arena is warm, a replicate allocates nothing — under either
-// scheduler. The calendar queue must satisfy this through its retained
-// bucket capacity and tuned width (sim.Engine.Reset keeps both).
+// scheduler, and with regular I/O phases, whose trigger points derive from
+// a phase index instead of a per-instance slice. The calendar queue must
+// satisfy this through its retained bucket capacity and tuned width
+// (sim.Engine.Reset keeps both).
 func TestArenaZeroAllocsBothSchedulers(t *testing.T) {
+	regularIO := tinyClasses()
+	for i := range regularIO {
+		regularIO[i].RegularIOPctMem = 20
+		regularIO[i].RegularIOPhases = 3
+	}
+	classes := map[string][]workload.Class{"plain": tinyClasses(), "regular-io": regularIO}
 	for _, scheduler := range []string{SchedulerHeap4, SchedulerCalendar} {
 		t.Run(scheduler, func(t *testing.T) {
-			cfg := tinyConfig(OrderedNBDaly(), 0)
-			cfg.Scheduler = scheduler
-			a, err := NewArena(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Warm every pool: two seeds so the event pool, run chunks
-			// and calendar buckets are sized, then measure on a warmed
-			// seed (a colder seed would grow pools, which is sizing,
-			// not a scheduler leak).
-			for _, seed := range []uint64{1, 2} {
-				if _, err := a.Run(seed); err != nil {
-					t.Fatal(err)
-				}
-			}
-			allocs := testing.AllocsPerRun(3, func() {
-				if _, err := a.Run(1); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Fatalf("warm %s arena replicate allocates %v per run, want 0", scheduler, allocs)
+			for _, name := range []string{"plain", "regular-io"} {
+				t.Run(name, func(t *testing.T) {
+					cfg := tinyConfig(OrderedNBDaly(), 0)
+					cfg.Scheduler = scheduler
+					cfg.Classes = classes[name]
+					a, err := NewArena(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// Warm every pool: two seeds so the event pool, run
+					// chunks and calendar buckets are sized, then
+					// measure on a warmed seed (a colder seed would grow
+					// pools, which is sizing, not a leak).
+					for _, seed := range []uint64{1, 2} {
+						if _, err := a.Run(seed); err != nil {
+							t.Fatal(err)
+						}
+					}
+					allocs := testing.AllocsPerRun(3, func() {
+						if _, err := a.Run(1); err != nil {
+							t.Fatal(err)
+						}
+					})
+					if allocs != 0 {
+						t.Fatalf("warm %s arena replicate allocates %v per run, want 0", scheduler, allocs)
+					}
+				})
 			}
 		})
 	}

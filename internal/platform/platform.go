@@ -103,134 +103,153 @@ var ErrNotAllocated = errors.New("platform: job holds no nodes")
 // NoOwner marks a node with no current job in NodeMap lookups.
 const NoOwner int32 = -1
 
+// nodeRun is a run of consecutive node ids as it sits on a stack: from the
+// bottom up it reads top+n-1, ..., top+1, top, so top is the id nearest
+// the stack top and the next one popped.
+type nodeRun struct {
+	top, n int32
+}
+
+// heldRun is a run of nodes held by one job.
+type heldRun struct {
+	job int32
+	nodeRun
+}
+
 // NodeMap tracks which job instance occupies each node, so that an injected
 // node failure can be mapped to its victim job. Node identities matter only
 // for that lookup; allocation hands out arbitrary free nodes (the paper's
 // hot-spare policy keeps the pool size constant across failures).
 //
-// Jobs allocate and release thousands of nodes per instance while Owner is
-// consulted only per injected failure, so the map is tuned for the writes:
-// Release leaves stale owner entries behind instead of clearing them
-// (profiling shows that O(q) loop dominating whole-simulation CPU), and
-// Owner filters staleness by checking the job is still live. That requires
-// job ids never be reused while the map is populated — the engine's
-// instance ids are monotone per replicate, and Reset restores a clean
-// slate between replicates.
+// Stack order. The free nodes form a stack, initially 0 on top and n-1 at
+// the bottom. Allocate pops the top q ids and Release pushes a job's ids
+// back in the order they were popped, so which ids a job receives — and
+// therefore which job a failure strikes — is a fixed function of the
+// allocation history. The map stores the stack and the holdings as runs of
+// consecutive ids rather than as ids: Allocate splits at most one run,
+// Release merges a pushed run with the stack top when they are adjacent,
+// and Owner scans the held runs. Every operation costs O(runs) instead of
+// O(nodes), and the pop order is exactly that of a stack of single ids.
 type NodeMap struct {
-	owner []int32           // node -> last job id allocated there; stale once released
-	free  []int32           // stack of free node indices
-	held  map[int32][]int32 // job id -> nodes held
-	// spare recycles released held-slices so steady-state Allocate calls
-	// stay allocation-free.
-	spare [][]int32
+	total int
+	nfree int
+	free  []nodeRun // bottom first; the last run is the stack top
+	// held lists every held run, each job's runs contiguous and in the
+	// order they were popped. Its capacity tracks the peak number of held
+	// runs, so steady-state calls stay allocation-free.
+	held []heldRun
 }
 
 // NewNodeMap returns a map for n nodes, all free.
 func NewNodeMap(n int) *NodeMap {
-	m := &NodeMap{
-		owner: make([]int32, n),
-		free:  make([]int32, n),
-		held:  make(map[int32][]int32),
-	}
+	m := &NodeMap{total: n}
 	m.Reset()
 	return m
 }
 
 // Reset frees every node, restoring the exact initial state of NewNodeMap
-// (including the free-stack pop order) while retaining the map and the
-// recycled held-slices. A reset map allocates nodes in the same order as a
-// fresh one — required for bit-identical simulation replicates.
+// (including the free-stack pop order) while retaining capacity. A reset
+// map allocates nodes in the same order as a fresh one — required for
+// bit-identical simulation replicates.
 func (m *NodeMap) Reset() {
-	n := len(m.owner)
-	m.free = m.free[:n]
-	for i := range m.owner {
-		m.owner[i] = NoOwner
-		// Pop order is descending index; any deterministic order works.
-		m.free[i] = int32(n - 1 - i)
+	m.free = m.free[:0]
+	if m.total > 0 {
+		// Pop order is ascending id; any deterministic order works.
+		m.free = append(m.free, nodeRun{top: 0, n: int32(m.total)})
 	}
-	for job, nodes := range m.held {
-		m.spare = append(m.spare, nodes)
-		delete(m.held, job)
-	}
+	m.nfree = m.total
+	m.held = m.held[:0]
 }
 
 // Free returns the number of unallocated nodes.
-func (m *NodeMap) Free() int { return len(m.free) }
+func (m *NodeMap) Free() int { return m.nfree }
 
 // Total returns the platform node count.
-func (m *NodeMap) Total() int { return len(m.owner) }
+func (m *NodeMap) Total() int { return m.total }
 
 // Allocated returns the number of nodes currently held by jobs.
-func (m *NodeMap) Allocated() int { return len(m.owner) - len(m.free) }
+func (m *NodeMap) Allocated() int { return m.total - m.nfree }
+
+// runsOf returns the bounds [i, k) of the job's runs in held; i == k when
+// the job holds no nodes.
+func (m *NodeMap) runsOf(job int32) (i, k int) {
+	for i < len(m.held) && m.held[i].job != job {
+		i++
+	}
+	k = i
+	for k < len(m.held) && m.held[k].job == job {
+		k++
+	}
+	return i, k
+}
 
 // Allocate reserves q nodes for the given job id. It reports false, without
 // side effects, if fewer than q nodes are free or the job already holds
 // nodes.
 func (m *NodeMap) Allocate(job int32, q int) bool {
-	if q <= 0 || q > len(m.free) {
+	if q <= 0 || q > m.nfree {
 		return false
 	}
-	if _, dup := m.held[job]; dup {
+	if i, k := m.runsOf(job); i < k {
 		return false
 	}
-	take := m.free[len(m.free)-q:]
-	m.free = m.free[:len(m.free)-q]
-	nodes := m.getSlice(q)
-	copy(nodes, take)
-	for _, n := range nodes {
-		m.owner[n] = job
+	// Runs k+1.. are taken whole; run k gives up its top rest ids.
+	k, rest := len(m.free)-1, q
+	for rest > int(m.free[k].n) {
+		rest -= int(m.free[k].n)
+		k--
 	}
-	m.held[job] = nodes
+	r := m.free[k]
+	m.held = append(m.held, heldRun{job, nodeRun{top: r.top, n: int32(rest)}})
+	for _, whole := range m.free[k+1:] {
+		m.held = append(m.held, heldRun{job, whole})
+	}
+	if int(r.n) == rest {
+		m.free = m.free[:k]
+	} else {
+		m.free[k] = nodeRun{top: r.top + int32(rest), n: r.n - int32(rest)}
+		m.free = m.free[:k+1]
+	}
+	m.nfree -= q
 	return true
 }
 
-// getSlice pops a recycled held-slice with capacity >= q, or allocates one.
-// Workloads draw from a handful of class sizes, so the spare stack almost
-// always has a fit.
-func (m *NodeMap) getSlice(q int) []int32 {
-	for i := len(m.spare) - 1; i >= 0; i-- {
-		if cap(m.spare[i]) >= q {
-			s := m.spare[i][:q]
-			last := len(m.spare) - 1
-			m.spare[i] = m.spare[last]
-			m.spare[last] = nil
-			m.spare = m.spare[:last]
-			return s
-		}
-	}
-	return make([]int32, q)
-}
-
-// Release frees all nodes held by the job. The owner entries are left
-// stale deliberately (Owner filters them); only the free stack and the
-// held map change.
+// Release frees all nodes held by the job, pushing its runs back onto the
+// free stack in the order they were popped.
 func (m *NodeMap) Release(job int32) error {
-	nodes, ok := m.held[job]
-	if !ok {
+	i, k := m.runsOf(job)
+	if i == k {
 		return ErrNotAllocated
 	}
-	m.free = append(m.free, nodes...)
-	delete(m.held, job)
-	m.spare = append(m.spare, nodes)
+	for _, h := range m.held[i:k] {
+		r := h.nodeRun
+		if last := len(m.free) - 1; last >= 0 && r.top+r.n == m.free[last].top {
+			m.free[last] = nodeRun{top: r.top, n: r.n + m.free[last].n}
+		} else {
+			m.free = append(m.free, r)
+		}
+		m.nfree += int(r.n)
+	}
+	m.held = append(m.held[:i], m.held[k:]...)
 	return nil
 }
 
 // Owner returns the job occupying the given node, or NoOwner if it is free.
 func (m *NodeMap) Owner(node int32) int32 {
-	job := m.owner[node]
-	if job == NoOwner {
-		return NoOwner
+	for _, h := range m.held {
+		if node >= h.top && node-h.top < h.n {
+			return h.job
+		}
 	}
-	// A released node keeps its last owner entry; the job being gone from
-	// the held map is what marks the node free. A node reallocated since
-	// has had its entry overwritten by Allocate.
-	if _, live := m.held[job]; !live {
-		return NoOwner
-	}
-	return job
+	return NoOwner
 }
 
 // Holding returns the number of nodes held by the job (0 if none).
 func (m *NodeMap) Holding(job int32) int {
-	return len(m.held[job])
+	i, k := m.runsOf(job)
+	q := 0
+	for _, h := range m.held[i:k] {
+		q += int(h.n)
+	}
+	return q
 }

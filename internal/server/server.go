@@ -84,9 +84,10 @@ type run struct {
 	userCancelled bool
 }
 
-// setState moves r to state and is the only writer of run.state, so it
-// also keeps the server's queued and running counters. A terminal state
-// is final. Lock order: run.mu before Server.mu.
+// setState moves r to state and, once startRun has registered r, is the
+// only writer of run.state, so it also keeps the server's queued and
+// running counters (reserve counts a campaign into the queue before it
+// exists). A terminal state is final. Lock order: run.mu before Server.mu.
 func (s *Server) setState(r *run, state string, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -222,6 +223,9 @@ func (s *Server) resumeAll() error {
 		if err != nil {
 			return fmt.Errorf("server: resume %s: %w", id, err)
 		}
+		if err := s.reserve(false); err != nil {
+			return err
+		}
 		s.startRun(id, st.Spec.Name, st.SubmittedAt, res)
 	}
 	return nil
@@ -244,30 +248,51 @@ func (s *Server) Submit(spec api.CampaignSpec) (string, error) {
 		return "", &BadSpecError{Err: err}
 	}
 
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return "", ErrShuttingDown
+	if err := s.reserve(true); err != nil {
+		return "", err
 	}
-	if s.queued+s.running >= s.opts.MaxConcurrent+s.opts.MaxQueue {
-		s.mu.Unlock()
-		return "", ErrQueueFull
-	}
-	s.mu.Unlock()
-
 	id := newID()
 	now := time.Now().UTC()
 	if s.opts.DataDir != "" {
 		b, err := json.MarshalIndent(storedSpec{ID: id, SubmittedAt: now, Spec: spec}, "", "  ")
-		if err != nil {
-			return "", fmt.Errorf("server: persist spec: %w", err)
+		if err == nil {
+			err = os.WriteFile(s.specPath(id), append(b, '\n'), 0o644)
 		}
-		if err := os.WriteFile(s.specPath(id), append(b, '\n'), 0o644); err != nil {
+		if err != nil {
+			s.unreserve()
 			return "", fmt.Errorf("server: persist spec: %w", err)
 		}
 	}
 	s.startRun(id, spec.Name, now, res)
 	return id, nil
+}
+
+// reserve admits one campaign atomically: under s.mu it checks that the
+// server is open and, when limit is set, that a queue slot is free, then
+// counts the campaign as queued and adds it to the drain WaitGroup. A
+// submission racing Shutdown is therefore either refused or waited for,
+// and concurrent submissions can never overfill the queue. The caller
+// must follow with startRun, or with unreserve if it gives up.
+func (s *Server) reserve(limit bool) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrShuttingDown
+	}
+	if limit && s.queued+s.running >= s.opts.MaxConcurrent+s.opts.MaxQueue {
+		return ErrQueueFull
+	}
+	s.queued++
+	s.wg.Add(1)
+	return nil
+}
+
+// unreserve rolls back a reservation whose campaign never started.
+func (s *Server) unreserve() {
+	s.mu.Lock()
+	s.queued--
+	s.mu.Unlock()
+	s.wg.Done()
 }
 
 // Admission and validation sentinels the HTTP layer maps onto status
@@ -286,7 +311,7 @@ func (e *BadSpecError) Error() string { return e.Err.Error() }
 func (e *BadSpecError) Unwrap() error { return e.Err }
 
 // startRun registers the campaign and launches its worker goroutine.
-// The caller has already persisted the spec.
+// The caller has already reserved its queue slot and persisted the spec.
 func (s *Server) startRun(id, name string, submittedAt time.Time, res api.Resolved) {
 	ctx, cancel := context.WithCancel(s.lifeCtx)
 	camp := campaign.New(campaign.Options{
@@ -308,16 +333,16 @@ func (s *Server) startRun(id, name string, submittedAt time.Time, res api.Resolv
 		points:      len(res.Grid.Points(res.Base)),
 		camp:        camp,
 		cancel:      cancel,
+		// reserve already counted the campaign as queued.
+		state: StateQueued,
 	}
 	r.cond = sync.NewCond(&r.mu)
-	s.setState(r, StateQueued, nil)
 
 	s.mu.Lock()
 	s.runs[id] = r
 	s.order = append(s.order, id)
 	s.mu.Unlock()
 
-	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		defer cancel()

@@ -324,6 +324,50 @@ func TestAdmissionControl(t *testing.T) {
 	s.Cancel(id2)
 }
 
+// TestAdmissionAtomic: admission reserves the queue slot in the same
+// critical section as the capacity check, so a burst of concurrent
+// submissions can never overfill the queue while earlier ones are still
+// writing their spec files. With one slot and one queue entry, exactly
+// two of sixteen simultaneous submissions are accepted, every time.
+func TestAdmissionAtomic(t *testing.T) {
+	var long api.CampaignSpec
+	if err := json.Unmarshal(specJSON(t, "long", []string{"Least-Waste"}, 30, 4096), &long); err != nil {
+		t.Fatal(err)
+	}
+	const tries, submitters = 20, 16
+	for try := 0; try < tries; try++ {
+		s, err := New(Options{DataDir: t.TempDir(), MaxConcurrent: 1, MaxQueue: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		errs := make(chan error, submitters)
+		start := make(chan struct{})
+		for i := 0; i < submitters; i++ {
+			go func() {
+				<-start
+				_, err := s.Submit(long)
+				errs <- err
+			}()
+		}
+		close(start)
+		accepted := 0
+		for i := 0; i < submitters; i++ {
+			switch err := <-errs; {
+			case err == nil:
+				accepted++
+			case !errors.Is(err, ErrQueueFull):
+				t.Fatalf("try %d: submission failed: %v", try, err)
+			}
+		}
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if accepted != 2 {
+			t.Fatalf("try %d: %d of %d concurrent submissions accepted, capacity is 2", try, accepted, submitters)
+		}
+	}
+}
+
 // checkCounters compares the O(1) queued/running counters Health reports
 // with a full walk over every campaign ever submitted. Callers wait for
 // the server to settle first, so no transition is in flight.
