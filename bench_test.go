@@ -168,14 +168,11 @@ func BenchmarkEngine(b *testing.B) {
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 }
 
-// BenchmarkLargeHorizon measures the event-scheduler family on the
-// horizons the Config.Scheduler knob trades over: the standard 60-day
-// scenario, one- and five-year segments (where the calendar queue's
-// amortised O(1) dequeue should pay off), and a cancel-heavy 60-day
-// scenario (3-month node MTBF under Least-Waste, where the heap's
-// O(log n) removal should win) — each on a warm arena under both
-// schedulers, reporting events/sec. The measured crossover behind the
-// auto policy is recorded in BENCH_*.json.
+// BenchmarkLargeHorizon measures the event core across horizons: the
+// standard 60-day scenario, one- and five-year segments, and a
+// cancel-heavy 60-day scenario (3-month node MTBF under Least-Waste, where
+// most scheduled events are cancelled or re-armed before they fire) —
+// each on a warm arena, reporting events/sec.
 func BenchmarkLargeHorizon(b *testing.B) {
 	scenarios := []struct {
 		name  string
@@ -190,32 +187,29 @@ func BenchmarkLargeHorizon(b *testing.B) {
 		{"cancel-heavy-60d", 60, 0.25, repro.LeastWaste(), false},
 	}
 	for _, sc := range scenarios {
-		for _, sched := range []string{repro.SchedulerHeap4, repro.SchedulerCalendar} {
-			b.Run(fmt.Sprintf("%s/%s", sc.name, sched), func(b *testing.B) {
-				if sc.long && testing.Short() {
-					b.Skip("multi-year horizon skipped in -short mode")
-				}
-				cfg := benchConfig(repro.Cielo(40, sc.mtbfY), sc.strat)
-				cfg.HorizonDays = sc.days
-				cfg.Scheduler = sched
-				arena, err := repro.NewArena(cfg)
-				if err != nil {
+		b.Run(sc.name, func(b *testing.B) {
+			if sc.long && testing.Short() {
+				b.Skip("multi-year horizon skipped in -short mode")
+			}
+			cfg := benchConfig(repro.Cielo(40, sc.mtbfY), sc.strat)
+			cfg.HorizonDays = sc.days
+			arena, err := repro.NewArena(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := arena.Run(1) // warm the pools outside the timer
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := arena.Run(1); err != nil {
 					b.Fatal(err)
 				}
-				res, err := arena.Run(1) // warm the pools outside the timer
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := arena.Run(1); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(res.Events)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-			})
-		}
+			}
+			b.ReportMetric(float64(res.Events)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+		})
 	}
 }
 

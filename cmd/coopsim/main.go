@@ -62,7 +62,6 @@ func main() {
 		targetCI     = flag.String("target-ci", "", "sequential stopping: halfWidth[:confidence[:minRuns[:maxRuns]]]; -runs becomes the replicate cap")
 		antithetic   = flag.Bool("antithetic", false, "antithetic variates: replicate pairs share a seed, the odd member draws complemented streams")
 		paired       = flag.Bool("paired", false, "paired CRN comparison: first strategy is the reference, CI (and -target-ci stopping) on per-replicate differences")
-		scheduler    = flag.String("scheduler", "auto", "event scheduler: auto, heap4 or calendar (bit-identical results; throughput only)")
 		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile   = flag.String("memprofile", "", "write a heap (allocs) profile to this file on exit")
 		ndjson       = flag.Bool("ndjson", false, "emit coopsimd wire frames (api.StreamFrame NDJSON) instead of rows; runs the same streaming campaign path as the daemon, so output is bit-identical to GET /v1/campaigns/{id}/results")
@@ -77,10 +76,6 @@ func main() {
 	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "coopsim: %v\n", err)
 		os.Exit(2)
-	}
-	schedName, err := cliutil.Scheduler(*scheduler)
-	if err != nil {
-		fail(err)
 	}
 	stopProfiles, err := cliutil.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
@@ -142,7 +137,6 @@ func main() {
 		Platform:    plat,
 		Classes:     repro.APEXClasses(),
 		Seed:        *seed,
-		Scheduler:   schedName,
 		HorizonDays: *days,
 	}
 	grid := repro.SweepGrid{Strategies: strategies, Channels: channelCounts}

@@ -42,7 +42,6 @@ type options struct {
 	channels   int
 	quick      bool
 	tsv        bool
-	scheduler  string
 	strategies []repro.Strategy
 	antithetic bool
 	targetCI   repro.TargetCI
@@ -52,7 +51,7 @@ type options struct {
 
 func main() {
 	opts := options{}
-	var strategySpec, targetCISpec, schedulerSpec string
+	var strategySpec, targetCISpec string
 	var cpuprofile, memprofile string
 	var antithetic bool
 	flag.IntVar(&opts.runs, "runs", 50, "Monte-Carlo replications per point (paper: 1000)")
@@ -68,8 +67,6 @@ func main() {
 		"sequential stopping per sweep point and fig3 probe: halfWidth[:confidence[:minRuns[:maxRuns]]]; -runs becomes the cap")
 	flag.BoolVar(&antithetic, "antithetic", false,
 		"antithetic variates: replicate pairs share a seed, the odd member draws complemented streams")
-	flag.StringVar(&schedulerSpec, "scheduler", "auto",
-		"event scheduler: auto, heap4 or calendar (bit-identical results; throughput only)")
 	flag.StringVar(&cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&memprofile, "memprofile", "", "write a heap (allocs) profile to this file on exit")
 	opts.campaign = cliutil.AddCampaignFlags(flag.CommandLine)
@@ -97,10 +94,6 @@ func main() {
 	}
 	opts.antithetic = antithetic
 	opts.targetCI = tci
-	opts.scheduler, err = cliutil.Scheduler(schedulerSpec)
-	if err != nil {
-		fatal(err)
-	}
 	stopProfiles, err := cliutil.StartProfiles(cpuprofile, memprofile)
 	if err != nil {
 		fatal(err)
@@ -311,7 +304,6 @@ func fig1(ctx context.Context, session *repro.Session, opts options) {
 		Platform:    repro.Cielo(bws[0], 2),
 		Classes:     repro.APEXClasses(),
 		Seed:        opts.seed,
-		Scheduler:   opts.scheduler,
 		HorizonDays: opts.days,
 		Channels:    opts.channels,
 	}
@@ -336,7 +328,6 @@ func fig2(ctx context.Context, session *repro.Session, opts options) {
 		Platform:    repro.Cielo(40, years[0]),
 		Classes:     repro.APEXClasses(),
 		Seed:        opts.seed,
-		Scheduler:   opts.scheduler,
 		HorizonDays: opts.days,
 		Channels:    opts.channels,
 	}
@@ -383,7 +374,6 @@ func fig3(ctx context.Context, session *repro.Session, opts options) {
 				Classes:     repro.APEXClasses(),
 				Strategy:    strat,
 				Seed:        opts.seed,
-				Scheduler:   opts.scheduler,
 				HorizonDays: opts.days,
 				Channels:    opts.channels,
 			}

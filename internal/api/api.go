@@ -1,7 +1,7 @@
 // Package api is the wire layer of the coopsimd service: a canonical
 // JSON encoding of the engine's experiment types — engine.Config,
-// engine.SweepGrid and the Monte-Carlo options — with strategies and
-// schedulers resolved by registry name, strict decoding (unknown fields
+// engine.SweepGrid and the Monte-Carlo options — with strategies
+// resolved by registry name, strict decoding (unknown fields
 // are errors, not silent drops), and validation that surfaces every
 // field error at once. The same types frame the service's streaming
 // results and management responses, so a campaign submitted over HTTP is
@@ -88,7 +88,7 @@ type BurstBuffer struct {
 }
 
 // Config is the wire image of engine.Config. Strategies resolve by
-// engine-registry name, schedulers by engine.SchedulerNames; zero-valued
+// engine-registry name; zero-valued
 // optional fields select the engine's documented defaults exactly as the
 // in-process Config does.
 type Config struct {
@@ -100,7 +100,6 @@ type Config struct {
 	// empty when the sweep grid carries the strategy axis.
 	Strategy     string        `json:"strategy,omitempty"`
 	Seed         uint64        `json:"seed"`
-	Scheduler    string        `json:"scheduler,omitempty"`
 	HorizonDays  float64       `json:"horizon_days,omitempty"`
 	WarmupDays   float64       `json:"warmup_days,omitempty"`
 	CooldownDays float64       `json:"cooldown_days,omitempty"`
@@ -116,6 +115,12 @@ type Config struct {
 	DisableCheckpoints bool         `json:"disable_checkpoints,omitempty"`
 	BaselineIO         bool         `json:"baseline_io,omitempty"`
 	PairedBaseline     bool         `json:"paired_baseline,omitempty"`
+
+	// LegacyScheduler lets specs written while the engine had an
+	// event-queue knob still decode: "auto", "heap4" and "calendar" are
+	// accepted and ignored (there is one event queue), anything else is
+	// an error. Encoders leave it empty.
+	LegacyScheduler string `json:"scheduler,omitempty"`
 }
 
 // FailureSpec is one point of a sweep's failure axis.
@@ -257,7 +262,6 @@ func (c Config) Resolve() (engine.Config, error) {
 	var errs []error
 	out := engine.Config{
 		Seed:               c.Seed,
-		Scheduler:          c.Scheduler,
 		HorizonDays:        c.HorizonDays,
 		WarmupDays:         c.WarmupDays,
 		CooldownDays:       c.CooldownDays,
@@ -291,8 +295,10 @@ func (c Config) Resolve() (engine.Config, error) {
 		}
 		out.Strategy = strat
 	}
-	if c.Scheduler != "" && !validScheduler(c.Scheduler) {
-		errs = append(errs, fmt.Errorf("api: unknown scheduler %q (one of %v)", c.Scheduler, engine.SchedulerNames()))
+	switch c.LegacyScheduler {
+	case "", "auto", "heap4", "calendar":
+	default:
+		errs = append(errs, fmt.Errorf("api: unknown scheduler %q (legacy field: auto, heap4 or calendar, all ignored)", c.LegacyScheduler))
 	}
 	model, err := resolveFailureModel(c.FailureModel)
 	if err != nil {
@@ -384,15 +390,6 @@ func (g SweepGrid) Resolve() (engine.SweepGrid, error) {
 	return out, errors.Join(errs...)
 }
 
-func validScheduler(name string) bool {
-	for _, n := range engine.SchedulerNames() {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
 func resolveFailureModel(name string) (failure.Model, error) {
 	switch name {
 	case "", "exponential":
@@ -479,7 +476,6 @@ func FromConfig(cfg engine.Config) (Config, error) {
 			NodeMTBFSeconds: cfg.Platform.NodeMTBFSeconds,
 		},
 		Seed:               cfg.Seed,
-		Scheduler:          cfg.Scheduler,
 		HorizonDays:        cfg.HorizonDays,
 		WarmupDays:         cfg.WarmupDays,
 		CooldownDays:       cfg.CooldownDays,
@@ -747,11 +743,10 @@ type StrategyInfo struct {
 }
 
 // StrategiesResponse is the body of GET /v1/strategies: the strategy
-// registry plus the scheduler names, everything a client may reference
-// by name in a campaign spec.
+// registry, everything a client may reference by name in a campaign
+// spec.
 type StrategiesResponse struct {
 	Strategies []StrategyInfo `json:"strategies"`
-	Schedulers []string       `json:"schedulers"`
 }
 
 // ListStrategies renders the engine registry onto the wire.
@@ -766,7 +761,6 @@ func ListStrategies() StrategiesResponse {
 			TokenDevice: s.Discipline.UsesToken(),
 		})
 	}
-	out.Schedulers = engine.SchedulerNames()
 	return out
 }
 

@@ -3,6 +3,7 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -17,52 +18,84 @@ import (
 // TestConfigRoundTripKeyStable pins the core wire contract: encoding an
 // engine config to the wire, decoding it strictly, and resolving it
 // back must land on the same engine.ExperimentKey — for every
-// registered strategy crossed with every scheduler. A drift here means
-// an HTTP submission silently simulates a different experiment than the
-// in-process call.
+// registered strategy. A drift here means an HTTP submission silently
+// simulates a different experiment than the in-process call.
 func TestConfigRoundTripKeyStable(t *testing.T) {
 	for _, strat := range engine.AllStrategies() {
-		for _, sched := range engine.SchedulerNames() {
-			cfg := engine.Config{
-				Platform:    mustPlatform(t, "cielo", 40, 2),
-				Classes:     workload.APEXClasses(),
-				Strategy:    strat,
-				Seed:        7,
-				Scheduler:   sched,
-				HorizonDays: 3,
-				Channels:    2,
-			}
-			wantKey, ok := engine.ExperimentKey(cfg, 5, engine.MCOptions{})
-			if !ok {
-				t.Fatalf("%s/%s: base config not cacheable", strat.Name(), sched)
-			}
-
-			wire, err := FromConfig(cfg)
-			if err != nil {
-				t.Fatalf("%s/%s: encode: %v", strat.Name(), sched, err)
-			}
-			spec := CampaignSpec{Config: wire, Runs: 5}
-			blob, err := json.Marshal(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			decoded, err := DecodeCampaignSpec(bytes.NewReader(blob))
-			if err != nil {
-				t.Fatalf("%s/%s: strict decode of own encoding: %v", strat.Name(), sched, err)
-			}
-			res, err := decoded.Resolve()
-			if err != nil {
-				t.Fatalf("%s/%s: resolve: %v", strat.Name(), sched, err)
-			}
-			gotKey, ok := engine.ExperimentKey(res.Base, res.Runs, engine.MCOptions{})
-			if !ok {
-				t.Fatalf("%s/%s: resolved config not cacheable", strat.Name(), sched)
-			}
-			if gotKey != wantKey {
-				t.Errorf("%s/%s: ExperimentKey drifted across the wire:\n got %s\nwant %s",
-					strat.Name(), sched, gotKey, wantKey)
-			}
+		cfg := engine.Config{
+			Platform:    mustPlatform(t, "cielo", 40, 2),
+			Classes:     workload.APEXClasses(),
+			Strategy:    strat,
+			Seed:        7,
+			HorizonDays: 3,
+			Channels:    2,
 		}
+		wantKey, ok := engine.ExperimentKey(cfg, 5, engine.MCOptions{})
+		if !ok {
+			t.Fatalf("%s: base config not cacheable", strat.Name())
+		}
+
+		wire, err := FromConfig(cfg)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", strat.Name(), err)
+		}
+		spec := CampaignSpec{Config: wire, Runs: 5}
+		blob, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := DecodeCampaignSpec(bytes.NewReader(blob))
+		if err != nil {
+			t.Fatalf("%s: strict decode of own encoding: %v", strat.Name(), err)
+		}
+		res, err := decoded.Resolve()
+		if err != nil {
+			t.Fatalf("%s: resolve: %v", strat.Name(), err)
+		}
+		gotKey, ok := engine.ExperimentKey(res.Base, res.Runs, engine.MCOptions{})
+		if !ok {
+			t.Fatalf("%s: resolved config not cacheable", strat.Name())
+		}
+		if gotKey != wantKey {
+			t.Errorf("%s: ExperimentKey drifted across the wire:\n got %s\nwant %s",
+				strat.Name(), gotKey, wantKey)
+		}
+	}
+}
+
+// TestDecodeLegacyScheduler: specs written while Config had an
+// event-queue knob carry a "scheduler" field. Its three old values decode
+// and are ignored — the spec resolves to the same experiment as one
+// without the field — and any other value is still rejected.
+func TestDecodeLegacyScheduler(t *testing.T) {
+	const tmpl = `{"config":{"platform":{"name":"cielo","bandwidth_gbps":40,"node_mtbf_years":2},"strategy":"Least-Waste","seed":3%s,"horizon_days":3},"runs":2}`
+	resolveKey := func(field string) (string, error) {
+		spec, err := DecodeCampaignSpec(strings.NewReader(fmt.Sprintf(tmpl, field)))
+		if err != nil {
+			return "", err
+		}
+		res, err := spec.Resolve()
+		if err != nil {
+			return "", err
+		}
+		key, _ := engine.ExperimentKey(res.Base, res.Runs, engine.MCOptions{})
+		return key, nil
+	}
+	want, err := resolveKey("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"auto", "heap4", "calendar"} {
+		got, err := resolveKey(`,"scheduler":"` + name + `"`)
+		if err != nil {
+			t.Fatalf("legacy scheduler %q rejected: %v", name, err)
+		}
+		if got != want {
+			t.Errorf("legacy scheduler %q changed the experiment key", name)
+		}
+	}
+	if _, err := resolveKey(`,"scheduler":"splay"`); err == nil || !strings.Contains(err.Error(), "splay") {
+		t.Fatalf("unknown scheduler name accepted (err %v)", err)
 	}
 }
 
@@ -151,10 +184,10 @@ func TestDecodeStrict(t *testing.T) {
 func TestValidateCollectsAllErrors(t *testing.T) {
 	spec := CampaignSpec{
 		Config: Config{
-			Platform:     Platform{Name: "atlantis"},
-			Strategy:     "No-Such-Strategy",
-			Scheduler:    "quantum",
-			FailureModel: "lognormal",
+			Platform:        Platform{Name: "atlantis"},
+			Strategy:        "No-Such-Strategy",
+			LegacyScheduler: "quantum",
+			FailureModel:    "lognormal",
 		},
 		Runs: -1,
 	}
@@ -191,7 +224,7 @@ func TestMCResultInfRoundTrip(t *testing.T) {
 }
 
 // TestListStrategiesCoversRegistry pins that the discovery endpoint
-// payload names every registered strategy and scheduler.
+// payload names every registered strategy.
 func TestListStrategiesCoversRegistry(t *testing.T) {
 	resp := ListStrategies()
 	if got, want := len(resp.Strategies), len(engine.AllStrategies()); got != want {
@@ -201,8 +234,5 @@ func TestListStrategiesCoversRegistry(t *testing.T) {
 		if _, ok := engine.StrategyByName(si.Name); !ok {
 			t.Errorf("listed strategy %q is not resolvable", si.Name)
 		}
-	}
-	if got, want := len(resp.Schedulers), len(engine.SchedulerNames()); got != want {
-		t.Fatalf("listed %d schedulers, engine has %d", got, want)
 	}
 }

@@ -269,7 +269,10 @@ func New(opts Options) *Campaign {
 
 // fingerprintSpec is the canonical identity of a campaign: everything
 // that influences its results, reduced to plain data. Two campaigns with
-// equal fingerprints produce bit-identical journals.
+// equal fingerprints produce bit-identical journals. Scheduler is always
+// empty: Config once carried an event-queue knob that campaign specs
+// normally left unset, and keeping the empty field keeps their
+// fingerprints byte-identical, so journals written then still resume.
 type fingerprintSpec struct {
 	PlatformName    string   `json:"platform"`
 	Nodes           int      `json:"nodes"`
@@ -318,7 +321,6 @@ func (c *Campaign) fingerprint(base engine.Config, grid engine.SweepGrid, runs i
 		NodeMTBFSeconds: base.Platform.NodeMTBFSeconds,
 		Classes:         classes,
 		Seed:            base.Seed,
-		Scheduler:       base.Scheduler,
 		Horizon:         base.HorizonDays,
 		Warmup:          base.WarmupDays,
 		Cooldown:        base.CooldownDays,

@@ -19,10 +19,6 @@ import (
 	"repro/internal/workload"
 )
 
-// testScheduler mirrors the engine suite's knob: CI re-runs the package
-// with REPRO_SCHEDULER=calendar to cover both event queues.
-var testScheduler = os.Getenv("REPRO_SCHEDULER")
-
 func tinyConfig(strat engine.Strategy, seed uint64) engine.Config {
 	return engine.Config{
 		Platform: platform.Platform{
@@ -44,7 +40,6 @@ func tinyConfig(strat engine.Strategy, seed uint64) engine.Config {
 		},
 		Strategy:     strat,
 		Seed:         seed,
-		Scheduler:    testScheduler,
 		HorizonDays:  6,
 		WarmupDays:   0.5,
 		CooldownDays: 0.5,
@@ -530,8 +525,7 @@ func TestCampaignChildProcess(t *testing.T) {
 // strategy, the parent SIGKILLs it mid-sweep (no cleanup, no final
 // syncs — a real crash), resumes the journal in-process, and asserts
 // every point of the resumed campaign is bit-identical to an
-// uninterrupted golden run. REPRO_SCHEDULER=calendar re-runs it on the
-// calendar event queue.
+// uninterrupted golden run.
 func TestCampaignSIGKILLResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a child test process")

@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sync"
-
-	"repro/internal/engine"
 )
 
 // profileStop is the active profile flusher, registered by StartProfiles
@@ -78,19 +76,4 @@ func flushProfiles() {
 	if stop != nil {
 		stop()
 	}
-}
-
-// Scheduler validates a -scheduler flag value against the engine's
-// scheduler registry and returns it unchanged (the empty string means
-// the engine default, auto).
-func Scheduler(spec string) (string, error) {
-	if spec == "" {
-		return "", nil
-	}
-	for _, name := range engine.SchedulerNames() {
-		if spec == name {
-			return spec, nil
-		}
-	}
-	return "", fmt.Errorf("unknown scheduler %q (%v)", spec, engine.SchedulerNames())
 }

@@ -54,14 +54,3 @@ func TestStartProfilesBadPath(t *testing.T) {
 		t.Fatal("unwritable cpu profile path accepted")
 	}
 }
-
-func TestSchedulerFlag(t *testing.T) {
-	for _, ok := range []string{"", "auto", "heap4", "calendar"} {
-		if got, err := Scheduler(ok); err != nil || got != ok {
-			t.Errorf("Scheduler(%q) = %q, %v", ok, got, err)
-		}
-	}
-	if _, err := Scheduler("splay"); err == nil {
-		t.Fatal("unknown scheduler accepted")
-	}
-}

@@ -89,16 +89,10 @@ func (a *Arena) Reconfigure(cfg Config) error {
 	a.stratName = cfg.Strategy.Name()
 	a.baseline = nil
 
-	// The event scheduler is resolved from the (validated) knob; the
-	// engine — and with it the event pool and scheduler capacity — is
-	// kept across reconfigurations that do not change the kind, and only
-	// rebuilt when the resolved scheduler differs.
-	kind, err := cfg.schedulerKind()
-	if err != nil {
-		return err
-	}
-	if a.eng == nil || a.eng.Scheduler() != kind {
-		a.eng = sim.NewWith(kind)
+	// The engine — and with it the event pool and heap capacity — is
+	// kept across reconfigurations.
+	if a.eng == nil {
+		a.eng = sim.New()
 	}
 
 	// The device is dictated by the arbiter's capabilities, not by an

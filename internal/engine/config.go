@@ -10,7 +10,6 @@ import (
 	"repro/internal/iosched"
 	"repro/internal/metrics"
 	"repro/internal/platform"
-	"repro/internal/sim"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -28,14 +27,6 @@ type Config struct {
 	// Seed drives every random choice of the run (job mix, durations,
 	// shuffling, failures). Runs with equal configs are bit-reproducible.
 	Seed uint64
-
-	// Scheduler selects the event-queue implementation of the simulation
-	// core: "auto" (the default; picks per horizon), "heap4" (intrusive
-	// 4-ary indexed heap) or "calendar" (bucketed calendar queue for
-	// large horizons). Both schedulers dispatch the identical
-	// (time, sequence) total order, so results are bit-identical under
-	// either — the knob is purely a throughput trade.
-	Scheduler string
 
 	// Gen overrides workload generation; zero value selects
 	// workload.DefaultGenConfig with MinDays = HorizonDays.
@@ -92,54 +83,10 @@ type TraceEvent struct {
 	Note  string
 }
 
-// Scheduler registry names for Config.Scheduler.
-const (
-	// SchedulerAuto selects the scheduler per horizon: heap4 below the
-	// measured crossover, calendar at or above it.
-	SchedulerAuto = "auto"
-	// SchedulerHeap4 forces the intrusive 4-ary indexed heap.
-	SchedulerHeap4 = "heap4"
-	// SchedulerCalendar forces the bucketed calendar queue.
-	SchedulerCalendar = "calendar"
-)
-
-// SchedulerNames returns the valid Config.Scheduler values.
-func SchedulerNames() []string {
-	return []string{SchedulerAuto, SchedulerHeap4, SchedulerCalendar}
-}
-
-// CalendarAutoHorizonDays is the auto-selection crossover: at horizons of
-// two years and beyond the calendar queue's O(1) dequeue amortises its
-// scan overhead, below it the heap's tighter constants and O(log n)
-// cancel win (BENCH_7.json records the measured family behind this
-// number; on the reference machine the calendar pulls ahead between the
-// one- and two-year Cielo scenarios).
-const CalendarAutoHorizonDays = 730
-
-// schedulerKind resolves the Scheduler knob to a sim scheduler after
-// defaulting.
-func (c Config) schedulerKind() (sim.SchedulerKind, error) {
-	switch c.Scheduler {
-	case "", SchedulerAuto:
-		if c.HorizonDays >= CalendarAutoHorizonDays {
-			return sim.Calendar, nil
-		}
-		return sim.Heap4, nil
-	default:
-		if k, ok := sim.SchedulerByName(c.Scheduler); ok {
-			return k, nil
-		}
-		return 0, fmt.Errorf("engine: unknown scheduler %q (auto, heap4 or calendar)", c.Scheduler)
-	}
-}
-
 // withDefaults returns a copy with defaults resolved.
 func (c Config) withDefaults() Config {
 	if c.Strategy.Discipline == nil {
 		c.Strategy.Discipline = iosched.Oblivious
-	}
-	if c.Scheduler == "" {
-		c.Scheduler = SchedulerAuto
 	}
 	if c.Channels == 0 {
 		c.Channels = 1
@@ -198,9 +145,6 @@ func (c Config) validate() error {
 	}
 	if c.Channels < 1 {
 		errs = append(errs, fmt.Errorf("engine: non-positive channel count %d", c.Channels))
-	}
-	if _, err := c.schedulerKind(); err != nil {
-		errs = append(errs, err)
 	}
 	if c.BurstBuffer != nil {
 		if err := c.BurstBuffer.Validate(); err != nil {

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"math"
-	"os"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -14,11 +13,6 @@ import (
 	"repro/internal/units"
 	"repro/internal/workload"
 )
-
-// testScheduler lets CI run the whole engine suite — goldens and waste
-// conservation included — under a forced event scheduler, e.g.
-// REPRO_SCHEDULER=calendar. Empty means the config default (auto).
-var testScheduler = os.Getenv("REPRO_SCHEDULER")
 
 // tinyPlatform is a scaled-down machine that keeps individual test runs in
 // the low milliseconds while preserving the model's structure.
@@ -52,7 +46,6 @@ func tinyConfig(strat Strategy, seed uint64) Config {
 		Classes:      tinyClasses(),
 		Strategy:     strat,
 		Seed:         seed,
-		Scheduler:    testScheduler,
 		HorizonDays:  6,
 		WarmupDays:   0.5,
 		CooldownDays: 0.5,

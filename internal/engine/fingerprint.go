@@ -31,9 +31,8 @@ type ResultCache interface {
 
 // experimentSpec is the canonical plain-data image of one cacheable
 // Monte-Carlo experiment: the resolved configuration (defaults applied,
-// the scheduler knob resolved past "auto", the token-channel count
-// normalised to 1 for shared-device disciplines that ignore it) plus the
-// replication spec. Equal specs produce bit-identical MCResults, because
+// the token-channel count normalised to 1 for shared-device disciplines
+// that ignore it) plus the replication spec. Equal specs produce bit-identical MCResults, because
 // every replicate is a pure function of (Seed, run index) under the CRN
 // schedule and the fold is deterministic in run order.
 type experimentSpec struct {
@@ -41,7 +40,6 @@ type experimentSpec struct {
 	Classes      []workload.Class
 	Strategy     string
 	Seed         uint64
-	Scheduler    string // resolved kind, never "auto"
 	Gen          workload.GenConfig
 	HorizonDays  float64
 	WarmupDays   float64
@@ -89,10 +87,6 @@ func ExperimentKey(cfg Config, runs int, opts MCOptions) (string, bool) {
 		return "", false
 	}
 	c := cfg.withDefaults()
-	kind, err := c.schedulerKind()
-	if err != nil {
-		return "", false
-	}
 	seq := opts.TargetCI.withDefaults()
 	total := opts.budget(runs)
 	if seq.HalfWidth <= 0 {
@@ -104,7 +98,6 @@ func ExperimentKey(cfg Config, runs int, opts MCOptions) (string, bool) {
 		Classes:            c.Classes,
 		Strategy:           c.Strategy.Name(),
 		Seed:               c.Seed,
-		Scheduler:          kind.String(),
 		Gen:                c.Gen,
 		HorizonDays:        c.HorizonDays,
 		WarmupDays:         c.WarmupDays,

@@ -69,8 +69,9 @@ func referenceSweep(t *testing.T, base Config, grid SweepGrid, runs int, opts MC
 // TestSweepGridBitIdentity pins the grid coordinator's core contract:
 // whatever the worker count and steal interleaving, a Sweep delivers
 // bit-identical results to the sequential reference — across every
-// registered strategy, both event schedulers, fixed-runs and
-// sequential-stopping experiments, and antithetic pairing.
+// registered strategy, fixed-runs and sequential-stopping experiments,
+// and antithetic pairing. The heap4 level of the subtest names is kept
+// from when the test also ran a calendar queue.
 func TestSweepGridBitIdentity(t *testing.T) {
 	base := tinyConfig(Strategy{}, 7)
 	grid := SweepGrid{Strategies: AllStrategies(), Channels: []int{1, 2}}
@@ -84,27 +85,23 @@ func TestSweepGridBitIdentity(t *testing.T) {
 		{"antithetic", []SessionOption{WithAntithetic(true)}, 4},
 		{"antithetic-target-ci", []SessionOption{WithAntithetic(true), WithTargetCI(0.05, 0, 2, 0)}, 16},
 	}
-	for _, sched := range []string{SchedulerHeap4, SchedulerCalendar} {
-		cfg := base
-		cfg.Scheduler = sched
-		for _, v := range variants {
-			t.Run(sched+"/"+v.name, func(t *testing.T) {
-				want := referenceSweep(t, cfg, grid, v.runs, NewSession(v.opts...).opts)
-				for _, workers := range []int{1, 3, 7} {
-					gridOpts := append([]SessionOption{WithWorkers(workers)}, v.opts...)
-					pts, got := collectSweep(t, NewSession(gridOpts...), cfg, grid, v.runs)
-					if len(got) != len(want) {
-						t.Fatalf("workers=%d: %d points, want %d", workers, len(got), len(want))
-					}
-					for i := range want {
-						if !reflect.DeepEqual(got[i], want[i]) {
-							t.Errorf("workers=%d point %d (%s): grid result diverges from the reference\n got %+v\nwant %+v",
-								workers, i, pts[i].Strategy.Name(), got[i], want[i])
-						}
+	for _, v := range variants {
+		t.Run("heap4/"+v.name, func(t *testing.T) {
+			want := referenceSweep(t, base, grid, v.runs, NewSession(v.opts...).opts)
+			for _, workers := range []int{1, 3, 7} {
+				gridOpts := append([]SessionOption{WithWorkers(workers)}, v.opts...)
+				pts, got := collectSweep(t, NewSession(gridOpts...), base, grid, v.runs)
+				if len(got) != len(want) {
+					t.Fatalf("workers=%d: %d points, want %d", workers, len(got), len(want))
+				}
+				for i := range want {
+					if !reflect.DeepEqual(got[i], want[i]) {
+						t.Errorf("workers=%d point %d (%s): grid result diverges from the reference\n got %+v\nwant %+v",
+							workers, i, pts[i].Strategy.Name(), got[i], want[i])
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -384,16 +381,6 @@ func TestExperimentKey(t *testing.T) {
 	}
 	if key(cfg, 4, MCOptions{TargetCI: TargetCI{HalfWidth: 0.01}}) == base {
 		t.Error("stopping-rule change did not change the key")
-	}
-
-	// The scheduler influences throughput only, never results, but a
-	// resolved name and the equivalent auto selection must coincide.
-	auto := cfg
-	auto.Scheduler = SchedulerAuto
-	resolved := cfg
-	resolved.Scheduler = SchedulerHeap4
-	if key(auto, 4, MCOptions{}) != key(resolved, 4, MCOptions{}) {
-		t.Error("auto scheduler and its resolution hash differently")
 	}
 
 	// Token channels are dead configuration for shared-device strategies:

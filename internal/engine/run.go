@@ -264,10 +264,7 @@ func (s *simulation) armCheckpoint(j *jobRun, delay float64) {
 	if s.cfg.DisableCheckpoints {
 		return
 	}
-	if j.ckptEvent != nil {
-		j.ckptEvent.Cancel()
-	}
-	j.ckptEvent = s.eng.AfterHandler(delay, &j.ckptArm)
+	j.ckptEvent = s.eng.Rekey(j.ckptEvent, s.eng.Now()+delay, &j.ckptArm)
 }
 
 // beginCompute (re)starts the computing interval and arms the next

@@ -364,7 +364,6 @@ func TestSessionInvalidConfigRejectedUpfront(t *testing.T) {
 	bad.Platform.Nodes = 0
 	bad.Platform.NodeMTBFSeconds = -1
 	bad.Channels = -2
-	bad.Scheduler = "bogus"
 	_, err := NewSession(WithWorkers(2)).MonteCarlo(context.Background(), bad, 4)
 	if err == nil {
 		t.Fatal("invalid config accepted")
@@ -372,7 +371,7 @@ func TestSessionInvalidConfigRejectedUpfront(t *testing.T) {
 	if strings.Contains(err.Error(), "worker ") {
 		t.Fatalf("validation error %q reached a worker", err)
 	}
-	for _, want := range []string{"node count", "node MTBF", "channel count", "scheduler"} {
+	for _, want := range []string{"node count", "node MTBF", "channel count"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("joined validation error %q misses the %s field", err, want)
 		}

@@ -112,11 +112,10 @@ type Transfer struct {
 	OnComplete func(now float64)
 
 	// Bookkeeping (read-only outside this package).
-	arrival   float64
-	start     float64
-	remaining float64
-	seq       uint64
-	state     transferState
+	arrival float64
+	start   float64
+	seq     uint64
+	state   transferState
 }
 
 // valid reports whether the transfer can be submitted. Re-submitting an
@@ -181,9 +180,6 @@ func (t *Transfer) InFlight() bool {
 	return t.state == statePending || t.state == stateActive
 }
 
-// Remaining returns the bytes still to move.
-func (t *Transfer) Remaining() float64 { return t.remaining }
-
 // Device is the engine-facing abstraction over both disciplines.
 type Device interface {
 	// Submit enqueues (token) or starts (shared) the transfer.
@@ -208,7 +204,9 @@ type Device interface {
 // InterferenceModel computes per-transfer rates for a shared device.
 type InterferenceModel interface {
 	// Rates fills out[i] with the rate (bytes/s) of the transfer whose
-	// weight is weights[i]. len(out) == len(weights) >= 1.
+	// weight is weights[i]. len(out) == len(weights) >= 1. The result
+	// must depend on the arguments alone: SharedDevice calls Rates only
+	// when its set of transfers changes.
 	Rates(bandwidth float64, weights []float64, out []float64)
 	Name() string
 }
@@ -288,21 +286,28 @@ func minWake(now float64) float64 {
 // SharedDevice implements processor-sharing I/O: all submitted transfers
 // progress concurrently at rates set by the interference model. Used for
 // the Oblivious strategies and baseline runs.
+//
+// The per-transfer state lives in slices parallel to active: weights[i]
+// is active[i]'s interference weight, rem[i] its bytes still to move and
+// rates[i] its current rate. Rates depend only on the weight multiset, so
+// they are recomputed only after the active set changes (ratesOK false),
+// not on every wake-up.
 type SharedDevice struct {
-	eng    *sim.Engine
-	bw     float64
-	model  InterferenceModel
-	active []*Transfer
-	last   float64 // time active transfers were last advanced
-	wake   *sim.Event
-	seq    uint64
+	eng     *sim.Engine
+	bw      float64
+	model   InterferenceModel
+	active  []*Transfer
+	weights []float64
+	rem     []float64
+	rates   []float64
+	ratesOK bool
+	last    float64 // time active transfers were last advanced
+	wake    *sim.Event
+	seq     uint64
 	// rescheduling guards against re-entrant reschedule calls from
 	// completion callbacks (which may Submit or Abort): nested calls fold
 	// into the outer completion loop.
 	rescheduling bool
-	// scratch buffers reused across recomputations
-	weights []float64
-	rates   []float64
 }
 
 // NewSharedDevice returns a shared device on the given engine with the
@@ -337,11 +342,13 @@ func (d *SharedDevice) Submit(t *Transfer) {
 	t.start = now
 	t.seq = d.seq
 	d.seq++
-	t.remaining = t.Volume
 	t.state = stateActive
 	d.active = append(d.active, t)
+	d.weights = append(d.weights, float64(t.Nodes))
+	d.rem = append(d.rem, t.Volume)
+	d.ratesOK = false
 	t.notifyStart(now)
-	d.reschedule(now)
+	d.reschedule(now, 0)
 }
 
 // Abort implements Device.
@@ -352,37 +359,61 @@ func (d *SharedDevice) Abort(t *Transfer) {
 		if a == t {
 			d.removeActive(i)
 			t.state = stateAborted
-			d.reschedule(now)
+			d.reschedule(now, 0)
 			return
 		}
 	}
 }
 
-// removeActive swap-removes active[i] in O(1). Active order is free to
-// permute: rates depend only on the weight multiset, and the completion
-// scan in reschedule restarts from scratch after every removal.
+// removeActive swap-removes entry i of the parallel slices in O(1).
+// Active order is free to permute: rates depend only on the weight
+// multiset, and the completion scan restarts from scratch after every
+// removal.
 func (d *SharedDevice) removeActive(i int) {
 	last := len(d.active) - 1
 	d.active[i] = d.active[last]
 	d.active[last] = nil
 	d.active = d.active[:last]
+	d.weights[i] = d.weights[last]
+	d.weights = d.weights[:last]
+	d.rem[i] = d.rem[last]
+	d.rem = d.rem[:last]
+	d.ratesOK = false
 }
 
-// Reset returns the device to its initial idle state, retaining the active
-// and scratch capacity. Transfers still active or pending are marked
-// aborted without notification. The simulation engine must be reset (or at
-// time zero) first: the device's pending wake event is dropped, not
-// cancelled, on the assumption that the engine reset already recycled it.
+// Reset returns the device to its initial idle state, retaining the slice
+// capacity. Transfers still active are marked aborted without
+// notification. The simulation engine must be reset (or at time zero)
+// first: the device's pending wake event is dropped, not cancelled, on the
+// assumption that the engine reset already recycled it.
 func (d *SharedDevice) Reset() {
 	for i := range d.active {
 		d.active[i].state = stateAborted
 		d.active[i] = nil
 	}
 	d.active = d.active[:0]
+	d.weights = d.weights[:0]
+	d.rem = d.rem[:0]
+	d.ratesOK = false
 	d.wake = nil
 	d.last = d.eng.Now()
 	d.seq = 0
 	d.rescheduling = false
+}
+
+// ensureRates brings rates up to date with the active set, which must be
+// non-empty.
+func (d *SharedDevice) ensureRates() {
+	if d.ratesOK {
+		return
+	}
+	n := len(d.active)
+	if cap(d.rates) < n {
+		d.rates = make([]float64, n, cap(d.weights))
+	}
+	d.rates = d.rates[:n]
+	d.model.Rates(d.bw, d.weights, d.rates)
+	d.ratesOK = true
 }
 
 // advance applies progress accrued since the last update at the current
@@ -390,97 +421,87 @@ func (d *SharedDevice) Reset() {
 func (d *SharedDevice) advance(now float64) {
 	dt := now - d.last
 	d.last = now
-	if dt <= 0 || len(d.active) == 0 {
-		return
+	if dt > 0 && len(d.active) > 0 {
+		d.progress(now, dt)
 	}
-	d.computeRates()
-	for i, t := range d.active {
-		t.remaining -= d.rates[i] * dt
-		if t.remaining < 0 {
-			t.remaining = 0
+}
+
+// progress moves every transfer dt seconds forward at the current rates
+// (none when dt is 0) in one pass that also returns the index of the
+// first finished transfer — drained, or within the minimum schedulable
+// interval of draining — or -1, and the time until the earliest projected
+// completion. The active set must be non-empty.
+func (d *SharedDevice) progress(now, dt float64) (done int, next float64) {
+	d.ensureRates()
+	floor := minWake(now)
+	done, next = -1, math.Inf(1)
+	for i, r := range d.rates {
+		rem := d.rem[i]
+		if dt > 0 {
+			rem -= r * dt
+			if rem < 0 {
+				rem = 0
+			}
+			d.rem[i] = rem
+		}
+		if done < 0 && (rem <= volumeEpsilon || (r > 0 && rem <= r*floor)) {
+			done = i
+		}
+		if r > 0 {
+			if eta := rem / r; eta < next {
+				next = eta
+			}
 		}
 	}
+	return done, next
 }
 
-func (d *SharedDevice) computeRates() {
-	n := len(d.active)
-	if cap(d.weights) < n {
-		d.weights = make([]float64, n)
-		d.rates = make([]float64, n)
-	}
-	d.weights = d.weights[:n]
-	d.rates = d.rates[:n]
-	for i, t := range d.active {
-		d.weights[i] = float64(t.Nodes)
-	}
-	d.model.Rates(d.bw, d.weights, d.rates)
-}
-
-// reschedule completes any finished transfers and arms the wake-up event
-// for the next completion. Transfers that have drained — or are within the
-// minimum schedulable interval of draining — complete one at a time with
-// the rates recomputed in between (completing one raises the survivors'
-// rates, which can make more eligible). Completion callbacks may submit or
-// abort transfers re-entrantly; the rescheduling guard folds those nested
-// calls into this loop, keeping the cascade iterative and stack-safe when
-// many transfers complete at one instant.
-func (d *SharedDevice) reschedule(now float64) {
+// reschedule applies dt seconds of progress, completes any finished
+// transfers and re-arms the wake-up event for the next completion, in
+// place when it is still queued. Finished transfers complete one at a
+// time with the rates recomputed in between (completing one raises the
+// survivors' rates, which can make more eligible). Completion callbacks
+// may submit or abort transfers re-entrantly; the rescheduling guard
+// folds those nested calls into this loop, keeping the cascade iterative
+// and stack-safe when many transfers complete at one instant.
+func (d *SharedDevice) reschedule(now, dt float64) {
 	if d.rescheduling {
 		return
 	}
 	d.rescheduling = true
 	defer func() { d.rescheduling = false }()
-	for {
-		if d.wake != nil {
-			d.wake.Cancel()
-			d.wake = nil
-		}
-		if len(d.active) == 0 {
+	for len(d.active) > 0 {
+		done, next := d.progress(now, dt)
+		dt = 0
+		if done < 0 {
+			if math.IsInf(next, 1) {
+				panic("iomodel: active transfers with zero aggregate rate")
+			}
+			d.wake = d.eng.Rekey(d.wake, d.eng.Now()+next, d)
 			return
 		}
-		d.computeRates()
-		floor := minWake(now)
-		completed := false
-		for i, t := range d.active {
-			if t.remaining <= volumeEpsilon ||
-				(d.rates[i] > 0 && t.remaining <= d.rates[i]*floor) {
-				d.removeActive(i)
-				t.state = stateDone
-				t.remaining = 0
-				t.notifyComplete(now)
-				completed = true
-				break // rates are stale; recompute before completing more
-			}
-		}
-		if completed {
-			now = d.eng.Now()
-			continue
-		}
-		next := math.Inf(1)
-		for i, t := range d.active {
-			if d.rates[i] <= 0 {
-				continue
-			}
-			if eta := t.remaining / d.rates[i]; eta < next {
-				next = eta
-			}
-		}
-		if math.IsInf(next, 1) {
-			panic("iomodel: active transfers with zero aggregate rate")
-		}
-		d.wake = d.eng.AfterHandler(next, d)
-		return
+		t := d.active[done]
+		d.removeActive(done)
+		t.state = stateDone
+		t.notifyComplete(now)
+		now = d.eng.Now()
+	}
+	if d.wake != nil {
+		d.wake.Cancel()
+		d.wake = nil
 	}
 }
 
 // Fire implements sim.Handler: the device wakes at the next projected
-// completion, applies accrued progress, and reschedules. Implementing the
-// handler on the device itself keeps the periodic wake-up allocation-free.
+// completion and applies the accrued progress in the same pass that looks
+// for finished transfers. Implementing the handler on the device itself
+// keeps the periodic wake-up allocation-free.
 func (d *SharedDevice) Fire() {
 	now := d.eng.Now()
 	d.wake = nil
-	d.advance(now)
-	d.reschedule(now)
+	dt := now - d.last
+	d.last = now
+	d.reschedule(now, dt)
 }
 
 // Selector orders token grants among waiting transfers.
@@ -714,7 +735,6 @@ func (d *TokenDevice) Submit(t *Transfer) {
 	t.arrival = d.eng.Now()
 	t.seq = d.seq
 	d.seq++
-	t.remaining = t.Volume
 	t.state = statePending
 	d.pending = append(d.pending, t)
 	d.grant()
@@ -817,7 +837,6 @@ func (d *TokenDevice) complete(sl *tokenSlot) {
 	sl.t = nil
 	d.busy--
 	t.state = stateDone
-	t.remaining = 0
 	t.notifyComplete(d.eng.Now())
 	d.grant()
 }

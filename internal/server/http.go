@@ -16,7 +16,7 @@ import (
 //	GET    /v1/campaigns/{id}          inspect state and progress
 //	DELETE /v1/campaigns/{id}          cancel and forget
 //	GET    /v1/campaigns/{id}/results  NDJSON result stream (?from=N)
-//	GET    /v1/strategies              strategy and scheduler registry
+//	GET    /v1/strategies              strategy registry
 //	GET    /healthz                    liveness and build info
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()

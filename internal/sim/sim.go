@@ -6,20 +6,15 @@
 // random seed — a requirement for the reproducible Monte-Carlo experiments
 // of the paper.
 //
-// The pending queue is a pluggable scheduler behind one total order,
-// (time, sequence): earliest first, FIFO within an instant. Two
-// implementations ship:
-//
-//   - Heap4 (the default): an intrusive 4-ary indexed heap — O(log n)
-//     schedule and cancel, with the ordering keys stored inline in the
-//     heap array so sift comparisons never chase Event pointers.
-//   - Calendar: a calendar queue (Brown 1988) — amortised O(1) schedule
-//     and dequeue over bucketed virtual time, with the bucket width
-//     auto-tuned on resize. Cancellation is O(bucket) by swap-remove.
-//
-// Both dispatch the identical (time, sequence) order, so a simulation is
-// bit-identical under either scheduler; the choice is purely a throughput
-// trade documented in the repository README ("Event scheduler").
+// The pending queue is an intrusive 4-ary indexed heap ordered by
+// (time, sequence): earliest first, FIFO within an instant. Each entry
+// stores its key inline as two unsigned words, the IEEE-754 bits of the
+// (non-negative) time and the sequence number, so a sift compares
+// children by the borrow of a 128-bit subtraction instead of chasing
+// Event pointers and branching on float compares. Schedule, Cancel and
+// Rekey are O(log n); the paper's scenarios keep a few dozen events
+// pending at most, with a third to a half of all schedules cancelled or
+// re-armed before they fire (repository README, "Event queue").
 //
 // Scheduling recycles events through a free list (amortised zero
 // allocations on the hot path), and cancellation removes the event from
@@ -32,6 +27,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Handler is the work an event performs when it fires. Objects that
@@ -48,46 +44,6 @@ type Action func()
 
 // Fire implements Handler.
 func (a Action) Fire() { a() }
-
-// SchedulerKind selects the pending-queue implementation of an Engine.
-type SchedulerKind uint8
-
-const (
-	// Heap4 is the intrusive 4-ary indexed heap: O(log n) schedule and
-	// cancel, the fastest choice for the small-to-medium pending sets of
-	// the paper's scenarios and for cancel-heavy workloads.
-	Heap4 SchedulerKind = iota
-	// Calendar is the bucketed calendar queue: amortised O(1) schedule
-	// and dequeue, width-tuned on resize — built for long horizons where
-	// total event counts run into the hundreds of millions.
-	Calendar
-)
-
-// String returns the scheduler's registry name.
-func (k SchedulerKind) String() string {
-	switch k {
-	case Heap4:
-		return "heap4"
-	case Calendar:
-		return "calendar"
-	}
-	return fmt.Sprintf("scheduler(%d)", k)
-}
-
-// SchedulerByName resolves a scheduler registry name ("heap4",
-// "calendar").
-func SchedulerByName(name string) (SchedulerKind, bool) {
-	switch name {
-	case "heap4":
-		return Heap4, true
-	case "calendar":
-		return Calendar, true
-	}
-	return 0, false
-}
-
-// SchedulerNames returns the scheduler registry names in kind order.
-func SchedulerNames() []string { return []string{"heap4", "calendar"} }
 
 // Event states. A pooled event cycles free → scheduled → (firing →
 // fired | cancelled) → free.
@@ -113,12 +69,7 @@ type Event struct {
 	seq uint64
 	h   Handler
 	eng *Engine
-	// vb is the calendar queue's virtual bucket index (monotone in at,
-	// computed once at schedule time so qualify checks in the dequeue
-	// scan avoid a division). Unused by the heap.
-	vb int64
-	// pos is the index in the owning container: the heap array slot, or
-	// the position within the calendar bucket; -1 when not queued.
+	// pos is the event's index in the heap array; -1 when not queued.
 	pos   int32
 	state uint8
 	// next links the engine's free list.
@@ -128,45 +79,30 @@ type Event struct {
 // Time returns the instant the event is scheduled for.
 func (e *Event) Time() float64 { return e.at }
 
-// Cancel prevents the event from firing, removing it from the queue —
-// O(log n) on the heap, O(bucket) on the calendar queue. Cancelling an
-// already-fired, already-cancelled, or currently-firing event is a no-op.
+// Cancel prevents the event from firing, removing it from the queue in
+// O(log n). Cancelling an already-fired, already-cancelled, or
+// currently-firing event is a no-op.
 func (e *Event) Cancel() {
 	if e.state != stateScheduled {
 		return
 	}
 	e.state = stateCancelled
-	eng := e.eng
-	if eng.cal != nil {
-		eng.cal.remove(e)
-	} else {
-		eng.heap.remove(int(e.pos))
-	}
-	eng.put(e)
+	e.eng.heap.remove(int(e.pos))
+	e.eng.put(e)
 }
 
 // Cancelled reports whether the event has been cancelled.
 func (e *Event) Cancelled() bool { return e.state == stateCancelled }
 
-// evLess is the engine's total order: (time, sequence).
-func evLess(a, b *Event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
 // eventBlockSize is how many Events one pool refill allocates at once.
 const eventBlockSize = 64
 
-// Engine is a discrete-event executor. The zero value is ready to use,
-// starts at time 0, and schedules through the default Heap4 scheduler;
-// NewWith selects the scheduler explicitly.
+// Engine is a discrete-event executor. The zero value is ready to use and
+// starts at time 0.
 type Engine struct {
 	now      float64
 	seq      uint64
 	heap     heap4
-	cal      *calendarQueue // nil under Heap4
 	executed uint64
 	// free is the head of the recycled-event list; freeN its length.
 	free  *Event
@@ -175,26 +111,8 @@ type Engine struct {
 	allocated int
 }
 
-// New returns an engine with its clock at 0 and the default Heap4
-// scheduler.
+// New returns an engine with its clock at 0.
 func New() *Engine { return &Engine{} }
-
-// NewWith returns an engine with its clock at 0 and the given scheduler.
-func NewWith(kind SchedulerKind) *Engine {
-	e := &Engine{}
-	if kind == Calendar {
-		e.cal = newCalendarQueue()
-	}
-	return e
-}
-
-// Scheduler reports which pending-queue implementation the engine runs.
-func (e *Engine) Scheduler() SchedulerKind {
-	if e.cal != nil {
-		return Calendar
-	}
-	return Heap4
-}
 
 // Now returns the current simulation time in seconds.
 func (e *Engine) Now() float64 { return e.now }
@@ -204,45 +122,29 @@ func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending returns the number of scheduled events that have neither fired
 // nor been cancelled.
-func (e *Engine) Pending() int {
-	if e.cal != nil {
-		return e.cal.n
-	}
-	return len(e.heap.e)
-}
+func (e *Engine) Pending() int { return len(e.heap.e) }
 
 // PoolStats returns the number of Event structs ever allocated and the
 // number currently idle on the free list.
 func (e *Engine) PoolStats() (allocated, free int) { return e.allocated, e.freeN }
 
 // Reset returns the engine to the pristine clock-zero state while retaining
-// the event pool and scheduler capacity (heap array, calendar buckets and
-// tuned bucket width), so a reused engine schedules its next simulation
-// without allocating. Still-scheduled events are recycled as if cancelled;
-// stale handles held by callers become no-ops (Cancel on a non-scheduled
-// event does nothing) and must be dropped, exactly as after a fire. The
-// sequence counter restarts at 0, so a reset engine orders same-instant
-// events identically to a fresh one — the property the bit-identical
-// Monte-Carlo replicates of package engine rely on.
+// the event pool and the heap array's capacity, so a reused engine
+// schedules its next simulation without allocating. Still-scheduled events
+// are recycled as if cancelled; stale handles held by callers become no-ops
+// (Cancel on a non-scheduled event does nothing) and must be dropped,
+// exactly as after a fire. The sequence counter restarts at 0, so a reset
+// engine orders same-instant events identically to a fresh one — the
+// property the bit-identical Monte-Carlo replicates of package engine rely
+// on.
 func (e *Engine) Reset() {
-	if e.cal != nil {
-		for _, b := range e.cal.buckets {
-			for i := range b {
-				ev := b[i].ev
-				ev.state = stateCancelled
-				e.put(ev)
-			}
-		}
-		e.cal.reset()
-	} else {
-		for i := range e.heap.e {
-			ev := e.heap.e[i].ev
-			e.heap.e[i] = heapEntry{}
-			ev.state = stateCancelled
-			e.put(ev)
-		}
-		e.heap.e = e.heap.e[:0]
+	for i := range e.heap.e {
+		ev := e.heap.e[i].ev
+		e.heap.e[i] = heapEntry{}
+		ev.state = stateCancelled
+		e.put(ev)
 	}
+	e.heap.e = e.heap.e[:0]
 	e.now, e.seq, e.executed = 0, 0, 0
 }
 
@@ -251,6 +153,7 @@ func (e *Engine) get() *Event {
 	if e.free == nil {
 		block := make([]Event, eventBlockSize)
 		for i := range block {
+			block[i].eng = e
 			block[i].next = e.free
 			e.free = &block[i]
 		}
@@ -273,12 +176,13 @@ func (e *Engine) put(ev *Event) {
 	e.freeN++
 }
 
-// ScheduleHandler registers h to fire at absolute time at and returns a
-// handle that can cancel it. Scheduling in the past is a programming error
-// and panics; a tiny negative slack (one part in 2^40 of the current time)
-// is tolerated and clamped to now to absorb floating-point round-off from
-// interval arithmetic.
-func (e *Engine) ScheduleHandler(at float64, h Handler) *Event {
+// checkTime validates an absolute event time and returns the time to
+// queue. Scheduling in the past is a programming error and panics; a tiny
+// negative slack (one part in 2^40 of the current time) is tolerated and
+// clamped to now to absorb floating-point round-off from interval
+// arithmetic. Negative zero becomes +0: the heap orders times by their bit
+// patterns, under which -0 would sort after every other time.
+func (e *Engine) checkTime(at float64) float64 {
 	if at < e.now {
 		slack := math.Max(1e-9, e.now*0x1p-40)
 		if e.now-at > slack {
@@ -289,17 +193,47 @@ func (e *Engine) ScheduleHandler(at float64, h Handler) *Event {
 	if math.IsNaN(at) || math.IsInf(at, 0) {
 		panic(fmt.Sprintf("sim: scheduling event at non-finite time %g", at))
 	}
+	if at == 0 {
+		at = 0
+	}
+	return at
+}
+
+// ScheduleHandler registers h to fire at absolute time at and returns a
+// handle that can cancel it. Times in the past panic, up to the round-off
+// slack that checkTime clamps.
+func (e *Engine) ScheduleHandler(at float64, h Handler) *Event {
+	at = e.checkTime(at)
 	ev := e.get()
 	ev.at = at
 	ev.seq = e.seq
 	ev.h = h
-	ev.eng = e
 	ev.state = stateScheduled
 	e.seq++
-	if e.cal != nil {
-		e.cal.push(ev)
-	} else {
-		e.heap.push(ev)
+	e.heap.push(ev)
+	return ev
+}
+
+// Rekey re-arms ev to fire h at absolute time at and returns the handle
+// to keep. A still-queued ev moves in place with one sift and takes the
+// next sequence number, so the dispatch order is exactly that of
+// ev.Cancel() followed by ScheduleHandler(at, h). A nil, fired, firing or
+// cancelled ev schedules a fresh event instead; as with Cancel, a handle
+// must not be used once it has gone stale and been recycled.
+func (e *Engine) Rekey(ev *Event, at float64, h Handler) *Event {
+	if ev == nil || ev.state != stateScheduled {
+		return e.ScheduleHandler(at, h)
+	}
+	at = e.checkTime(at)
+	ev.at = at
+	ev.seq = e.seq
+	ev.h = h
+	e.seq++
+	i := int(ev.pos)
+	e.heap.e[i].at = math.Float64bits(at)
+	e.heap.e[i].seq = ev.seq
+	if !e.heap.down(i) {
+		e.heap.up(i)
 	}
 	return ev
 }
@@ -320,28 +254,6 @@ func (e *Engine) AfterHandler(d float64, h Handler) *Event {
 	return e.ScheduleHandler(e.now+d, h)
 }
 
-// peekMin returns the earliest pending event without removing it, nil
-// when none is pending. The calendar queue caches the found minimum, so a
-// peek followed by the matching pop costs one scan, not two.
-func (e *Engine) peekMin() *Event {
-	if e.cal != nil {
-		return e.cal.min()
-	}
-	if len(e.heap.e) == 0 {
-		return nil
-	}
-	return e.heap.e[0].ev
-}
-
-// popMin removes and returns the earliest pending event; the caller has
-// established one is pending.
-func (e *Engine) popMin() *Event {
-	if e.cal != nil {
-		return e.cal.pop()
-	}
-	return e.heap.popMin()
-}
-
 // fire dispatches one dequeued event and recycles it.
 func (e *Engine) fire(ev *Event) {
 	ev.state = stateFiring
@@ -355,10 +267,10 @@ func (e *Engine) fire(ev *Event) {
 // Step fires the next pending event, if any, advancing the clock to its
 // time. It reports whether an event was fired.
 func (e *Engine) Step() bool {
-	if e.Pending() == 0 {
+	if len(e.heap.e) == 0 {
 		return false
 	}
-	e.fire(e.popMin())
+	e.fire(e.heap.popMin())
 	return true
 }
 
@@ -367,12 +279,8 @@ func (e *Engine) Step() bool {
 // the number of events fired.
 func (e *Engine) Run(until float64) uint64 {
 	fired := uint64(0)
-	for {
-		ev := e.peekMin()
-		if ev == nil || ev.at > until {
-			break
-		}
-		e.fire(e.popMin())
+	for len(e.heap.e) > 0 && e.heap.e[0].ev.at <= until {
+		e.fire(e.heap.popMin())
 		fired++
 	}
 	if until > e.now {
@@ -396,35 +304,39 @@ func (e *Engine) RunAll() uint64 {
 	return fired
 }
 
-// heapEntry pairs the ordering key with its event. Keeping (at, seq)
-// inline in the heap array is a locality optimization: a sift-down
-// compares the four children from at most two contiguous cache lines
-// instead of dereferencing four Event pointers scattered across pool
-// blocks.
+// heapEntry pairs the ordering key with its event. The key is inline in
+// the heap array, so a sift-down reads the four children from at most two
+// contiguous cache lines instead of dereferencing four Event pointers
+// scattered across pool blocks. at holds math.Float64bits of the event
+// time: for the non-negative, non-NaN times checkTime admits, the bit
+// patterns order as the floats do.
 type heapEntry struct {
-	at  float64
+	at  uint64
 	seq uint64
 	ev  *Event
 }
 
+// before returns 1 when a orders strictly before b in (time, sequence)
+// order and 0 otherwise: the borrow out of the 128-bit subtraction a-b,
+// computed without a branch. Sequence numbers are unique, so two distinct
+// entries never compare equal.
+func before(a, b *heapEntry) int {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(a.at, b.at, borrow)
+	return int(borrow)
+}
+
 // heap4 is an intrusive 4-ary min-heap ordered by (time, sequence):
 // earliest first, FIFO within an instant. Each queued Event carries its
-// own array index, so removal from the middle (cancellation) is O(log n).
-// The wider fan-out halves the tree depth of the binary heap.
+// own array index, so removal from the middle (cancellation) and in-place
+// re-keying are O(log n). The wider fan-out halves the tree depth of the
+// binary heap.
 type heap4 struct {
 	e []heapEntry
 }
 
-// entryLess orders by (time, sequence).
-func entryLess(a, b *heapEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
 func (h *heap4) push(ev *Event) {
-	h.e = append(h.e, heapEntry{at: ev.at, seq: ev.seq, ev: ev})
+	h.e = append(h.e, heapEntry{at: math.Float64bits(ev.at), seq: ev.seq, ev: ev})
 	h.up(len(h.e) - 1)
 }
 
@@ -433,7 +345,7 @@ func (h *heap4) up(i int) {
 	en := h.e[i]
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !entryLess(&en, &h.e[p]) {
+		if before(&en, &h.e[p]) == 0 {
 			break
 		}
 		h.e[i] = h.e[p]
@@ -445,7 +357,9 @@ func (h *heap4) up(i int) {
 }
 
 // down sifts the entry at index i toward the leaves. It reports whether
-// the entry moved.
+// the entry moved. A full set of four children is reduced by a two-round
+// tournament whose winner indices are selected arithmetically from the
+// comparison borrows, so the only branches left are the loop's.
 func (h *heap4) down(i int) bool {
 	n := len(h.e)
 	en := h.e[i]
@@ -455,17 +369,19 @@ func (h *heap4) down(i int) bool {
 		if c >= n {
 			break
 		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for k := c + 1; k < end; k++ {
-			if entryLess(&h.e[k], &h.e[m]) {
-				m = k
+		var m int
+		if c+4 <= n {
+			q := h.e[c : c+4 : c+4]
+			a := before(&q[1], &q[0])
+			b := 2 + before(&q[3], &q[2])
+			m = c + (a ^ ((a ^ b) & -before(&q[b], &q[a])))
+		} else {
+			m = c
+			for k := c + 1; k < n; k++ {
+				m ^= (m ^ k) & -before(&h.e[k], &h.e[m])
 			}
 		}
-		if !entryLess(&h.e[m], &en) {
+		if before(&h.e[m], &en) == 0 {
 			break
 		}
 		h.e[i] = h.e[m]

@@ -269,3 +269,35 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 		e.Step()
 	}
 }
+
+// TestCalendarFarFuture: a cluster of near events followed by events
+// many orders of magnitude later must all fire, in order. The name is
+// kept from the calendar queue this once covered (its far-future
+// fallback scan); on the heap it pins that keys ordered by the IEEE-754
+// bit pattern of the time stay ordered across exponents.
+func TestCalendarFarFuture(t *testing.T) {
+	e := New()
+	var fired []float64
+	add := func(at float64) { e.Schedule(at, func() { fired = append(fired, at) }) }
+	far := []float64{1e7, 1e7 + 1, 1e300, math.MaxFloat64}
+	for k := len(far) - 1; k >= 0; k-- {
+		add(far[k])
+	}
+	for i := 0; i < 40; i++ {
+		add(float64(i) / 4)
+	}
+	e.RunAll()
+	if len(fired) != 40+len(far) {
+		t.Fatalf("fired %d events, want %d", len(fired), 40+len(far))
+	}
+	for k, at := range far {
+		if fired[40+k] != at {
+			t.Fatalf("far-future events fired as %v, want %v", fired[40:], far)
+		}
+	}
+	for i := 1; i < len(fired); i++ {
+		if fired[i] < fired[i-1] {
+			t.Fatalf("out of order at %d: %v after %v", i, fired[i], fired[i-1])
+		}
+	}
+}

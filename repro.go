@@ -255,24 +255,6 @@ const (
 	FailuresWeibull = failure.Weibull
 )
 
-// Event schedulers for Config.Scheduler. Both dispatch the identical
-// (time, sequence) event order, so results are bit-identical under either
-// — the knob trades throughput only.
-const (
-	// SchedulerAuto picks per horizon: heap4 below
-	// CalendarAutoHorizonDays, calendar at and beyond it. The default.
-	SchedulerAuto = engine.SchedulerAuto
-	// SchedulerHeap4 forces the intrusive 4-ary indexed heap.
-	SchedulerHeap4 = engine.SchedulerHeap4
-	// SchedulerCalendar forces the bucketed calendar queue.
-	SchedulerCalendar = engine.SchedulerCalendar
-	// CalendarAutoHorizonDays is the measured auto-selection crossover.
-	CalendarAutoHorizonDays = engine.CalendarAutoHorizonDays
-)
-
-// SchedulerNames returns the valid Config.Scheduler values.
-func SchedulerNames() []string { return engine.SchedulerNames() }
-
 // Burst-buffer period models for BurstBuffer.Period.
 const (
 	// BurstBufferPeriodCooperative derives checkpoint periods from the
