@@ -78,7 +78,15 @@ func run(addr, dataDir string, maxCampaigns, queueDepth, workers int, drainTimeo
 	// Print the bound address so scripts using -addr :0 can find us.
 	fmt.Printf("coopsimd: listening on http://%s\n", ln.Addr())
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	// Slow or idle clients must not pin connections forever. There is no
+	// read or write timeout on whole requests: result streams are
+	// long-lived by design, and submissions are bounded in size by the
+	// server itself.
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

@@ -174,6 +174,17 @@ func (a *Arena) RunAnti(seed uint64, antithetic bool) (Result, error) {
 
 // replicate re-seeds the arena and runs one simulation end to end.
 func (a *Arena) replicate(seed uint64, antithetic bool) (Result, error) {
+	if err := a.prepare(seed, antithetic); err != nil {
+		return Result{}, err
+	}
+	a.s.execute()
+	return a.s.finalize(), nil
+}
+
+// prepare re-seeds the arena for one replicate: every layer is reset, the
+// workload and failure streams are drawn, and the initial instances are
+// queued, ready for execute.
+func (a *Arena) prepare(seed uint64, antithetic bool) error {
 	// Order matters: the engine reset recycles every scheduled event, so
 	// the device reset may simply drop its stale wake handle.
 	a.eng.Reset()
@@ -190,7 +201,7 @@ func (a *Arena) replicate(seed uint64, antithetic bool) (Result, error) {
 	a.genRNG.SetAntithetic(antithetic)
 	jobs, err := workload.GenerateInto(&a.genRNG, a.cfg.Platform, a.params, a.cfg.Gen, a.jobs[:0])
 	if err != nil {
-		return Result{}, err
+		return err
 	}
 	a.jobs = jobs
 
@@ -223,6 +234,7 @@ func (a *Arena) replicate(seed uint64, antithetic bool) (Result, error) {
 	s.res = Result{Strategy: a.stratName, JobsGenerated: len(jobs)}
 	s.classPeriods = a.classPeriods
 	s.failNode = 0
+	s.failEv = nil
 	s.failArm.s = s
 	s.schedArm.s = s
 	s.pool = &a.pool
@@ -240,9 +252,7 @@ func (a *Arena) replicate(seed uint64, antithetic bool) (Result, error) {
 	for _, spec := range s.specs {
 		s.newInstance(spec)
 	}
-
-	s.execute()
-	return s.finalize(), nil
+	return nil
 }
 
 // runChunkSize is how many jobRun structs one pool chunk holds.

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"math"
-
 	"repro/internal/burstbuffer"
 	"repro/internal/ckpt"
 	"repro/internal/iomodel"
@@ -69,7 +67,7 @@ func (s *simulation) bbCkptDue(j *jobRun) {
 	j.transfer = nil
 	j.bbStart = now
 	s.trace("bb-ckpt-start", j.id, "")
-	j.bbTimer = s.eng.AfterHandler(bb.CommitSeconds(j.spec.class.CkptBytes, j.q()), &j.bbCommitArm)
+	j.bbTimer = s.eng.ScheduleHandler(now+bb.CommitSeconds(j.spec.class.CkptBytes, j.q()), &j.bbCommitArm)
 }
 
 // bbCkptCommitted finishes a buffer commit: the image is durable
@@ -99,7 +97,8 @@ func (s *simulation) bbCkptCommitted(j *jobRun) {
 		s.submitDrain(j)
 	}
 	s.beginCompute(j)
-	s.armCheckpoint(j, math.Max(j.period-j.ckptC, 0))
+	s.armCheckpoint(j, max(j.period-j.ckptC, 0))
+	s.syncTimer(j)
 }
 
 // submitDrain ships the latest buffered image to the PFS, superseding any
@@ -155,7 +154,7 @@ func (s *simulation) bbRecoveryStart(j *jobRun) {
 	j.bbStart = now
 	s.trace("job-start", j.id, "bb-recovery")
 	// Completion is handled by fireTimer's timerBBRecovery case.
-	j.bbTimer = s.eng.AfterHandler(bb.CommitSeconds(j.inputVolume, j.q()), &j.bbRecoveryArm)
+	j.bbTimer = s.eng.ScheduleHandler(now+bb.CommitSeconds(j.inputVolume, j.q()), &j.bbRecoveryArm)
 }
 
 // bbKillCleanup attributes burst-buffer activity of a job being killed

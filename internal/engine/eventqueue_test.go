@@ -38,11 +38,13 @@ func resultDigest(r Result) string {
 }
 
 // TestSchedulerBitIdentity pins the event scheduler to the recorded
-// digests: the one heap, its branch-free sifts and in-place re-keying
-// (device wakes and checkpoint timers) must dispatch the same
-// (time, sequence) order the two former schedulers did, so every Result
-// field of every registered strategy, the burst-buffer path and the
-// multi-channel device is unchanged bit for bit. A Result field added
+// digests: the one heap, its branch-free sifts, in-place re-keying
+// (device wakes, the failure chain, handlers re-arming their own firing
+// event) and each job's one timer over two reserved deadlines must
+// dispatch the same (time, sequence) order the two former schedulers
+// did, so every Result field of every registered strategy, the
+// burst-buffer path and the multi-channel device is unchanged bit for
+// bit. A Result field added
 // later changes the rendering; the failure message prints the new
 // digests.
 func TestSchedulerBitIdentity(t *testing.T) {

@@ -78,10 +78,10 @@ type specState struct {
 type timerKind uint8
 
 const (
-	// timerStop: the current computing interval reached its boundary.
-	timerStop timerKind = iota
-	// timerCkpt: the next checkpoint came due.
-	timerCkpt
+	// timerDeadline: the earlier of the job's two deadlines came up —
+	// the current computing interval reached its boundary (stopAt), or
+	// the next checkpoint came due (ckptAt).
+	timerDeadline timerKind = iota
 	// timerBBCommit: a burst-buffer commit finished.
 	timerBBCommit
 	// timerBBRecovery: a resilient-buffer recovery read finished.
@@ -128,8 +128,9 @@ type jobRun struct {
 	// progress(t) = computeBase + (t - computeStart).
 	computeStart float64
 	computeBase  float64
-	// computeTarget is the absolute progress at which the armed stopEvent
-	// fires (work completion or the next regular-I/O threshold).
+	// computeTarget is the absolute progress the computing interval
+	// reaches at stopAt (work completion or the next regular-I/O
+	// threshold).
 	computeTarget float64
 	// lastCkptEnd is the end of the last commit (or the first compute
 	// start): the failure-exposure origin d_j of Equation (2) and the
@@ -159,13 +160,21 @@ type jobRun struct {
 	// across the job's successive operations.
 	transfer *iomodel.Transfer
 	xfer     iomodel.Transfer
-	// stopEvent fires when the current computing interval reaches its
-	// next boundary (work completion or regular-I/O threshold).
-	stopEvent *sim.Event
-	// ckptEvent fires when the next checkpoint is due.
-	ckptEvent *sim.Event
+	// stopAt is the reserved position (sim.Engine.Reserve) at which the
+	// current computing interval reaches computeTarget, and ckptAt the one
+	// at which the next checkpoint comes due; each is zero when unset.
+	// Both are served by one event, timer, armed at the earlier of the
+	// two (see syncTimer). A reserved position keeps the sequence number
+	// the deadline's own event would have had, so the deadlines fire in
+	// exactly the order two separate events would.
+	stopAt, ckptAt sim.Key
+	timer          *sim.Event
+	// firing is set while timer's handler runs: syncTimer then leaves the
+	// re-arming to the end of the fire, which moves the firing handle in
+	// place once.
+	firing bool
 	// Timer arms: per-kind sim.Handler adapters (see timerArm).
-	stopArm, ckptArm, bbCommitArm, bbRecoveryArm timerArm
+	deadlineArm, bbCommitArm, bbRecoveryArm timerArm
 	// ckptDuePending records a checkpoint that came due while the job
 	// could not act on it (blocked in another I/O); it is honoured at
 	// the next compute resume.
@@ -258,16 +267,14 @@ func (j *jobRun) TransferCompleted(t *iomodel.Transfer, now float64) {
 	}
 }
 
-// cancelTimers cancels any armed compute-boundary, checkpoint and
-// burst-buffer timers.
+// cancelTimers clears both deadlines and cancels the deadline and
+// burst-buffer timers. Inside the deadline timer's own fire the Cancel is
+// a no-op; the engine recycles the event once the handler returns.
 func (j *jobRun) cancelTimers() {
-	if j.stopEvent != nil {
-		j.stopEvent.Cancel()
-		j.stopEvent = nil
-	}
-	if j.ckptEvent != nil {
-		j.ckptEvent.Cancel()
-		j.ckptEvent = nil
+	j.stopAt, j.ckptAt = sim.Key{}, sim.Key{}
+	if j.timer != nil {
+		j.timer.Cancel()
+		j.timer = nil
 	}
 	if j.bbTimer != nil {
 		j.bbTimer.Cancel()

@@ -32,10 +32,12 @@ type simulation struct {
 	// classPeriods overrides the per-class checkpoint period when the
 	// burst buffer's cooperative period model is active (nil otherwise).
 	classPeriods []float64
-	// failNode is the node struck by the armed failure event; failArm is
-	// its closure-free sim.Handler adapter (one failure in flight at a
-	// time, chained by onFailure).
+	// failNode is the node struck by the armed failure event failEv;
+	// failArm is its closure-free sim.Handler adapter (one failure in
+	// flight at a time, chained by onFailure, which re-arms the firing
+	// handle in place).
 	failNode int32
+	failEv   *sim.Event
 	failArm  failureArm
 	// schedArm is the closure-free handler for the initial scheduling
 	// kick at time zero.
@@ -60,12 +62,20 @@ func (a *schedArm) Fire() { a.s.trySchedule() }
 // replaces the per-arm closures of the event-scheduling call sites.
 func (s *simulation) fireTimer(j *jobRun, kind timerKind) {
 	switch kind {
-	case timerStop:
-		j.stopEvent = nil
-		s.computeBoundary(j, j.computeTarget)
-	case timerCkpt:
-		j.ckptEvent = nil
-		s.ckptDue(j)
+	case timerDeadline:
+		j.firing = true
+		if j.timer.Key() == j.stopAt {
+			j.stopAt = sim.Key{}
+			s.computeBoundary(j, j.computeTarget)
+		} else {
+			j.ckptAt = sim.Key{}
+			s.ckptDue(j)
+		}
+		// A job that finished here (a zero-byte output completes inside
+		// Submit) is already retired, with both deadlines and the timer
+		// cleared, so the sync below does nothing.
+		j.firing = false
+		s.syncTimer(j)
 	case timerBBCommit:
 		j.bbTimer = nil
 		s.bbCkptCommitted(j)
@@ -103,8 +113,7 @@ func (s *simulation) newInstance(spec *specState) *jobRun {
 	j.progress = spec.committed
 	j.ckptC = cp.CkptSeconds(s.bw)
 	j.ckptR = cp.RecoverySeconds(s.bw)
-	j.stopArm = timerArm{j: j, kind: timerStop}
-	j.ckptArm = timerArm{j: j, kind: timerCkpt}
+	j.deadlineArm = timerArm{j: j, kind: timerDeadline}
 	j.bbCommitArm = timerArm{j: j, kind: timerBBCommit}
 	j.bbRecoveryArm = timerArm{j: j, kind: timerBBRecovery}
 	if bb := s.cfg.BurstBuffer; bb != nil {
@@ -150,19 +159,30 @@ func (s *simulation) newInstance(spec *specState) *jobRun {
 
 // execute runs the event loop to the horizon.
 func (s *simulation) execute() {
-	s.eng.ScheduleHandler(0, &s.schedArm)
-	s.armNextFailure()
+	s.start()
 	s.eng.Run(s.horizon)
 }
 
-// armNextFailure chains the next failure event.
+// start queues the first events: the scheduling kick at time zero and
+// the first failure.
+func (s *simulation) start() {
+	s.eng.ScheduleHandler(0, &s.schedArm)
+	s.armNextFailure()
+}
+
+// armNextFailure chains the next failure event, re-arming the failure
+// handle in place when called from its own fire.
 func (s *simulation) armNextFailure() {
 	ev := s.failSrc.Next()
 	if math.IsInf(ev.Time, 1) || ev.Time > s.horizon {
+		if s.failEv != nil {
+			s.failEv.Cancel()
+			s.failEv = nil
+		}
 		return
 	}
 	s.failNode = ev.Node
-	s.eng.ScheduleHandler(ev.Time, &s.failArm)
+	s.failEv = s.eng.Rekey(s.failEv, ev.Time, &s.failArm)
 }
 
 // onFailure strikes the armed failure's node and chains the next one.
@@ -257,20 +277,43 @@ func (s *simulation) startComputing(j *jobRun) {
 	j.lastDurable = now
 	s.beginCompute(j)
 	s.armCheckpoint(j, j.period)
+	s.syncTimer(j)
 }
 
-// armCheckpoint schedules the next checkpoint request after delay seconds.
+// armCheckpoint reserves the next checkpoint deadline delay seconds out,
+// replacing any earlier one. The caller syncs the timer.
 func (s *simulation) armCheckpoint(j *jobRun, delay float64) {
 	if s.cfg.DisableCheckpoints {
 		return
 	}
-	j.ckptEvent = s.eng.Rekey(j.ckptEvent, s.eng.Now()+delay, &j.ckptArm)
+	j.ckptAt = s.eng.Reserve(s.eng.Now() + delay)
 }
 
-// beginCompute (re)starts the computing interval and arms the next
-// compute boundary (work completion or regular-I/O threshold). A
-// checkpoint that came due while the job was blocked elsewhere is issued
-// immediately.
+// syncTimer arms the job's timer at the earlier of its two deadlines,
+// moving it in place, or cancels it when neither is set. Inside the
+// timer's own fire it does nothing: fireTimer syncs once on the way out.
+func (s *simulation) syncTimer(j *jobRun) {
+	if j.firing {
+		return
+	}
+	k := j.stopAt
+	if j.ckptAt.Before(k) {
+		k = j.ckptAt
+	}
+	if k.IsZero() {
+		if j.timer != nil {
+			j.timer.Cancel()
+			j.timer = nil
+		}
+		return
+	}
+	j.timer = s.eng.Arm(j.timer, k, &j.deadlineArm)
+}
+
+// beginCompute (re)starts the computing interval and reserves the next
+// compute boundary (work completion or regular-I/O threshold); the
+// caller syncs the timer. A checkpoint that came due while the job was
+// blocked elsewhere is issued immediately.
 func (s *simulation) beginCompute(j *jobRun) {
 	now := s.eng.Now()
 	j.phase = phaseCompute
@@ -281,7 +324,7 @@ func (s *simulation) beginCompute(j *jobRun) {
 		target = at
 	}
 	j.computeTarget = target
-	j.stopEvent = s.eng.AfterHandler(target-j.progress, &j.stopArm)
+	j.stopAt = s.eng.Reserve(now + (target - j.progress))
 	if j.ckptDuePending {
 		j.ckptDuePending = false
 		s.ckptDue(j)
@@ -289,7 +332,8 @@ func (s *simulation) beginCompute(j *jobRun) {
 }
 
 // pauseCompute stops progress accrual, accumulating the computed interval
-// into the provisional ledger. Valid in phaseCompute and phaseCkptWait.
+// into the provisional ledger, and clears the compute-boundary deadline.
+// Valid in phaseCompute and phaseCkptWait. The caller syncs the timer.
 func (s *simulation) pauseCompute(j *jobRun) {
 	now := s.eng.Now()
 	j.progress = j.computeBase + (now - j.computeStart)
@@ -297,10 +341,7 @@ func (s *simulation) pauseCompute(j *jobRun) {
 		j.progress = j.totalWork()
 	}
 	j.provisional += float64(j.q()) * s.ledger.Clip(j.computeStart, now)
-	if j.stopEvent != nil {
-		j.stopEvent.Cancel()
-		j.stopEvent = nil
-	}
+	j.stopAt = sim.Key{}
 }
 
 // computeBoundary handles the end of a computing interval: either the work
@@ -335,6 +376,7 @@ func (s *simulation) onRegularDone(j *jobRun) {
 	j.transfer = nil
 	s.addProvisionalIO(j, tr.Start(), now, tr.Volume/s.bw)
 	s.beginCompute(j)
+	s.syncTimer(j)
 }
 
 // ckptDue handles a checkpoint coming due.
@@ -385,6 +427,7 @@ func (s *simulation) onCkptGrant(j *jobRun) {
 	switch j.phase {
 	case phaseCkptWait:
 		s.pauseCompute(j)
+		s.syncTimer(j)
 	case phaseCkptBlocked:
 		s.chargeWait(j)
 	default:
@@ -412,7 +455,8 @@ func (s *simulation) onCkptDone(j *jobRun) {
 		s.trace("ckpt-commit", j.id, fmt.Sprintf("progress %.0fs", j.snapshot))
 	}
 	s.beginCompute(j)
-	s.armCheckpoint(j, math.Max(j.period-j.ckptC, 0))
+	s.armCheckpoint(j, max(j.period-j.ckptC, 0))
+	s.syncTimer(j)
 }
 
 // workComplete moves the job to its final output store.
@@ -558,7 +602,7 @@ func (s *simulation) finalize() Result {
 				if j.recovery && j.phase == phaseInput {
 					s.ledger.AddWaste(metrics.CatRecovery, j.q(), start, now)
 				} else {
-					nominal := math.Min(now-start, j.transfer.Volume/s.bw)
+					nominal := min(now-start, j.transfer.Volume/s.bw)
 					s.addProvisionalIO(j, start, now, nominal)
 				}
 			default:

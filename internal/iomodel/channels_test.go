@@ -304,3 +304,85 @@ func TestRandomSelectorDeterminism(t *testing.T) {
 		t.Fatal("single-candidate Pick consumed a random draw")
 	}
 }
+
+// TestTokenDeviceRegrantInsideCompletion: the grant made inside a
+// completing slot's own wake (whose handle the slot re-arms in place) has
+// a start callback that aborts it; the freed slot is granted again to the
+// next candidate within the same wake. Every transfer must complete
+// exactly once, at its own time, and every wake must fire once: a slot
+// that kept the dead grant's wake, or lost track of its firing handle,
+// would double-fire or leak an event.
+func TestTokenDeviceRegrantInsideCompletion(t *testing.T) {
+	cases := []struct {
+		k      int
+		submit []string
+		events []string
+		times  []float64
+		wakes  uint64
+	}{
+		{
+			k:      1,
+			submit: []string{"a", "poison", "next", "tail"},
+			events: []string{"start:a", "done:a", "start:poison", "start:next", "done:next", "start:tail", "done:tail"},
+			times:  []float64{0, 5, 5, 5, 7, 7, 10},
+			wakes:  3,
+		},
+		{
+			k:      2,
+			submit: []string{"a", "b", "poison", "next", "tail"},
+			events: []string{"start:a", "start:b", "done:a", "start:poison", "start:next", "done:next", "start:tail", "done:b", "done:tail"},
+			times:  []float64{0, 0, 5, 5, 5, 7, 7, 10, 10},
+			wakes:  4,
+		},
+	}
+	volumes := map[string]float64{"a": 500, "b": 1000, "poison": 1000, "next": 200, "tail": 300}
+	for _, tc := range cases {
+		eng := sim.New()
+		dev := NewTokenDeviceK(eng, 100, FCFS{}, tc.k)
+		rec := &recorder{}
+		completed := map[string]int{}
+		for _, name := range tc.submit {
+			tr := rec.transfer(name, volumes[name], 1)
+			onStart, onComplete := tr.OnStart, tr.OnComplete
+			tr.OnComplete = func(now float64) {
+				completed[name]++
+				onComplete(now)
+			}
+			if name == "poison" {
+				tr.OnStart = func(now float64) {
+					onStart(now)
+					dev.Abort(tr)
+				}
+			}
+			dev.Submit(tr)
+		}
+		eng.RunAll()
+		rec.expect(t, tc.events, tc.times)
+		for _, name := range tc.submit {
+			want := 1
+			if name == "poison" {
+				want = 0
+			}
+			if completed[name] != want {
+				t.Fatalf("k=%d: %s completed %d times, want %d", tc.k, name, completed[name], want)
+			}
+		}
+		if eng.Executed() != tc.wakes {
+			t.Fatalf("k=%d: %d wakes fired, want %d", tc.k, eng.Executed(), tc.wakes)
+		}
+		if alloc, free := eng.PoolStats(); dev.Busy() != 0 || dev.Waiting() != 0 || eng.Pending() != 0 || alloc != free {
+			t.Fatalf("k=%d: busy=%d waiting=%d pending=%d, %d of %d events free", tc.k, dev.Busy(), dev.Waiting(), eng.Pending(), free, alloc)
+		}
+		// The last wake's event is back on the free list, so the marker
+		// below reuses it. A slot still holding that handle would move
+		// the marker when the late transfer is granted.
+		marker := false
+		eng.Schedule(20, func() { marker = true })
+		eng.Schedule(15, func() { dev.Submit(rec.transfer("late", 100, 1)) })
+		eng.RunAll()
+		if !marker {
+			t.Fatalf("k=%d: a stale slot wake took over a later event", tc.k)
+		}
+		rec.expect(t, append(tc.events, "start:late", "done:late"), append(tc.times, 15, 16))
+	}
+}

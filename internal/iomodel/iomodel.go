@@ -280,7 +280,7 @@ const volumeEpsilon = 1e-3
 // at simulation scales (days) the interval is well under a millisecond, so
 // the truncation is physically meaningless.
 func minWake(now float64) float64 {
-	return math.Max(1e-9, now*0x1p-33)
+	return max(1e-9, now*0x1p-33)
 }
 
 // SharedDevice implements processor-sharing I/O: all submitted transfers
@@ -458,12 +458,12 @@ func (d *SharedDevice) progress(now, dt float64) (done int, next float64) {
 
 // reschedule applies dt seconds of progress, completes any finished
 // transfers and re-arms the wake-up event for the next completion, in
-// place when it is still queued. Finished transfers complete one at a
-// time with the rates recomputed in between (completing one raises the
-// survivors' rates, which can make more eligible). Completion callbacks
-// may submit or abort transfers re-entrantly; the rescheduling guard
-// folds those nested calls into this loop, keeping the cascade iterative
-// and stack-safe when many transfers complete at one instant.
+// place when it is still queued or firing. Finished transfers complete
+// one at a time with the rates recomputed in between (completing one
+// raises the survivors' rates, which can make more eligible). Completion
+// callbacks may submit or abort transfers re-entrantly; the rescheduling
+// guard folds those nested calls into this loop, keeping the cascade
+// iterative and stack-safe when many transfers complete at one instant.
 func (d *SharedDevice) reschedule(now, dt float64) {
 	if d.rescheduling {
 		return
@@ -495,10 +495,11 @@ func (d *SharedDevice) reschedule(now, dt float64) {
 // Fire implements sim.Handler: the device wakes at the next projected
 // completion and applies the accrued progress in the same pass that looks
 // for finished transfers. Implementing the handler on the device itself
-// keeps the periodic wake-up allocation-free.
+// keeps the periodic wake-up allocation-free. d.wake stays the firing
+// handle, so reschedule re-arms it in place (or drops it once the device
+// is idle, and the engine recycles it).
 func (d *SharedDevice) Fire() {
 	now := d.eng.Now()
-	d.wake = nil
 	dt := now - d.last
 	d.last = now
 	d.reschedule(now, dt)
@@ -671,7 +672,8 @@ type TokenDevice struct {
 
 // tokenSlot is one granted channel: the in-flight transfer and its
 // completion wake-up. Implementing sim.Handler on the slot keeps per-grant
-// event scheduling allocation-free once the slot exists.
+// event scheduling allocation-free once the slot exists. A slot granted
+// again inside its own completion re-arms its firing wake in place.
 type tokenSlot struct {
 	dev  *TokenDevice
 	t    *Transfer
@@ -826,19 +828,23 @@ func (d *TokenDevice) grant() {
 			// the new occupant's handle and double-fire the slot.
 			continue
 		}
-		sl.wake = d.eng.AfterHandler(t.Volume/d.bw, sl)
+		sl.wake = d.eng.Rekey(sl.wake, now+t.Volume/d.bw, sl)
 	}
 }
 
 // complete finishes a slot's transfer and re-grants the freed channel.
+// sl.wake is the firing handle: a grant to this slot re-arms it in place,
+// and a slot left idle drops it for the engine to recycle.
 func (d *TokenDevice) complete(sl *tokenSlot) {
 	t := sl.t
-	sl.wake = nil
 	sl.t = nil
 	d.busy--
 	t.state = stateDone
 	t.notifyComplete(d.eng.Now())
 	d.grant()
+	if sl.t == nil {
+		sl.wake = nil
+	}
 }
 
 // Compile-time interface checks.

@@ -358,3 +358,41 @@ func TestNewDevicePanicsOnBadBandwidth(t *testing.T) {
 		}()
 	}
 }
+
+// TestSharedCascadeEmptiesDeviceInOwnWake: three transfers finish at the
+// same instant, and the first completion submits a zero-byte transfer,
+// which folds into the same cascade. The cascade empties the device
+// during its own wake, so the firing wake is dropped, not re-armed, and
+// recycled; a later submission arms a fresh one and completes on time.
+func TestSharedCascadeEmptiesDeviceInOwnWake(t *testing.T) {
+	eng := sim.New()
+	d := NewSharedDevice(eng, 120, LinearShare{})
+	var done, extra, late []float64
+	first := newTransfer(Input, 1200, 1, &done)
+	first.OnComplete = func(now float64) {
+		done = append(done, now)
+		d.Submit(newTransfer(Output, 0, 1, &extra))
+	}
+	d.Submit(first)
+	d.Submit(newTransfer(Input, 1200, 1, &done))
+	d.Submit(newTransfer(Input, 1200, 1, &done))
+	eng.Run(40)
+	if len(done) != 3 || len(extra) != 1 || done[0] != 30 || done[2] != 30 || extra[0] != 30 {
+		t.Fatalf("cascade completions %v, zero-byte %v, want three and one at 30", done, extra)
+	}
+	if eng.Executed() != 1 {
+		t.Fatalf("%d wakes fired, want 1", eng.Executed())
+	}
+	if alloc, free := eng.PoolStats(); d.Busy() != 0 || eng.Pending() != 0 || alloc != free {
+		t.Fatalf("after the cascade: busy=%d pending=%d, %d of %d events free", d.Busy(), eng.Pending(), free, alloc)
+	}
+	// The marker reuses the recycled wake event; a device still holding
+	// that handle would move the marker instead of arming a fresh wake.
+	marker := false
+	eng.Schedule(60, func() { marker = true })
+	eng.Schedule(50, func() { d.Submit(newTransfer(Input, 600, 1, &late)) })
+	eng.RunAll()
+	if len(late) != 1 || late[0] != 55 || !marker {
+		t.Fatalf("later transfer done at %v (want [55]), marker fired %v", late, marker)
+	}
+}

@@ -105,8 +105,8 @@ func (l *Ledger) Window() (w0, w1 float64) { return l.w0, l.w1 }
 // Clip returns the length of [a, b] ∩ [w0, w1] (zero if disjoint or
 // reversed).
 func (l *Ledger) Clip(a, b float64) float64 {
-	lo := math.Max(a, l.w0)
-	hi := math.Min(b, l.w1)
+	lo := max(a, l.w0)
+	hi := min(b, l.w1)
 	if hi <= lo {
 		return 0
 	}

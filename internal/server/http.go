@@ -47,9 +47,20 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, api.Error{Error: err.Error()})
 }
 
+// maxSpecBytes bounds the body of a campaign submission; a larger one is
+// refused with 413. A spec is a few hundred bytes of JSON plus its sweep
+// axes, so 1 MiB leaves room for grids of tens of thousands of points.
+const maxSpecBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := api.DecodeCampaignSpec(r.Body)
+	spec, err := api.DecodeCampaignSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("server: campaign spec larger than %d bytes", tooBig.Limit))
+			return
+		}
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}

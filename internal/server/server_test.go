@@ -654,3 +654,25 @@ func listDir(dir string) ([]string, error) {
 	}
 	return names, nil
 }
+
+// TestOversizedSpecRejected: a submission body past the size bound is
+// refused with 413 and a clear error before anything is registered,
+// while an ordinary spec is still accepted.
+func TestOversizedSpecRejected(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	big := specJSON(t, strings.Repeat("x", maxSpecBytes), []string{"Least-Waste"}, 5, 1)
+	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", bytes.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e api.Error
+	json.NewDecoder(resp.Body).Decode(&e)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(e.Error, fmt.Sprintf("larger than %d bytes", maxSpecBytes)) {
+		t.Fatalf("oversized spec: status %d, error %q", resp.StatusCode, e.Error)
+	}
+	if n := len(s.List()); n != 0 {
+		t.Fatalf("%d campaigns registered after a refused submission", n)
+	}
+	submit(t, ts.URL, specJSON(t, "fits", []string{"Least-Waste"}, 5, 1))
+}

@@ -192,7 +192,7 @@ type countingHandler struct {
 func (h *countingHandler) Fire() {
 	h.count++
 	if h.count < h.limit {
-		h.e.AfterHandler(1, h)
+		h.e.ScheduleHandler(h.e.Now()+1, h)
 	}
 }
 

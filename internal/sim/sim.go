@@ -12,9 +12,17 @@
 // (non-negative) time and the sequence number, so a sift compares
 // children by the borrow of a 128-bit subtraction instead of chasing
 // Event pointers and branching on float compares. Schedule, Cancel and
-// Rekey are O(log n); the paper's scenarios keep a few dozen events
-// pending at most, with a third to a half of all schedules cancelled or
-// re-armed before they fire (repository README, "Event queue").
+// Rekey are O(log n).
+//
+// Two features keep the queue traffic close to one operation per fired
+// event (repository README, "Event queue"). A firing event stays at the
+// heap root until its handler returns, so a handler that re-arms its own
+// handle (Rekey or Arm) moves it with one sift instead of a pop and a
+// push; an event that is not re-armed leaves the queue after Fire. And
+// Reserve hands out a position in the dispatch order — the time and the
+// sequence number a schedule would take — that Arm later queues an event
+// at exactly, so one event can stand for several deadlines without
+// changing the order in which they fire.
 //
 // Scheduling recycles events through a free list (amortised zero
 // allocations on the hot path), and cancellation removes the event from
@@ -46,7 +54,8 @@ type Action func()
 func (a Action) Fire() { a() }
 
 // Event states. A pooled event cycles free → scheduled → (firing →
-// fired | cancelled) → free.
+// fired | cancelled) → free; a firing event re-armed by its own handler
+// goes back to scheduled instead.
 const (
 	stateFree uint8 = iota
 	stateScheduled
@@ -58,12 +67,15 @@ const (
 // Event is a handle to a scheduled action. It can be cancelled until it
 // has fired.
 //
-// Handles are single-use: once the event has fired or been cancelled, the
-// struct returns to the engine's free list and may be recycled by a later
-// Schedule. Holders must therefore drop (nil out) their reference when the
-// event fires or is cancelled and never call Cancel through a stale handle
-// — the discipline the engine package follows by clearing its event fields
-// at the top of every handler.
+// A handle stays valid while the event is queued and while its handler
+// runs; a handler that re-arms its own handle (Rekey or Arm) keeps it for
+// the next firing. Once the event has fired without being re-armed, or
+// has been cancelled, the struct returns to the engine's free list and may
+// be recycled by a later Schedule. Holders must therefore drop (nil out)
+// their reference when the event fires or is cancelled and never call
+// Cancel through a stale handle — the discipline the engine package
+// follows by re-arming or clearing its event fields before each handler
+// returns.
 type Event struct {
 	at  float64
 	seq uint64
@@ -79,20 +91,65 @@ type Event struct {
 // Time returns the instant the event is scheduled for.
 func (e *Event) Time() float64 { return e.at }
 
+// Key returns the position the event is queued at, as Reserve would have
+// handed it out.
+func (e *Event) Key() Key { return Key{at: e.at, seq: e.seq + 1} }
+
 // Cancel prevents the event from firing, removing it from the queue in
 // O(log n). Cancelling an already-fired, already-cancelled, or
-// currently-firing event is a no-op.
+// currently-firing event is a no-op; a firing event that its handler does
+// not re-arm leaves the queue when the handler returns.
 func (e *Event) Cancel() {
 	if e.state != stateScheduled {
 		return
 	}
 	e.state = stateCancelled
+	e.eng.ops.Remove++
 	e.eng.heap.remove(int(e.pos))
 	e.eng.put(e)
 }
 
 // Cancelled reports whether the event has been cancelled.
 func (e *Event) Cancelled() bool { return e.state == stateCancelled }
+
+// Key is a reserved position in the dispatch order: an event time and the
+// sequence number that orders it among the events of that instant.
+// Reserve hands one out, taking the sequence number a schedule at the same
+// point would take; Arm queues an event at it. The zero Key is "none" and
+// orders after every reserved one.
+type Key struct {
+	at float64
+	// seq is the reserved sequence number plus one, so that the zero Key
+	// is distinct from the first reservation of a run.
+	seq uint64
+}
+
+// Time returns the instant k was reserved for.
+func (k Key) Time() float64 { return k.at }
+
+// IsZero reports whether k is the zero ("none") Key.
+func (k Key) IsZero() bool { return k.seq == 0 }
+
+// Before reports whether k orders strictly before o: earlier time first,
+// then earlier reservation. The zero Key orders after every other key.
+func (k Key) Before(o Key) bool {
+	if k.seq == 0 {
+		return false
+	}
+	return o.seq == 0 || k.at < o.at || (k.at == o.at && k.seq < o.seq)
+}
+
+// QueueOps counts the pending queue's operations since the engine was
+// created or last Reset: events pushed, fired events popped, events
+// removed by Cancel, and events moved in place by Rekey or Arm (a firing
+// event re-armed by its own handler included). Fired events are counted
+// by Executed; the ratio of the two is the queue traffic an event costs.
+type QueueOps struct {
+	Push, Pop, Remove, Rekey uint64
+}
+
+// Total returns the number of queue operations of every kind.
+func (o QueueOps) Total() uint64 { return o.Push + o.Pop + o.Remove + o.Rekey }
 
 // eventBlockSize is how many Events one pool refill allocates at once.
 const eventBlockSize = 64
@@ -109,6 +166,10 @@ type Engine struct {
 	freeN int
 	// allocated counts Events ever handed to the pool (diagnostics).
 	allocated int
+	// firing is the event whose handler is running, nil between events.
+	// It stays at its heap position until the handler returns.
+	firing *Event
+	ops    QueueOps
 }
 
 // New returns an engine with its clock at 0.
@@ -121,8 +182,19 @@ func (e *Engine) Now() float64 { return e.now }
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending returns the number of scheduled events that have neither fired
-// nor been cancelled.
-func (e *Engine) Pending() int { return len(e.heap.e) }
+// nor been cancelled. Inside a handler, the firing event counts only once
+// the handler has re-armed it.
+func (e *Engine) Pending() int {
+	n := len(e.heap.e)
+	if f := e.firing; f != nil && f.state == stateFiring {
+		n--
+	}
+	return n
+}
+
+// QueueOps returns the queue operations counted since the engine was
+// created or last Reset.
+func (e *Engine) QueueOps() QueueOps { return e.ops }
 
 // PoolStats returns the number of Event structs ever allocated and the
 // number currently idle on the free list.
@@ -136,7 +208,7 @@ func (e *Engine) PoolStats() (allocated, free int) { return e.allocated, e.freeN
 // exactly as after a fire. The sequence counter restarts at 0, so a reset
 // engine orders same-instant events identically to a fresh one — the
 // property the bit-identical Monte-Carlo replicates of package engine rely
-// on.
+// on. Keys reserved before the reset are void.
 func (e *Engine) Reset() {
 	for i := range e.heap.e {
 		ev := e.heap.e[i].ev
@@ -146,6 +218,7 @@ func (e *Engine) Reset() {
 	}
 	e.heap.e = e.heap.e[:0]
 	e.now, e.seq, e.executed = 0, 0, 0
+	e.ops = QueueOps{}
 }
 
 // get pops a recycled event or refills the pool with a fresh block.
@@ -184,7 +257,7 @@ func (e *Engine) put(ev *Event) {
 // patterns, under which -0 would sort after every other time.
 func (e *Engine) checkTime(at float64) float64 {
 	if at < e.now {
-		slack := math.Max(1e-9, e.now*0x1p-40)
+		slack := max(1e-9, e.now*0x1p-40)
 		if e.now-at > slack {
 			panic(fmt.Sprintf("sim: scheduling event at %g before now %g", at, e.now))
 		}
@@ -204,37 +277,84 @@ func (e *Engine) checkTime(at float64) float64 {
 // slack that checkTime clamps.
 func (e *Engine) ScheduleHandler(at float64, h Handler) *Event {
 	at = e.checkTime(at)
+	seq := e.seq
+	e.seq++
+	return e.push(at, seq, h)
+}
+
+// push queues a fresh event at (at, seq).
+func (e *Engine) push(at float64, seq uint64, h Handler) *Event {
 	ev := e.get()
 	ev.at = at
-	ev.seq = e.seq
+	ev.seq = seq
 	ev.h = h
 	ev.state = stateScheduled
-	e.seq++
+	e.ops.Push++
 	e.heap.push(ev)
 	return ev
 }
 
-// Rekey re-arms ev to fire h at absolute time at and returns the handle
-// to keep. A still-queued ev moves in place with one sift and takes the
-// next sequence number, so the dispatch order is exactly that of
-// ev.Cancel() followed by ScheduleHandler(at, h). A nil, fired, firing or
-// cancelled ev schedules a fresh event instead; as with Cancel, a handle
-// must not be used once it has gone stale and been recycled.
-func (e *Engine) Rekey(ev *Event, at float64, h Handler) *Event {
-	if ev == nil || ev.state != stateScheduled {
-		return e.ScheduleHandler(at, h)
-	}
-	at = e.checkTime(at)
+// live reports whether ev is in the queue: scheduled, or firing with its
+// handler still running.
+func (ev *Event) live() bool {
+	return ev != nil && (ev.state == stateScheduled || ev.state == stateFiring)
+}
+
+// move re-arms the queued or firing ev at (at, seq) with one sift.
+func (e *Engine) move(ev *Event, at float64, seq uint64, h Handler) {
 	ev.at = at
-	ev.seq = e.seq
+	ev.seq = seq
 	ev.h = h
+	ev.state = stateScheduled
+	e.ops.Rekey++
+	e.heap.fix(int(ev.pos))
+}
+
+// Rekey re-arms ev to fire h at absolute time at and returns the handle
+// to keep. A queued ev — or the firing ev, from inside its own handler —
+// moves in place with one sift and takes the next sequence number, so
+// the dispatch order is exactly that of ev.Cancel() (or the end of the
+// fire) followed by ScheduleHandler(at, h). A nil, fired or cancelled ev
+// schedules a fresh event instead; as with Cancel, a handle must not be
+// used once it has gone stale and been recycled.
+func (e *Engine) Rekey(ev *Event, at float64, h Handler) *Event {
+	return e.Arm(ev, e.Reserve(at), h)
+}
+
+// Reserve validates at as ScheduleHandler does and reserves the position
+// a schedule at this point would take: the time and the next sequence
+// number. Arm later queues an event there; until then the position holds
+// no event. Reserving and arming at once orders exactly as
+// ScheduleHandler(at, h).
+func (e *Engine) Reserve(at float64) Key {
+	at = e.checkTime(at)
 	e.seq++
-	i := int(ev.pos)
-	e.heap.e[i].at = math.Float64bits(at)
-	e.heap.e[i].seq = ev.seq
-	if !e.heap.down(i) {
-		e.heap.up(i)
+	return Key{at: at, seq: e.seq}
+}
+
+// Arm queues h to fire at the reserved position k and returns the handle
+// to keep. A queued ev — or the firing ev, from inside its own handler —
+// moves there in place with one sift; when it already stands at k only
+// its handler is replaced. A nil, fired or cancelled ev queues a fresh
+// event. k must come from Reserve since the last Reset, must not lie
+// before now, and must be armed by at most one event at a time: two events
+// at one position would fire in an unspecified order.
+func (e *Engine) Arm(ev *Event, k Key, h Handler) *Event {
+	if k.seq == 0 {
+		panic("sim: arming the zero Key")
 	}
+	if k.at < e.now {
+		panic(fmt.Sprintf("sim: arming a key at %g before now %g", k.at, e.now))
+	}
+	seq := k.seq - 1
+	if !ev.live() {
+		return e.push(k.at, seq, h)
+	}
+	if ev.state == stateScheduled && ev.at == k.at && ev.seq == seq {
+		ev.h = h
+		return ev
+	}
+	e.move(ev, k.at, seq, h)
 	return ev
 }
 
@@ -249,38 +369,48 @@ func (e *Engine) After(d float64, act Action) *Event {
 	return e.ScheduleHandler(e.now+d, act)
 }
 
-// AfterHandler registers h to fire d seconds from now.
-func (e *Engine) AfterHandler(d float64, h Handler) *Event {
-	return e.ScheduleHandler(e.now+d, h)
-}
-
-// fire dispatches one dequeued event and recycles it.
-func (e *Engine) fire(ev *Event) {
+// fire dispatches the earliest event, which stays at its heap position
+// while the handler runs. An event the handler re-armed (Rekey or Arm on
+// its own handle) stays queued at its new position; otherwise it leaves
+// the queue and is recycled. Any other state means the handler cancelled
+// the re-armed event or reset the engine, which has recycled it already.
+func (e *Engine) fire() {
+	if e.firing != nil {
+		panic("sim: Step or Run called from a firing handler")
+	}
+	ev := e.heap.e[0].ev
 	ev.state = stateFiring
+	e.firing = ev
 	e.now = ev.at
 	e.executed++
 	ev.h.Fire()
-	ev.state = stateFired
-	e.put(ev)
+	e.firing = nil
+	if ev.state == stateFiring {
+		ev.state = stateFired
+		e.ops.Pop++
+		e.heap.remove(int(ev.pos))
+		e.put(ev)
+	}
 }
 
 // Step fires the next pending event, if any, advancing the clock to its
-// time. It reports whether an event was fired.
+// time. It reports whether an event was fired. Handlers must not call
+// Step or Run.
 func (e *Engine) Step() bool {
 	if len(e.heap.e) == 0 {
 		return false
 	}
-	e.fire(e.heap.popMin())
+	e.fire()
 	return true
 }
 
 // Run fires events in order until the queue is exhausted or the next event
 // lies strictly beyond until; the clock then rests at until. It returns
-// the number of events fired.
+// the number of events fired. Handlers must not call Step or Run.
 func (e *Engine) Run(until float64) uint64 {
 	fired := uint64(0)
 	for len(e.heap.e) > 0 && e.heap.e[0].ev.at <= until {
-		e.fire(e.heap.popMin())
+		e.fire()
 		fired++
 	}
 	if until > e.now {
@@ -393,20 +523,15 @@ func (h *heap4) down(i int) bool {
 	return i != start
 }
 
-// popMin removes and returns the earliest event.
-func (h *heap4) popMin() *Event {
-	ev := h.e[0].ev
-	last := len(h.e) - 1
-	moved := h.e[last]
-	h.e[last] = heapEntry{}
-	h.e = h.e[:last]
-	if last > 0 {
-		h.e[0] = moved
-		moved.ev.pos = 0
-		h.down(0)
+// fix restores heap order after the key of the entry at index i changed
+// to its event's (at, seq).
+func (h *heap4) fix(i int) {
+	ev := h.e[i].ev
+	h.e[i].at = math.Float64bits(ev.at)
+	h.e[i].seq = ev.seq
+	if !h.down(i) {
+		h.up(i)
 	}
-	ev.pos = -1
-	return ev
 }
 
 // remove deletes the entry at index i, restoring heap order around the
