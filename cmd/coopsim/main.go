@@ -238,7 +238,7 @@ func main() {
 		// online P² estimates, and -breakdown/-paired need per-run data
 		// the journal never stores.
 		if *breakdown || *paired {
-			fail(fmt.Errorf("-journal/-resume/-retry/-point-timeout run the streaming campaign path; -breakdown and -paired are not supported there"))
+			fail(fmt.Errorf("-journal/-resume/-point-timeout run the streaming campaign path; -breakdown and -paired are not supported there"))
 		}
 		copts, err := campaignFlags.CampaignOptions("", *workers, *antithetic, tci, nil)
 		if err != nil {
@@ -337,8 +337,8 @@ func printCacheSummary(cache *resultcache.Cache, cachedRows, totalRows int) {
 func startProgressReporter(camp *campaign.Campaign) (stop func()) {
 	report := func() {
 		p := camp.Snapshot()
-		fmt.Fprintf(os.Stderr, "coopsim: progress: points %d/%d (%d failed, %d skipped, %d restored), replicates %d/%d, cache hits %d\n",
-			p.PointsDone, p.PointsTotal, p.PointsFailed, p.PointsSkipped, p.PointsRestored,
+		fmt.Fprintf(os.Stderr, "coopsim: progress: points %d/%d (%d failed, %d restored), replicates %d/%d, cache hits %d\n",
+			p.PointsDone, p.PointsTotal, p.PointsFailed, p.PointsRestored,
 			p.ReplicatesFolded, p.ReplicatesTotal, p.CacheHits)
 	}
 	done := make(chan struct{})
@@ -364,14 +364,13 @@ func startProgressReporter(camp *campaign.Campaign) (stop func()) {
 }
 
 // runCampaign drives the grid through the durable campaign layer:
-// journaled progress, per-point retry/quarantine, circuit breaking. Rows
-// print as on the plain path (or as wire frames when emit is set);
-// failed and skipped points go to stderr and make the command exit
-// non-zero after the whole grid has been given its chance — one
-// poisoned point does not abort a sweep.
+// journaled progress and per-point quarantine. Rows print as on the
+// plain path (or as wire frames when emit is set); failed points go to
+// stderr and make the command exit non-zero after the whole grid has
+// been given its chance — one poisoned point does not abort a sweep.
 func runCampaign(ctx context.Context, camp *campaign.Campaign, base repro.Config, grid repro.SweepGrid, runs int, stopProfiles func(), printRow func(repro.SweepPoint, repro.MCResult), printTheory func(repro.SweepPoint), emit func(campaign.PointResult)) {
 	seq, errf := camp.RunSweep(ctx, base, grid, runs)
-	restored, failed, skipped := 0, 0, 0
+	restored, failed := 0, 0
 	for pr := range seq {
 		switch pr.Status {
 		case campaign.StatusDone:
@@ -389,13 +388,6 @@ func runCampaign(ctx context.Context, camp *campaign.Campaign, base repro.Config
 				emit(pr)
 			}
 			fmt.Fprintf(os.Stderr, "coopsim: %v\n", pr.Err)
-		case campaign.StatusSkipped:
-			skipped++
-			if emit != nil {
-				emit(pr)
-			}
-			fmt.Fprintf(os.Stderr, "coopsim: point %d (%s) skipped: %v\n",
-				pr.Point.Index, pr.Point.Strategy.Name(), pr.Err)
 		}
 		printTheory(pr.Point)
 	}
@@ -412,9 +404,9 @@ func runCampaign(ctx context.Context, camp *campaign.Campaign, base repro.Config
 	if restored > 0 {
 		fmt.Fprintf(os.Stderr, "coopsim: %d point(s) restored from journal\n", restored)
 	}
-	if failed > 0 || skipped > 0 {
+	if failed > 0 {
 		stopProfiles()
-		fmt.Fprintf(os.Stderr, "coopsim: campaign degraded: %d failed, %d skipped point(s); rerun with -resume to retry them\n", failed, skipped)
+		fmt.Fprintf(os.Stderr, "coopsim: campaign degraded: %d failed point(s); rerun with -resume to retry them\n", failed)
 		os.Exit(3)
 	}
 }

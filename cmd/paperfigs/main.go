@@ -147,7 +147,7 @@ func main() {
 	cliutil.ReportCacheStats("paperfigs", opts.cache)
 	if degradedPoints > 0 {
 		stopProfiles()
-		fmt.Fprintf(os.Stderr, "paperfigs: campaign degraded: %d quarantined/skipped point(s); rerun with -resume to retry them\n", degradedPoints)
+		fmt.Fprintf(os.Stderr, "paperfigs: campaign degraded: %d quarantined point(s); rerun with -resume to retry them\n", degradedPoints)
 		os.Exit(3)
 	}
 }
@@ -197,7 +197,7 @@ func table1(opts options) {
 	fmt.Println()
 }
 
-// degradedPoints counts quarantined or breaker-skipped campaign points
+// degradedPoints counts quarantined campaign points
 // across all figures; main exits non-zero when any figure is incomplete.
 var degradedPoints int
 

@@ -645,7 +645,7 @@ type PointResult struct {
 	WeibullShape    float64 `json:"weibull_shape,omitempty"`
 	Channels        int     `json:"channels"`
 	Strategy        string  `json:"strategy"`
-	// Status is "done", "failed" or "skipped" (campaign.PointStatus).
+	// Status is "done" or "failed" (campaign.PointStatus).
 	Status string `json:"status"`
 	Error  string `json:"error,omitempty"`
 	// Attempts counts simulation attempts; Restored marks a point
@@ -704,7 +704,6 @@ type StreamEnd struct {
 type Progress struct {
 	PointsDone       int `json:"points_done"`
 	PointsFailed     int `json:"points_failed,omitempty"`
-	PointsSkipped    int `json:"points_skipped,omitempty"`
 	PointsRestored   int `json:"points_restored,omitempty"`
 	PointsTotal      int `json:"points_total"`
 	ReplicatesFolded int `json:"replicates_folded"`

@@ -9,76 +9,11 @@ import (
 	"fmt"
 	"io/fs"
 	"iter"
-	"math/rand/v2"
 	"sync"
 	"time"
 
 	"repro/internal/engine"
 )
-
-// RetryPolicy bounds how hard the campaign fights for each point before
-// quarantining it.
-type RetryPolicy struct {
-	// MaxAttempts is the attempt budget per point per campaign run
-	// (minimum 1; 0 selects 1, i.e. no retries).
-	MaxAttempts int
-	// BaseBackoff is the delay before the first retry; each further
-	// retry doubles it up to MaxBackoff. Zero selects 100ms.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth. Zero selects 5s.
-	MaxBackoff time.Duration
-	// JitterFrac spreads each backoff uniformly over ±JitterFrac of its
-	// nominal value, drawn from a deterministic per-(point, attempt)
-	// stream so campaign timing stays reproducible. Zero means no
-	// jitter; values are clamped to [0, 1].
-	JitterFrac float64
-	// PointTimeout is the per-attempt deadline; an attempt that exceeds
-	// it is cancelled (cooperatively — the engine's workers observe the
-	// context between events) and counts as a failure. Zero means no
-	// deadline.
-	PointTimeout time.Duration
-	// BreakerThreshold trips a per-strategy circuit breaker: once this
-	// many consecutive points of one strategy have failed, its remaining
-	// points are skipped (StatusSkipped) instead of simulated. A
-	// completed point resets the strategy's count. Zero disables the
-	// breaker.
-	BreakerThreshold int
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 1
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 100 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 5 * time.Second
-	}
-	if p.JitterFrac < 0 {
-		p.JitterFrac = 0
-	} else if p.JitterFrac > 1 {
-		p.JitterFrac = 1
-	}
-	return p
-}
-
-// backoff returns the nominal delay before retry number `retry` (1-based)
-// with the deterministic jitter for (seed, point, retry) applied.
-func (p RetryPolicy) backoff(seed uint64, point, retry int) time.Duration {
-	d := p.BaseBackoff
-	for i := 1; i < retry && d < p.MaxBackoff; i++ {
-		d *= 2
-	}
-	if d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	if p.JitterFrac > 0 {
-		rng := rand.New(rand.NewPCG(seed, uint64(point)<<20|uint64(retry)))
-		d = time.Duration(float64(d) * (1 + p.JitterFrac*(2*rng.Float64()-1)))
-	}
-	return d
-}
 
 // PointStatus classifies a campaign point's outcome.
 type PointStatus int
@@ -87,11 +22,9 @@ const (
 	// StatusDone marks a point with valid aggregates (simulated now or
 	// restored from the journal).
 	StatusDone PointStatus = iota
-	// StatusFailed marks a point quarantined after its attempt budget:
+	// StatusFailed marks a point quarantined after its attempt failed:
 	// its Err is a *PointError, the rest of the grid still ran.
 	StatusFailed
-	// StatusSkipped marks a point skipped by the circuit breaker.
-	StatusSkipped
 )
 
 // String implements fmt.Stringer.
@@ -101,8 +34,6 @@ func (s PointStatus) String() string {
 		return "done"
 	case StatusFailed:
 		return "failed"
-	case StatusSkipped:
-		return "skipped"
 	}
 	return fmt.Sprintf("PointStatus(%d)", int(s))
 }
@@ -112,10 +43,10 @@ func (s PointStatus) String() string {
 type PointError struct {
 	// Point identifies the failed cell.
 	Point engine.SweepPoint
-	// Attempts is how many attempts were burned (this campaign run plus
-	// journaled earlier runs).
+	// Attempts counts the point's attempts: one per campaign run that
+	// simulated it, this run included.
 	Attempts int
-	// Err is the last attempt's error.
+	// Err is this run's attempt error.
 	Err error
 }
 
@@ -125,7 +56,7 @@ func (e *PointError) Error() string {
 		e.Point.Index, e.Point.Strategy.Name(), e.Attempts, e.Err)
 }
 
-// Unwrap exposes the last attempt's error to errors.Is/As.
+// Unwrap exposes the attempt's error to errors.Is/As.
 func (e *PointError) Unwrap() error { return e.Err }
 
 // PointResult is one grid point's outcome in campaign order.
@@ -138,7 +69,7 @@ type PointResult struct {
 	Status PointStatus
 	Err    error
 	// Attempts counts simulation attempts across campaign runs (0 for a
-	// point restored or skipped without simulating).
+	// point restored from the journal or the cache without simulating).
 	Attempts int
 	// Restored marks a point satisfied entirely from the journal.
 	Restored bool
@@ -147,7 +78,7 @@ type PointResult struct {
 // Options configures a campaign.
 type Options struct {
 	// JournalPath enables durable progress journaling; empty runs the
-	// campaign unjournaled (still with retry/quarantine/breaker).
+	// campaign unjournaled (failed points are still quarantined).
 	JournalPath string
 	// Resume permits reopening an existing journal at JournalPath and
 	// continuing it. Without Resume an existing journal file is an
@@ -167,8 +98,10 @@ type Options struct {
 	// a crash — each costing SnapshotEvery re-simulated replicates on
 	// resume, never correctness.
 	SyncEvery int
-	// Retry is the failure-handling policy.
-	Retry RetryPolicy
+	// PointTimeout is the per-point deadline: a point that exceeds it
+	// is cancelled (cooperatively — the engine's workers observe the
+	// context between events) and quarantined. Zero means no deadline.
+	PointTimeout time.Duration
 	// Workers bounds the engine's parallelism (0 means GOMAXPROCS).
 	Workers int
 	// Antithetic and TargetCI configure the engine's variance-reduction
@@ -196,9 +129,9 @@ type Options struct {
 // folded includes the in-flight point's progress, and cache hits count
 // points satisfied from the result cache instead of simulated.
 type Progress struct {
-	// PointsDone, PointsFailed and PointsSkipped classify the points the
-	// run has concluded so far; PointsTotal is the grid size.
-	PointsDone, PointsFailed, PointsSkipped, PointsTotal int
+	// PointsDone and PointsFailed classify the points the run has
+	// concluded so far; PointsTotal is the grid size.
+	PointsDone, PointsFailed, PointsTotal int
 	// PointsRestored counts the done points that were replayed from the
 	// journal rather than simulated or cache-served this run.
 	PointsRestored int
@@ -392,9 +325,9 @@ func (c *Campaign) openOrCreate(fp string, points, runs int, seed uint64) (*Jour
 }
 
 // RunSweep evaluates the grid over the base configuration durably: each
-// point runs as its own Monte-Carlo experiment with journaled snapshots,
-// retry, quarantine and breaker handling, and results stream in grid
-// order as an iterator. The returned errf (call it after iteration)
+// point runs as its own Monte-Carlo experiment with journaled snapshots
+// and one attempt, a failed point is quarantined, and results stream in
+// grid order as an iterator. The returned errf (call it after iteration)
 // reports campaign-level failure — journal durability loss or context
 // cancellation; per-point failures are in-band as PointResult.Status.
 //
@@ -402,7 +335,8 @@ func (c *Campaign) openOrCreate(fp string, points, runs int, seed uint64) (*Jour
 // replay instantly as Restored; a point with a mid-experiment snapshot
 // restarts at replicate Folded+1 under the pinned CRN schedule, folding
 // into its restored accumulators — bit-identical to never having
-// stopped; previously failed points get a fresh attempt budget.
+// stopped; a previously failed point gets a fresh attempt, from its last
+// journaled snapshot.
 func (c *Campaign) RunSweep(ctx context.Context, base engine.Config, grid engine.SweepGrid, runs int) (iter.Seq[PointResult], func() error) {
 	var campErr error
 	seq := func(yield func(PointResult) bool) {
@@ -443,21 +377,16 @@ func (c *Campaign) runSweep(ctx context.Context, base engine.Config, grid engine
 		}
 	}()
 
-	policy := c.opts.Retry.withDefaults()
 	c.progressTotal = len(pts) * runs
 	c.progressBase = 0
 	c.note(func(p *Progress) {
 		*p = Progress{PointsTotal: len(pts), ReplicatesTotal: c.progressTotal}
 	})
-	// breaker counts consecutive failed points per strategy, seeded from
-	// the journal so a resumed campaign remembers a tripping streak.
-	breaker := map[string]int{}
 
 	for _, pt := range pts {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		name := pt.Strategy.Name()
 		var st *PointState
 		if replayed != nil {
 			st = replayed.Points[pt.Index]
@@ -485,7 +414,6 @@ func (c *Campaign) runSweep(ctx context.Context, base engine.Config, grid engine
 			if c.opts.Progress != nil {
 				c.opts.Progress(c.progressBase, c.progressTotal)
 			}
-			breaker[name] = 0
 			if !yield(PointResult{Point: pt, MC: *st.Done, Status: StatusDone, Restored: true}) {
 				return nil
 			}
@@ -514,7 +442,6 @@ func (c *Campaign) runSweep(ctx context.Context, base engine.Config, grid engine
 				if c.opts.Progress != nil {
 					c.opts.Progress(c.progressBase, c.progressTotal)
 				}
-				breaker[name] = 0
 				if !yield(PointResult{Point: pt, MC: mc, Status: StatusDone}) {
 					return nil
 				}
@@ -522,31 +449,12 @@ func (c *Campaign) runSweep(ctx context.Context, base engine.Config, grid engine
 			}
 		}
 
-		// Circuit breaker: a strategy that keeps poisoning points stops
-		// consuming the campaign's budget.
-		if policy.BreakerThreshold > 0 && breaker[name] >= policy.BreakerThreshold {
-			reason := fmt.Sprintf("circuit breaker open for strategy %s (%d consecutive failures)", name, breaker[name])
-			if err := j.append(recPointSkipped, skipRecord{Point: pt.Index, Strategy: name, Reason: reason}, true); err != nil {
-				return err
-			}
-			c.progressBase += runs
-			c.note(func(p *Progress) {
-				p.PointsSkipped++
-				p.ReplicatesFolded = c.progressBase
-			})
-			if !yield(PointResult{Point: pt, Status: StatusSkipped, Err: fmt.Errorf("campaign: %s", reason)}) {
-				return nil
-			}
-			continue
-		}
-
-		pr, err := c.runPoint(ctx, base, pt, runs, policy, j, st)
+		pr, err := c.runPoint(ctx, base, pt, runs, j, st)
 		if err != nil {
 			return err
 		}
 		if pr.Status == StatusDone {
 			c.cachePut(cacheKey, pr.MC)
-			breaker[name] = 0
 			c.progressBase += pr.MC.RunsUsed
 			c.note(func(p *Progress) {
 				p.PointsDone++
@@ -556,7 +464,6 @@ func (c *Campaign) runSweep(ctx context.Context, base engine.Config, grid engine
 				p.ReplicatesFolded = c.progressBase
 			})
 		} else {
-			breaker[name]++
 			c.progressBase += runs
 			c.note(func(p *Progress) {
 				p.PointsFailed++
@@ -586,115 +493,71 @@ func (c *Campaign) cachePut(key string, mc engine.MCResult) {
 	c.opts.Cache.Put(key, mc)
 }
 
-// runPoint drives one grid point to completion, failure or quarantine.
-// The returned error is campaign-fatal (journal loss, cancellation);
-// per-point failure comes back inside the PointResult.
-func (c *Campaign) runPoint(ctx context.Context, base engine.Config, pt engine.SweepPoint, runs int, policy RetryPolicy, j *Journal, st *PointState) (PointResult, error) {
-	cfg := pt.Apply(base)
-	snap := (*engine.MCSnapshot)(nil)
-	priorAttempts := 0
+// runPoint gives one grid point its attempt: it completes or is
+// quarantined. The returned error is campaign-fatal (journal loss,
+// cancellation); per-point failure comes back inside the PointResult.
+func (c *Campaign) runPoint(ctx context.Context, base engine.Config, pt engine.SweepPoint, runs int, j *Journal, st *PointState) (PointResult, error) {
+	spec := engine.ResumeSpec{SnapshotEvery: c.opts.SnapshotEvery}
+	attempts := 1
 	if st != nil {
-		snap = st.Snap
-		priorAttempts = st.Attempts
+		spec.From = st.Snap
+		attempts += st.Attempts
 	}
-	restoredFrom := 0
-	if snap != nil {
-		restoredFrom = snap.Folded
+	if j != nil {
+		// Durability errors latch in the journal and fail the campaign
+		// after the attempt returns.
+		spec.OnSnapshot = func(s engine.MCSnapshot) {
+			_ = j.append(recSnap, snapRecord{Point: pt.Index, Snap: s}, false)
+		}
+		if spec.SnapshotEvery == 0 {
+			// ~2.5 KB of journal per snapshot and fsync cost scales with
+			// dirty bytes, so per-replicate records would bound replicate
+			// throughput by disk bandwidth; every 8th boundary keeps the
+			// overhead a fraction of a percent and a crash re-simulates
+			// at most the short tail.
+			spec.SnapshotEvery = 8
+		}
 	}
 
-	var lastErr error
-	attempts := 0
-	for attempts < policy.MaxAttempts {
-		attempts++
-		if err := ctx.Err(); err != nil {
-			return PointResult{}, err
-		}
-
-		attemptCtx := ctx
-		cancel := context.CancelFunc(func() {})
-		if policy.PointTimeout > 0 {
-			attemptCtx, cancel = context.WithTimeout(ctx, policy.PointTimeout)
-		}
-		spec := engine.ResumeSpec{
-			From:          snap,
-			SnapshotEvery: c.opts.SnapshotEvery,
-		}
-		if j != nil {
-			spec.OnSnapshot = func(s engine.MCSnapshot) {
-				// Journal the snapshot and keep it in memory: a retry
-				// of this point resumes from the last boundary instead
-				// of replaying the whole point. Durability errors latch
-				// in the journal and fail the campaign after the
-				// attempt returns.
-				_ = j.append(recSnap, snapRecord{Point: pt.Index, Snap: s}, false)
-				s2 := s
-				snap = &s2
-			}
-			if spec.SnapshotEvery == 0 {
-				// ~2.5 KB of journal per snapshot and fsync cost scales
-				// with dirty bytes, so per-replicate records would bound
-				// replicate throughput by disk bandwidth; every 8th
-				// boundary keeps the overhead a fraction of a percent
-				// and a crash re-simulates at most the short tail.
-				spec.SnapshotEvery = 8
-			}
-		} else {
-			spec.OnSnapshot = func(s engine.MCSnapshot) {
-				s2 := s
-				snap = &s2
-			}
-			if spec.SnapshotEvery == 0 {
-				// Unjournaled campaigns only snapshot to bound retry
-				// re-work; per-replicate granularity is overkill.
-				spec.SnapshotEvery = 16
-			}
-		}
-
-		mc, err := c.session.MonteCarloResume(attemptCtx, cfg, runs, spec)
-		cancel()
-		if jerr := j.Err(); jerr != nil {
-			// The journal can no longer guarantee durability; pressing
-			// on would break the resume contract silently.
-			return PointResult{}, jerr
-		}
-		if err == nil {
-			if aerr := j.append(recPointDone, doneRecord{Point: pt.Index, MC: toRecord(mc)}, true); aerr != nil {
-				return PointResult{}, aerr
-			}
-			return PointResult{
-				Point: pt, MC: mc, Status: StatusDone,
-				Attempts: priorAttempts + attempts,
-				Restored: restoredFrom > 0 && attempts == 1 && mc.RunsUsed <= restoredFrom,
-			}, nil
-		}
-		if ctx.Err() != nil {
-			// The campaign itself was cancelled (SIGINT, parent
-			// deadline) — not a point failure.
-			return PointResult{}, err
-		}
-		lastErr = err
-		var pe *engine.PanicError
-		isPanic := errors.As(err, &pe)
-		if aerr := j.append(recAttemptFail, failRecord{
-			Point: pt.Index, Attempt: priorAttempts + attempts,
-			Error: err.Error(), Panic: isPanic,
-		}, true); aerr != nil {
+	pointCtx, cancel := ctx, context.CancelFunc(func() {})
+	if c.opts.PointTimeout > 0 {
+		pointCtx, cancel = context.WithTimeout(ctx, c.opts.PointTimeout)
+	}
+	mc, err := c.session.MonteCarloResume(pointCtx, pt.Apply(base), runs, spec)
+	cancel()
+	if jerr := j.Err(); jerr != nil {
+		// The journal can no longer guarantee durability; pressing on
+		// would break the resume contract silently.
+		return PointResult{}, jerr
+	}
+	if err == nil {
+		if aerr := j.append(recPointDone, doneRecord{Point: pt.Index, MC: toRecord(mc)}, true); aerr != nil {
 			return PointResult{}, aerr
 		}
-		if attempts < policy.MaxAttempts {
-			select {
-			case <-ctx.Done():
-				return PointResult{}, ctx.Err()
-			case <-time.After(policy.backoff(base.Seed, pt.Index, attempts)):
-			}
-		}
+		return PointResult{
+			Point: pt, MC: mc, Status: StatusDone, Attempts: attempts,
+			Restored: spec.From != nil && spec.From.Folded > 0 && mc.RunsUsed <= spec.From.Folded,
+		}, nil
 	}
-
-	perr := &PointError{Point: pt, Attempts: priorAttempts + attempts, Err: lastErr}
-	if aerr := j.append(recPointError, failRecord{
-		Point: pt.Index, Attempt: perr.Attempts, Error: lastErr.Error(),
+	if ctx.Err() != nil {
+		// The campaign itself was cancelled (SIGINT, parent deadline) —
+		// not a point failure.
+		return PointResult{}, err
+	}
+	// attempt_failed then point_error: the record pair earlier writers
+	// journaled for a quarantined point, kept so journals stay
+	// byte-identical.
+	var pe *engine.PanicError
+	if aerr := j.append(recAttemptFail, failRecord{
+		Point: pt.Index, Attempt: attempts, Error: err.Error(), Panic: errors.As(err, &pe),
 	}, true); aerr != nil {
 		return PointResult{}, aerr
 	}
-	return PointResult{Point: pt, Status: StatusFailed, Err: perr, Attempts: perr.Attempts}, nil
+	if aerr := j.append(recPointError, failRecord{
+		Point: pt.Index, Attempt: attempts, Error: err.Error(),
+	}, true); aerr != nil {
+		return PointResult{}, aerr
+	}
+	perr := &PointError{Point: pt, Attempts: attempts, Err: err}
+	return PointResult{Point: pt, Status: StatusFailed, Err: perr, Attempts: attempts}, nil
 }

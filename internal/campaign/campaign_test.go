@@ -262,8 +262,8 @@ func TestCampaignTornTailRecovery(t *testing.T) {
 }
 
 // TestCampaignQuarantinesPoisonedPoint: a worker panic poisons exactly
-// one grid point; that point is quarantined as a *PointError (with its
-// attempts burned) while every other point completes bit-identically.
+// one grid point; that point is quarantined as a *PointError after its
+// single attempt while every other point completes bit-identically.
 func TestCampaignQuarantinesPoisonedPoint(t *testing.T) {
 	base := tinyConfig(mustStrategy(t, "Ordered-NB-Daly"), 41)
 	grid := engine.SweepGrid{
@@ -272,23 +272,16 @@ func TestCampaignQuarantinesPoisonedPoint(t *testing.T) {
 	const runs = 6
 	want := golden(t, base, grid, runs)
 
-	// Replicate 0 fires exactly once per attempt; occurrences 2 and 3
-	// are point 1's two attempts (after point 0's single clean pass).
+	// Replicate 0 fires exactly once per point; occurrence 2 is point 1's
+	// attempt (after point 0's clean pass).
 	var zeroes atomic.Int64
 	restore := faultinject.Set(faultinject.SiteWorkerReplicate,
 		faultinject.PanicOn("poisoned point", func(detail any) bool {
-			if detail.(int) != 0 {
-				return false
-			}
-			n := zeroes.Add(1)
-			return n == 2 || n == 3
+			return detail.(int) == 0 && zeroes.Add(1) == 2
 		}))
 	defer restore()
 
-	seq, errf := New(Options{
-		Workers: 2,
-		Retry:   RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond},
-	}).RunSweep(context.Background(), base, grid, runs)
+	seq, errf := New(Options{Workers: 2}).RunSweep(context.Background(), base, grid, runs)
 	var got []PointResult
 	for pr := range seq {
 		got = append(got, pr)
@@ -310,8 +303,8 @@ func TestCampaignQuarantinesPoisonedPoint(t *testing.T) {
 	if !errors.As(got[1].Err, &perr) {
 		t.Fatalf("poisoned point error %T, want *PointError", got[1].Err)
 	}
-	if perr.Attempts != 2 {
-		t.Fatalf("poisoned point burned %d attempts, want 2", perr.Attempts)
+	if perr.Attempts != 1 {
+		t.Fatalf("poisoned point burned %d attempts, want 1", perr.Attempts)
 	}
 	var panicErr *engine.PanicError
 	if !errors.As(perr, &panicErr) {
@@ -319,10 +312,10 @@ func TestCampaignQuarantinesPoisonedPoint(t *testing.T) {
 	}
 }
 
-// TestCampaignBreakerAndHeal: a strategy failing every point trips the
-// circuit breaker (remaining points skip without simulating); resuming
-// the journal after the fault is fixed heals everything bit-identically.
-func TestCampaignBreakerAndHeal(t *testing.T) {
+// TestCampaignFailAndHeal: a strategy failing every point quarantines
+// every point after one attempt each; resuming the journal after the
+// fault is fixed heals everything bit-identically.
+func TestCampaignFailAndHeal(t *testing.T) {
 	base := tinyConfig(mustStrategy(t, "Ordered-NB-Daly"), 53)
 	grid := engine.SweepGrid{
 		BandwidthsBps: []float64{units.GBps(0.25), units.GBps(0.5), units.GBps(1), units.GBps(2)},
@@ -330,18 +323,11 @@ func TestCampaignBreakerAndHeal(t *testing.T) {
 	const runs = 4
 	want := golden(t, base, grid, runs)
 
-	var fires atomic.Int64
 	restore := faultinject.Set(faultinject.SiteWorkerReplicate,
-		faultinject.PanicOn("strategy poisoned", func(any) bool {
-			fires.Add(1)
-			return true
-		}))
-
+		faultinject.PanicOn("strategy poisoned", nil))
 	path := filepath.Join(t.TempDir(), "campaign.journal")
-	seq, errf := New(Options{
-		JournalPath: path, Workers: 2,
-		Retry: RetryPolicy{MaxAttempts: 1, BreakerThreshold: 2},
-	}).RunSweep(context.Background(), base, grid, runs)
+	seq, errf := New(Options{JournalPath: path, Workers: 2}).
+		RunSweep(context.Background(), base, grid, runs)
 	var got []PointResult
 	for pr := range seq {
 		got = append(got, pr)
@@ -350,17 +336,13 @@ func TestCampaignBreakerAndHeal(t *testing.T) {
 		t.Fatal(err)
 	}
 	restore()
-
-	wantStatus := []PointStatus{StatusFailed, StatusFailed, StatusSkipped, StatusSkipped}
-	for i, pr := range got {
-		if pr.Status != wantStatus[i] {
-			t.Fatalf("point %d status %v, want %v", i, pr.Status, wantStatus[i])
-		}
+	if len(got) != len(want) {
+		t.Fatalf("got %d points, want %d", len(got), len(want))
 	}
-	// The breaker must have cut simulation off after the second point's
-	// failure: one panicking replicate per attempt per unbroken point.
-	if n := fires.Load(); n > int64(2*runs) {
-		t.Fatalf("breaker did not stop simulation: %d replicates fired", n)
+	for i, pr := range got {
+		if pr.Status != StatusFailed || pr.Attempts != 1 {
+			t.Fatalf("point %d status %v after %d attempt(s), want failed after 1", i, pr.Status, pr.Attempts)
+		}
 	}
 
 	seq, errf = New(Options{JournalPath: path, Resume: true, Workers: 2}).
@@ -373,8 +355,8 @@ func TestCampaignBreakerAndHeal(t *testing.T) {
 		t.Fatalf("healing resume: %v", err)
 	}
 	for i := range got {
-		if got[i].Status != StatusDone {
-			t.Fatalf("healed point %d status %v: %v", i, got[i].Status, got[i].Err)
+		if got[i].Status != StatusDone || got[i].Attempts != 2 {
+			t.Fatalf("healed point %d status %v after %d attempt(s): %v", i, got[i].Status, got[i].Attempts, got[i].Err)
 		}
 		sameMC(t, "healed point", got[i].MC, want[i].MC)
 	}
@@ -391,8 +373,8 @@ func TestCampaignPointTimeout(t *testing.T) {
 	defer restore()
 
 	seq, errf := New(Options{
-		Workers: 2,
-		Retry:   RetryPolicy{MaxAttempts: 1, PointTimeout: 50 * time.Millisecond},
+		Workers:      2,
+		PointTimeout: 50 * time.Millisecond,
 	}).RunSweep(context.Background(), base, grid, 8)
 	var got []PointResult
 	for pr := range seq {
@@ -414,33 +396,124 @@ func TestCampaignPointTimeout(t *testing.T) {
 	}
 }
 
-// TestCampaignRetryResumesMidPoint: a transient failure consumed by the
-// retry policy restarts the point from its last snapshot, and the final
-// aggregates stay bit-identical to a never-failing run.
-func TestCampaignRetryResumesMidPoint(t *testing.T) {
+// TestCampaignFailedPointResumesFromSnapshot: a journaled point that
+// fails past its first snapshot boundary is quarantined after one
+// attempt; the resume re-attempts it from that snapshot — simulating
+// fewer than runs replicates — and lands bit-identical to a never-failing
+// run.
+func TestCampaignFailedPointResumesFromSnapshot(t *testing.T) {
 	base := tinyConfig(mustStrategy(t, "Least-Waste"), 71)
-	grid := engine.SweepGrid{}
-	const runs = 8
-	want := golden(t, base, grid, runs)
+	const runs, every, failAt = 8, 2, 5
+	want := golden(t, base, engine.SweepGrid{}, runs)
 
-	restore := faultinject.Set(faultinject.SiteWorkerReplicate,
-		faultinject.FailN(errors.New("transient io error"), 1))
-	defer restore()
-
-	pr, err := New(Options{
-		Workers: 2,
-		Retry:   RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, JitterFrac: 0.2},
-	}).Run(context.Background(), base, runs)
+	// Workers 1 folds replicates 0..failAt-1 before replicate failAt's
+	// error returns, so snapshots up to Folded 4 reach the journal.
+	failOnce := faultinject.FailN(errors.New("transient io error"), 1)
+	restore := faultinject.Set(faultinject.SiteWorkerReplicate, func(ctx context.Context, detail any) error {
+		if detail.(int) == failAt {
+			return failOnce(ctx, detail)
+		}
+		return nil
+	})
+	path := filepath.Join(t.TempDir(), "campaign.journal")
+	pr, err := New(Options{JournalPath: path, Workers: 1, SnapshotEvery: every}).
+		Run(context.Background(), base, runs)
+	restore()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pr.Status != StatusDone {
-		t.Fatalf("retried point status %v: %v", pr.Status, pr.Err)
+	if pr.Status != StatusFailed || pr.Attempts != 1 {
+		t.Fatalf("failing point status %v after %d attempt(s), want failed after 1", pr.Status, pr.Attempts)
 	}
-	if pr.Attempts != 2 {
-		t.Fatalf("transient failure consumed %d attempts, want 2", pr.Attempts)
+	st, err := ReadJournal(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sameMC(t, "retried point", pr.MC, want[0].MC)
+	p := st.Points[0]
+	if p == nil || p.Snap == nil || p.Snap.Folded == 0 || !p.Failed || p.Attempts != 1 {
+		t.Fatalf("journal after the failure holds %+v, want a snapshot, the failure and 1 attempt", p)
+	}
+
+	var simulated atomic.Int64
+	defer faultinject.Set(faultinject.SiteWorkerReplicate, func(context.Context, any) error {
+		simulated.Add(1)
+		return nil
+	})()
+	pr, err = New(Options{JournalPath: path, Resume: true, Workers: 1, SnapshotEvery: every}).
+		Run(context.Background(), base, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr.Status != StatusDone || pr.Attempts != 2 {
+		t.Fatalf("resumed point status %v after %d attempt(s): %v", pr.Status, pr.Attempts, pr.Err)
+	}
+	if n := simulated.Load(); n != int64(runs-p.Snap.Folded) {
+		t.Fatalf("resume simulated %d replicates, want %d (runs %d less the %d the snapshot folds)",
+			n, runs-p.Snap.Folded, runs, p.Snap.Folded)
+	}
+	sameMC(t, "resumed point", pr.MC, want[0].MC)
+}
+
+// TestResumeLegacyRetryJournal resumes a journal written when campaigns
+// still retried points and tripped a per-strategy breaker: two attempts
+// at point 1 (attempt_failed ×2, point_error), then a breaker skip of
+// point 2. The skip record is ignored, every point completes
+// bit-identically, and the re-attempted point counts its journaled
+// attempts.
+func TestResumeLegacyRetryJournal(t *testing.T) {
+	base := tinyConfig(mustStrategy(t, "Ordered-NB-Daly"), 43)
+	grid := engine.SweepGrid{
+		BandwidthsBps: []float64{units.GBps(0.25), units.GBps(0.5), units.GBps(1)},
+	}
+	const runs = 12
+	want := golden(t, base, grid, runs)
+
+	legacy, err := os.ReadFile("testdata/legacy-retry.journal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{`"t":"attempt_failed"`, `"t":"point_error"`, `"t":"point_skipped"`} {
+		if !strings.Contains(string(legacy), kind) {
+			t.Fatalf("fixture holds no %s record", kind)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "campaign.journal")
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := ReadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := st.Points[1]; p == nil || p.Attempts != 2 || !p.Failed {
+		t.Fatalf("legacy point 1 replays as %+v, want 2 failed attempts", p)
+	}
+	if p, ok := st.Points[2]; ok {
+		t.Fatalf("the point_skipped record was applied: point 2 replays as %+v", p)
+	}
+
+	seq, errf := New(Options{JournalPath: path, Resume: true, Workers: 2}).
+		RunSweep(context.Background(), base, grid, runs)
+	var got []PointResult
+	for pr := range seq {
+		got = append(got, pr)
+	}
+	if err := errf(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("resumed %d points, want %d", len(got), len(want))
+	}
+	wantAttempts := []int{0, st.Points[1].Attempts + 1, 1}
+	for i, pr := range got {
+		if pr.Status != StatusDone {
+			t.Fatalf("legacy point %d status %v: %v", i, pr.Status, pr.Err)
+		}
+		if pr.Attempts != wantAttempts[i] {
+			t.Fatalf("legacy point %d reports %d attempt(s), want %d", i, pr.Attempts, wantAttempts[i])
+		}
+		sameMC(t, "legacy resume", pr.MC, want[i].MC)
+	}
 }
 
 // TestCampaignFingerprintMismatch: a journal resumed against a different

@@ -5,11 +5,13 @@
 // an uninterrupted run — completed points are skipped, a point caught
 // mid-replication restarts at replicate Folded under the pinned CRN seed
 // schedule and folds into its restored accumulator state. On top of the
-// journal it layers graceful degradation: worker panics are quarantined
-// as per-point errors, failed points retry under an exponential-backoff
-// policy with a per-point deadline, and repeatedly failing strategies
-// trip a circuit breaker that skips their remaining points explicitly
-// instead of burning the rest of the campaign's budget.
+// journal it layers graceful degradation: each point gets one attempt
+// per campaign run, under an optional deadline, and a worker panic or
+// timeout quarantines that point as a per-point error while the rest of
+// the grid runs. A replicate is a pure function of (seed, index), so a
+// second attempt in the same run would fail again at the same replicate;
+// the restart that can help is a resume, which re-attempts quarantined
+// points from their last journaled snapshot.
 package campaign
 
 import (
@@ -22,7 +24,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"strconv"
 
 	"repro/internal/engine"
 	"repro/internal/faultinject"
@@ -42,14 +43,13 @@ import (
 const (
 	journalVersion = 1
 
-	recHeader       = "header"
-	recSnap         = "snap"
-	recPointDone    = "point_done"
-	recAttemptFail  = "attempt_failed"
-	recPointError   = "point_error"
-	recPointSkipped = "point_skipped"
-	recCacheHit     = "cache_hit"
-	recSeal         = "seal"
+	recHeader      = "header"
+	recSnap        = "snap"
+	recPointDone   = "point_done"
+	recAttemptFail = "attempt_failed"
+	recPointError  = "point_error"
+	recCacheHit    = "cache_hit"
+	recSeal        = "seal"
 )
 
 // crcTable is the Castagnoli polynomial — hardware-accelerated on
@@ -164,12 +164,6 @@ type failRecord struct {
 	// Panic marks a quarantined worker panic (the stack stays in the
 	// process log; the journal records the fact).
 	Panic bool `json:"panic,omitempty"`
-}
-
-type skipRecord struct {
-	Point    int    `json:"point"`
-	Strategy string `json:"strategy"`
-	Reason   string `json:"reason"`
 }
 
 // cacheHitRecord marks a point satisfied from the result cache: the
@@ -336,11 +330,9 @@ type PointState struct {
 	Snap *engine.MCSnapshot
 	// Attempts counts recorded failed attempts.
 	Attempts int
-	// Failed and Skipped record a quarantined PointError / a breaker
-	// skip. A resume retries failed points (with fresh attempts) and
-	// re-decides skips.
-	Failed  bool
-	Skipped bool
+	// Failed records a quarantined PointError; a resume re-attempts the
+	// point.
+	Failed bool
 }
 
 // ReplayState is everything a journal replay recovers.
@@ -387,7 +379,7 @@ func OpenJournal(path string, syncEvery int) (*Journal, *ReplayState, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("campaign: open journal: %w", err)
 	}
-	st, validOff, err := replay(f)
+	st, validOff, err := replay(f, path)
 	if err != nil {
 		f.Close()
 		return nil, nil, err
@@ -412,13 +404,14 @@ func ReadJournal(path string) (*ReplayState, error) {
 		return nil, fmt.Errorf("campaign: read journal: %w", err)
 	}
 	defer f.Close()
-	st, _, err := replay(f)
+	st, _, err := replay(f, path)
 	return st, err
 }
 
-// replay scans the journal, verifying each frame, and returns the
-// recovered state plus the byte offset just past the last valid record.
-func replay(f *os.File) (*ReplayState, int64, error) {
+// replay scans the journal named name, verifying each frame, and returns
+// the recovered state plus the byte offset just past the last valid
+// record.
+func replay(f io.Reader, name string) (*ReplayState, int64, error) {
 	st := &ReplayState{Points: map[int]*PointState{}}
 	r := bufio.NewReader(f)
 	var validOff int64
@@ -437,7 +430,7 @@ func replay(f *os.File) (*ReplayState, int64, error) {
 		}
 		if !sawHeader {
 			if rec.T != recHeader {
-				return nil, 0, fmt.Errorf("campaign: %s is not a campaign journal (first record %q)", f.Name(), rec.T)
+				return nil, 0, fmt.Errorf("campaign: %s is not a campaign journal (first record %q)", name, rec.T)
 			}
 			if err := json.Unmarshal(rec.D, &st.Header); err != nil {
 				return nil, 0, fmt.Errorf("campaign: journal header: %w", err)
@@ -455,24 +448,33 @@ func replay(f *os.File) (*ReplayState, int64, error) {
 		}
 	}
 	if !sawHeader {
-		return nil, 0, fmt.Errorf("campaign: %s is not a campaign journal (no valid header)", f.Name())
+		return nil, 0, fmt.Errorf("campaign: %s is not a campaign journal (no valid header)", name)
 	}
 	return st, validOff, nil
 }
 
 // parseFrame verifies one framed line; ok is false for torn, truncated
-// or corrupt frames.
+// or corrupt frames. The checksum must be spelt exactly as the writer
+// spells it (lowercase hex), so no single changed byte of a frame — an
+// 'a' turned 'A' included — leaves it valid.
 func parseFrame(line []byte) (envelope, bool) {
 	var env envelope
 	if len(line) < 11 || line[len(line)-1] != '\n' || line[8] != ' ' {
 		return env, false
 	}
-	want, err := strconv.ParseUint(string(line[:8]), 16, 32)
-	if err != nil {
-		return env, false
+	var want uint32
+	for _, c := range line[:8] {
+		switch {
+		case '0' <= c && c <= '9':
+			want = want<<4 | uint32(c-'0')
+		case 'a' <= c && c <= 'f':
+			want = want<<4 | uint32(c-'a'+10)
+		default:
+			return env, false
+		}
 	}
 	body := line[9 : len(line)-1]
-	if crc32.Checksum(body, crcTable) != uint32(want) {
+	if crc32.Checksum(body, crcTable) != want {
 		return env, false
 	}
 	if json.Unmarshal(body, &env) != nil {
@@ -507,7 +509,7 @@ func (st *ReplayState) apply(rec envelope) error {
 		mc := r.MC.toMCResult()
 		p := point(r.Point)
 		p.Done = &mc
-		p.Failed, p.Skipped = false, false
+		p.Failed = false
 	case recAttemptFail:
 		var r failRecord
 		if err := json.Unmarshal(rec.D, &r); err != nil {
@@ -520,12 +522,6 @@ func (st *ReplayState) apply(rec envelope) error {
 			return fmt.Errorf("campaign: journal point_error: %w", err)
 		}
 		point(r.Point).Failed = true
-	case recPointSkipped:
-		var r skipRecord
-		if err := json.Unmarshal(rec.D, &r); err != nil {
-			return fmt.Errorf("campaign: journal point_skipped: %w", err)
-		}
-		point(r.Point).Skipped = true
 	case recCacheHit:
 		var r cacheHitRecord
 		if err := json.Unmarshal(rec.D, &r); err != nil {
@@ -535,8 +531,10 @@ func (st *ReplayState) apply(rec envelope) error {
 	case recSeal:
 		st.Sealed = true
 	default:
-		// Unknown record types from a newer writer are skipped, not
-		// fatal — the version gate catches incompatible layouts.
+		// Unknown record types — from a newer writer, or a kind an
+		// older writer journaled and this one no longer reads (the
+		// per-strategy breaker's skip records) — are ignored, not
+		// fatal; the version gate catches incompatible layouts.
 	}
 	return nil
 }

@@ -3,8 +3,6 @@ package cliutil
 import (
 	"flag"
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/campaign"
@@ -13,30 +11,26 @@ import (
 
 // CampaignFlags binds the crash-resilience flags shared by the coopsim
 // and paperfigs front ends: journal/resume durability plus the per-point
-// retry policy of the campaign layer.
+// deadline of the campaign layer.
 type CampaignFlags struct {
 	// Journal is the -journal path ("" = unjournaled).
 	Journal string
 	// Resume is -resume: continue an existing journal.
 	Resume bool
-	// Retry is the raw -retry spec (see RetryPolicy).
-	Retry string
-	// PointTimeout is -point-timeout, the per-attempt deadline.
+	// PointTimeout is -point-timeout, the per-point deadline.
 	PointTimeout time.Duration
 }
 
-// AddCampaignFlags registers -journal, -resume, -retry and
-// -point-timeout on the flag set and returns the bound struct.
+// AddCampaignFlags registers -journal, -resume and -point-timeout on the
+// flag set and returns the bound struct.
 func AddCampaignFlags(fs *flag.FlagSet) *CampaignFlags {
 	cf := &CampaignFlags{}
 	fs.StringVar(&cf.Journal, "journal", "",
 		"journal campaign progress to this file (append-only, CRC-framed, crash-safe); a later -resume continues bit-identically")
 	fs.BoolVar(&cf.Resume, "resume", false,
-		"resume the -journal file: completed points replay instantly, a partial point restarts mid-replication")
-	fs.StringVar(&cf.Retry, "retry", "",
-		"per-point retry policy attempts[:backoff[:jitter[:breaker]]], e.g. 3:200ms:0.2:4 — exponential backoff with ±jitter, breaker skips a strategy after that many consecutive point failures")
+		"resume the -journal file: completed points replay instantly, a partial or failed point restarts from its last snapshot")
 	fs.DurationVar(&cf.PointTimeout, "point-timeout", 0,
-		"deadline per point attempt (e.g. 10m); an attempt exceeding it is cancelled and retried/quarantined (0 = none)")
+		"deadline per point (e.g. 10m); a point exceeding it is cancelled and quarantined (0 = none)")
 	return cf
 }
 
@@ -44,48 +38,7 @@ func AddCampaignFlags(fs *flag.FlagSet) *CampaignFlags {
 // whether the run must route through the campaign layer instead of a
 // plain Session sweep.
 func (cf *CampaignFlags) Enabled() bool {
-	return cf.Journal != "" || cf.Resume || cf.Retry != "" || cf.PointTimeout > 0
-}
-
-// RetryPolicy parses the -retry spec ("attempts[:backoff[:jitter
-// [:breaker]]]") combined with -point-timeout. The empty spec keeps the
-// single-attempt default.
-func (cf *CampaignFlags) RetryPolicy() (campaign.RetryPolicy, error) {
-	p := campaign.RetryPolicy{PointTimeout: cf.PointTimeout}
-	if cf.Retry == "" {
-		return p, nil
-	}
-	parts := strings.Split(cf.Retry, ":")
-	if len(parts) > 4 {
-		return p, fmt.Errorf("-retry %q: more than four components", cf.Retry)
-	}
-	n, err := strconv.Atoi(strings.TrimSpace(parts[0]))
-	if err != nil || n < 1 {
-		return p, fmt.Errorf("-retry %q: bad attempt count %q", cf.Retry, parts[0])
-	}
-	p.MaxAttempts = n
-	if len(parts) > 1 {
-		d, err := time.ParseDuration(strings.TrimSpace(parts[1]))
-		if err != nil || d <= 0 {
-			return p, fmt.Errorf("-retry %q: bad backoff %q", cf.Retry, parts[1])
-		}
-		p.BaseBackoff = d
-	}
-	if len(parts) > 2 {
-		j, err := strconv.ParseFloat(strings.TrimSpace(parts[2]), 64)
-		if err != nil || j < 0 || j > 1 {
-			return p, fmt.Errorf("-retry %q: jitter %q outside [0,1]", cf.Retry, parts[2])
-		}
-		p.JitterFrac = j
-	}
-	if len(parts) > 3 {
-		b, err := strconv.Atoi(strings.TrimSpace(parts[3]))
-		if err != nil || b < 0 {
-			return p, fmt.Errorf("-retry %q: bad breaker threshold %q", cf.Retry, parts[3])
-		}
-		p.BreakerThreshold = b
-	}
-	return p, nil
+	return cf.Journal != "" || cf.Resume || cf.PointTimeout > 0
 }
 
 // CampaignOptions assembles the campaign.Options for a run, folding in
@@ -94,10 +47,6 @@ func (cf *CampaignFlags) RetryPolicy() (campaign.RetryPolicy, error) {
 // flag value (paperfigs appends ".fig1"/".fig2" — each figure is its own
 // campaign with its own fingerprint).
 func (cf *CampaignFlags) CampaignOptions(journalSuffix string, workers int, antithetic bool, tci engine.TargetCI, progress func(done, total int)) (campaign.Options, error) {
-	retry, err := cf.RetryPolicy()
-	if err != nil {
-		return campaign.Options{}, err
-	}
 	journal := cf.Journal
 	if journal != "" && journalSuffix != "" {
 		journal += journalSuffix
@@ -106,12 +55,12 @@ func (cf *CampaignFlags) CampaignOptions(journalSuffix string, workers int, anti
 		return campaign.Options{}, fmt.Errorf("-resume needs -journal")
 	}
 	return campaign.Options{
-		JournalPath: journal,
-		Resume:      cf.Resume,
-		Retry:       retry,
-		Workers:     workers,
-		Antithetic:  antithetic,
-		TargetCI:    tci,
-		Progress:    progress,
+		JournalPath:  journal,
+		Resume:       cf.Resume,
+		PointTimeout: cf.PointTimeout,
+		Workers:      workers,
+		Antithetic:   antithetic,
+		TargetCI:     tci,
+		Progress:     progress,
 	}, nil
 }

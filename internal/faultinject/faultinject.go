@@ -136,8 +136,8 @@ func PanicOn(msg string, match func(detail any) bool) Hook {
 }
 
 // FailN returns a hook that fails its first n firings with err, then
-// proceeds — e.g. a transiently failing point that a retry policy should
-// absorb.
+// proceeds — e.g. a transiently failing replicate that a resumed
+// campaign gets past.
 func FailN(err error, n int) Hook {
 	var fired atomic.Int64
 	return func(context.Context, any) error {

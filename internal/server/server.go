@@ -1,8 +1,8 @@
 // Package server is the coopsimd management plane: it owns a bounded
 // pool of campaign workers and runs every submitted sweep through the
 // internal/campaign durability layer, so each HTTP campaign gets
-// journal/resume, retry/quarantine and the shared result cache for
-// free. The server is the concurrency boundary — admission control
+// journal/resume, quarantine of failed points and the shared result
+// cache for free. The server is the concurrency boundary — admission control
 // (max concurrent campaigns plus a bounded queue), per-campaign
 // journals under a data directory, resume-on-restart of interrupted
 // campaigns at boot, and graceful drain on shutdown.
@@ -46,12 +46,6 @@ type Options struct {
 	Cache engine.ResultCache
 	// Version is the build identification reported by /healthz.
 	Version string
-	// SyncEvery and SnapshotEvery tune the campaign journals (0 =
-	// campaign defaults).
-	SyncEvery     int
-	SnapshotEvery int
-	// Retry overrides the campaign retry policy (zero = defaults).
-	Retry campaign.RetryPolicy
 }
 
 // Campaign lifecycle states.
@@ -315,15 +309,12 @@ func (e *BadSpecError) Unwrap() error { return e.Err }
 func (s *Server) startRun(id, name string, submittedAt time.Time, res api.Resolved) {
 	ctx, cancel := context.WithCancel(s.lifeCtx)
 	camp := campaign.New(campaign.Options{
-		JournalPath:   s.journalPath(id),
-		Resume:        true,
-		SyncEvery:     s.opts.SyncEvery,
-		SnapshotEvery: s.opts.SnapshotEvery,
-		Retry:         s.opts.Retry,
-		Workers:       s.opts.Workers,
-		Antithetic:    res.Antithetic,
-		TargetCI:      res.TargetCI,
-		Cache:         s.opts.Cache,
+		JournalPath: s.journalPath(id),
+		Resume:      true,
+		Workers:     s.opts.Workers,
+		Antithetic:  res.Antithetic,
+		TargetCI:    res.TargetCI,
+		Cache:       s.opts.Cache,
 	})
 	r := &run{
 		id:          id,
@@ -431,7 +422,6 @@ func (s *Server) info(r *run) api.CampaignInfo {
 		Progress: api.Progress{
 			PointsDone:       p.PointsDone,
 			PointsFailed:     p.PointsFailed,
-			PointsSkipped:    p.PointsSkipped,
 			PointsRestored:   p.PointsRestored,
 			PointsTotal:      p.PointsTotal,
 			ReplicatesFolded: p.ReplicatesFolded,

@@ -179,22 +179,18 @@ type (
 	// Campaign is the durable sweep driver built by NewCampaign.
 	Campaign = campaign.Campaign
 	// CampaignOptions configures a Campaign: journal path and resume,
-	// snapshot/fsync cadence, retry policy, and the session-level knobs
-	// (workers, antithetic pairing, sequential stopping, progress).
+	// snapshot/fsync cadence, the per-point deadline, and the
+	// session-level knobs (workers, antithetic pairing, sequential
+	// stopping, progress).
 	CampaignOptions = campaign.Options
-	// RetryPolicy is the per-point failure-handling policy: attempt
-	// budget, exponential backoff with deterministic jitter, per-attempt
-	// deadline, and a per-strategy circuit breaker.
-	RetryPolicy = campaign.RetryPolicy
 	// PointResult is one grid point's campaign outcome: the MCResult on
-	// success, or the failure/skip disposition with its error.
+	// success, or the failure with its error.
 	PointResult = campaign.PointResult
-	// PointStatus classifies a PointResult (StatusDone, StatusFailed,
-	// StatusSkipped).
+	// PointStatus classifies a PointResult (StatusDone, StatusFailed).
 	PointStatus = campaign.PointStatus
-	// PointError quarantines a grid point whose retry budget was
-	// exhausted; it unwraps to the final attempt's error (a *PanicError
-	// when a simulation worker panicked).
+	// PointError quarantines a grid point whose attempt failed; it
+	// unwraps to the attempt's error (a *PanicError when a simulation
+	// worker panicked).
 	PointError = campaign.PointError
 	// JournalState is the replayed content of a campaign journal, as
 	// returned by ReadJournal — per-point progress plus whether the
@@ -217,18 +213,17 @@ type (
 const (
 	// StatusDone marks a point that completed (or replayed) successfully.
 	StatusDone = campaign.StatusDone
-	// StatusFailed marks a point whose retry budget was exhausted.
+	// StatusFailed marks a point whose attempt failed.
 	StatusFailed = campaign.StatusFailed
-	// StatusSkipped marks a point skipped by an open circuit breaker.
-	StatusSkipped = campaign.StatusSkipped
 )
 
 // NewCampaign builds a durable sweep driver. Campaign.RunSweep and
 // Campaign.Run mirror Session.Sweep and Session.MonteCarlo but journal
 // progress to CampaignOptions.JournalPath, resume bit-identically when
-// CampaignOptions.Resume is set, and degrade gracefully — panicking or
-// timed-out points are retried, then quarantined as PointResults instead
-// of aborting the campaign.
+// CampaignOptions.Resume is set, and degrade gracefully — a panicking or
+// timed-out point is quarantined as a PointResult instead of aborting
+// the campaign, and a resume re-attempts it from its last journaled
+// snapshot.
 func NewCampaign(opts CampaignOptions) *Campaign { return campaign.New(opts) }
 
 // ReadJournal replays a campaign journal read-only — for inspecting
