@@ -98,9 +98,11 @@ type Options struct {
 	// a crash — each costing SnapshotEvery re-simulated replicates on
 	// resume, never correctness.
 	SyncEvery int
-	// PointTimeout is the per-point deadline: a point that exceeds it
-	// is cancelled (cooperatively — the engine's workers observe the
-	// context between events) and quarantined. Zero means no deadline.
+	// PointTimeout is the per-point deadline (0: none), counted from
+	// the dispatch of the point's first replicate; a point past it is
+	// quarantined. A replicate is not interrupted mid-simulation: the
+	// deadline takes effect at the point's next replicate boundary, or
+	// inside a hook that honours its context.
 	PointTimeout time.Duration
 	// Workers bounds the engine's parallelism (0 means GOMAXPROCS).
 	Workers int
@@ -111,14 +113,12 @@ type Options struct {
 	// Progress, when set, receives campaign-wide replicate progress
 	// (done, total) across all points, monotone within a run.
 	Progress func(done, total int)
-	// Cache, when non-nil, memoises points by content address
-	// (engine.ExperimentKey): before simulating a point the campaign
-	// consults the cache, and every completed point — simulated now or
-	// restored from the journal — is stored back. A hit yields
-	// StatusDone with MC.Cached set and journals a cache_hit record
-	// followed by the point's aggregates, so a resume replays the point
-	// without needing the cache. Results are bit-identical either way;
-	// see engine.ResultCache.
+	// Cache, when non-nil, is the session's result cache
+	// (engine.WithResultCache); every completed point, journal replays
+	// included, is stored in it. A hit — like a repeated cell, with or
+	// without a cache — yields MC.Cached and journals cache_hit plus the
+	// point's aggregates, so a resume needs no cache. Results are
+	// bit-identical either way.
 	Cache engine.ResultCache
 }
 
@@ -126,8 +126,9 @@ type Options struct {
 // lightweight observation the management plane polls without consuming
 // the result iterator. Counters cover the current campaign run: points
 // replayed from the journal count as done (and restored), replicates
-// folded includes the in-flight point's progress, and cache hits count
-// points satisfied from the result cache instead of simulated.
+// folded includes the in-flight points' progress, and cache hits count
+// points served from the result cache or a repeated cell instead of
+// simulated.
 type Progress struct {
 	// PointsDone and PointsFailed classify the points the run has
 	// concluded so far; PointsTotal is the grid size.
@@ -138,9 +139,10 @@ type Progress struct {
 	// ReplicatesFolded / ReplicatesTotal measure replicate progress
 	// across the whole grid (total = points × runs; a point stopped
 	// early by a target CI or served whole from cache/journal advances
-	// by its RunsUsed, so the ratio may finish below 1).
+	// by its RunsUsed, and a failed point by the replicates it folded,
+	// so the ratio may finish below 1).
 	ReplicatesFolded, ReplicatesTotal int
-	// CacheHits counts points served from Options.Cache this run.
+	// CacheHits counts points served Cached this run.
 	CacheHits int
 }
 
@@ -148,10 +150,11 @@ type Progress struct {
 type Campaign struct {
 	opts    Options
 	session *engine.Session
-	// progressBase offsets the session's per-experiment progress into
-	// campaign-wide progress; mutated only between experiments.
-	progressBase  int
-	progressTotal int
+	// folded is the session's last folded-replicate count; served adds
+	// the RunsUsed of points yielded unfolded (journal replays, cached
+	// cells). Both change on the RunSweep goroutine only.
+	folded, served int
+	progressTotal  int
 	// progMu guards prog, the snapshot Snapshot serves: every other
 	// Campaign field is single-goroutine, but the snapshot is exactly
 	// the state outside observers poll concurrently.
@@ -186,18 +189,27 @@ func New(opts Options) *Campaign {
 		sopts = append(sopts, engine.WithTargetCI(opts.TargetCI.HalfWidth,
 			opts.TargetCI.Confidence, opts.TargetCI.MinRuns, opts.TargetCI.MaxRuns))
 	}
+	if opts.Cache != nil {
+		sopts = append(sopts, engine.WithResultCache(opts.Cache))
+	}
 	// The session progress hook always feeds the Snapshot counters —
-	// replicate-level progress inside the in-flight point — and forwards
-	// to the caller's Progress callback when one is set.
+	// replicate-level progress inside the in-flight points — and
+	// forwards to the caller's Progress callback when one is set.
 	sopts = append(sopts, engine.WithProgress(func(done, _ int) {
-		folded := c.progressBase + done
-		c.note(func(p *Progress) { p.ReplicatesFolded = folded })
-		if opts.Progress != nil {
-			opts.Progress(folded, c.progressTotal)
-		}
+		c.folded = done
+		c.reportFolded()
 	}))
 	c.session = engine.NewSession(sopts...)
 	return c
+}
+
+// reportFolded publishes the campaign-wide replicate progress.
+func (c *Campaign) reportFolded() {
+	n := c.folded + c.served
+	c.note(func(p *Progress) { p.ReplicatesFolded = n })
+	if c.opts.Progress != nil {
+		c.opts.Progress(n, c.progressTotal)
+	}
 }
 
 // fingerprintSpec is the canonical identity of a campaign: everything
@@ -324,10 +336,10 @@ func (c *Campaign) openOrCreate(fp string, points, runs int, seed uint64) (*Jour
 	return j, nil, err
 }
 
-// RunSweep evaluates the grid over the base configuration durably: each
-// point runs as its own Monte-Carlo experiment with journaled snapshots
-// and one attempt, a failed point is quarantined, and results stream in
-// grid order as an iterator. The returned errf (call it after iteration)
+// RunSweep evaluates the grid over the base configuration durably, as
+// one engine.Session.SweepPoints run: each point gets one attempt with
+// journaled snapshots, a failed point is quarantined, and results stream
+// in grid order as an iterator. The returned errf (call it after iteration)
 // reports campaign-level failure — journal durability loss or context
 // cancellation; per-point failures are in-band as PointResult.Status.
 //
@@ -378,103 +390,58 @@ func (c *Campaign) runSweep(ctx context.Context, base engine.Config, grid engine
 	}()
 
 	c.progressTotal = len(pts) * runs
-	c.progressBase = 0
+	c.folded, c.served = 0, 0
 	c.note(func(p *Progress) {
 		*p = Progress{PointsTotal: len(pts), ReplicatesTotal: c.progressTotal}
 	})
 
-	for _, pt := range pts {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		var st *PointState
+	// ~2.5 KB of journal per snapshot and fsync cost scales with dirty
+	// bytes, so per-replicate records would bound replicate throughput by
+	// disk bandwidth; every 8th boundary keeps the overhead a fraction of
+	// a percent and a crash re-simulates at most the short tail.
+	every := c.opts.SnapshotEvery
+	if every == 0 {
+		every = 8
+	}
+	// attempts: each point's journaled failures plus this run's attempt.
+	attempts := make([]int, len(pts))
+	gps := make([]engine.GridPoint, len(pts))
+	for i, pt := range pts {
+		gp := engine.GridPoint{Config: pt.Apply(base), Timeout: c.opts.PointTimeout}
+		attempts[i] = 1
 		if replayed != nil {
-			st = replayed.Points[pt.Index]
-		}
-		// cacheKey is the point's content address when the result cache is
-		// on and the point is cacheable ("" otherwise).
-		cacheKey := ""
-		if c.opts.Cache != nil {
-			if key, ok := engine.ExperimentKey(pt.Apply(base), runs, engine.MCOptions{
-				TargetCI: c.opts.TargetCI, Antithetic: c.opts.Antithetic,
-			}); ok {
-				cacheKey = key
+			if st := replayed.Points[pt.Index]; st != nil {
+				attempts[i] += st.Attempts
+				gp.Done, gp.Resume = st.Done, st.Snap
 			}
 		}
-
-		// Completed in a previous run: replay, no simulation.
-		if st != nil && st.Done != nil {
-			c.cachePut(cacheKey, *st.Done)
-			c.progressBase += st.Done.RunsUsed
-			c.note(func(p *Progress) {
-				p.PointsDone++
-				p.PointsRestored++
-				p.ReplicatesFolded = c.progressBase
-			})
-			if c.opts.Progress != nil {
-				c.opts.Progress(c.progressBase, c.progressTotal)
+		if j != nil && gp.Done == nil {
+			// Durability errors latch in the journal and fail the
+			// campaign at the next point the sweep reports.
+			gp.OnSnapshot = func(s engine.MCSnapshot) {
+				_ = j.append(recSnap, snapRecord{Point: pt.Index, Snap: s}, false)
 			}
-			if !yield(PointResult{Point: pt, MC: *st.Done, Status: StatusDone, Restored: true}) {
-				return nil
-			}
-			continue
+			gp.SnapshotEvery = every
 		}
-
-		// Result cache: a point whose content address is already cached
-		// completes without simulating. The hit is journaled (cache_hit,
-		// then the aggregates as a normal point_done) so a resume replays
-		// it without needing the cache present.
-		if cacheKey != "" {
-			if mc, hit := c.opts.Cache.Get(cacheKey); hit {
-				mc.Cached = true
-				if err := j.append(recCacheHit, cacheHitRecord{Point: pt.Index, Key: cacheKey}, false); err != nil {
-					return err
-				}
-				if err := j.append(recPointDone, doneRecord{Point: pt.Index, MC: toRecord(mc)}, true); err != nil {
-					return err
-				}
-				c.progressBase += mc.RunsUsed
-				c.note(func(p *Progress) {
-					p.PointsDone++
-					p.CacheHits++
-					p.ReplicatesFolded = c.progressBase
-				})
-				if c.opts.Progress != nil {
-					c.opts.Progress(c.progressBase, c.progressTotal)
-				}
-				if !yield(PointResult{Point: pt, MC: mc, Status: StatusDone}) {
-					return nil
-				}
-				continue
-			}
-		}
-
-		pr, err := c.runPoint(ctx, base, pt, runs, j, st)
-		if err != nil {
-			return err
-		}
-		if pr.Status == StatusDone {
-			c.cachePut(cacheKey, pr.MC)
-			c.progressBase += pr.MC.RunsUsed
-			c.note(func(p *Progress) {
-				p.PointsDone++
-				if pr.Restored {
-					p.PointsRestored++
-				}
-				p.ReplicatesFolded = c.progressBase
-			})
-		} else {
-			c.progressBase += runs
-			c.note(func(p *Progress) {
-				p.PointsFailed++
-				p.ReplicatesFolded = c.progressBase
-			})
-		}
-		if !yield(pr) {
-			return nil
-		}
+		gps[i] = gp
 	}
 
+	var fatal error
+	stopped := false
+	err = c.session.SweepPoints(ctx, gps, runs, func(p int, mc engine.MCResult, perr error) bool {
+		var pr PointResult
+		pr, fatal = c.conclude(j, pts[p], gps[p], attempts[p], mc, perr)
+		stopped = fatal != nil || !yield(pr)
+		return !stopped
+	})
+	if fatal != nil {
+		return fatal
+	}
+	if err != nil || stopped {
+		// Cancelled, or the consumer stopped early: the journal is
+		// left unsealed for a resume.
+		return err
+	}
 	if err := j.Seal(); err != nil {
 		return err
 	}
@@ -482,82 +449,64 @@ func (c *Campaign) runSweep(ctx context.Context, base engine.Config, grid engine
 	return j.Close()
 }
 
-// cachePut stores a completed point under its content address, clearing
-// the provenance flag so cache entries stay canonical. No-op without a
-// cache or for uncacheable points (key "").
-func (c *Campaign) cachePut(key string, mc engine.MCResult) {
-	if c.opts.Cache == nil || key == "" {
-		return
-	}
-	mc.Cached = false
-	c.opts.Cache.Put(key, mc)
-}
-
-// runPoint gives one grid point its attempt: it completes or is
-// quarantined. The returned error is campaign-fatal (journal loss,
-// cancellation); per-point failure comes back inside the PointResult.
-func (c *Campaign) runPoint(ctx context.Context, base engine.Config, pt engine.SweepPoint, runs int, j *Journal, st *PointState) (PointResult, error) {
-	spec := engine.ResumeSpec{SnapshotEvery: c.opts.SnapshotEvery}
-	attempts := 1
-	if st != nil {
-		spec.From = st.Snap
-		attempts += st.Attempts
-	}
-	if j != nil {
-		// Durability errors latch in the journal and fail the campaign
-		// after the attempt returns.
-		spec.OnSnapshot = func(s engine.MCSnapshot) {
-			_ = j.append(recSnap, snapRecord{Point: pt.Index, Snap: s}, false)
-		}
-		if spec.SnapshotEvery == 0 {
-			// ~2.5 KB of journal per snapshot and fsync cost scales with
-			// dirty bytes, so per-replicate records would bound replicate
-			// throughput by disk bandwidth; every 8th boundary keeps the
-			// overhead a fraction of a percent and a crash re-simulates
-			// at most the short tail.
-			spec.SnapshotEvery = 8
-		}
-	}
-
-	pointCtx, cancel := ctx, context.CancelFunc(func() {})
-	if c.opts.PointTimeout > 0 {
-		pointCtx, cancel = context.WithTimeout(ctx, c.opts.PointTimeout)
-	}
-	mc, err := c.session.MonteCarloResume(pointCtx, pt.Apply(base), runs, spec)
-	cancel()
+// conclude journals one point's outcome as the sweep reports it and
+// updates the progress counters. A replayed point is already journaled;
+// a Cached one is journaled as cache_hit then point_done, so a resume
+// replays it without needing a cache; a quarantined one as
+// attempt_failed then point_error, the record pair earlier writers
+// journaled, kept so journals stay byte-identical. The returned error is
+// campaign-fatal (journal loss); per-point failure comes back inside the
+// PointResult.
+func (c *Campaign) conclude(j *Journal, pt engine.SweepPoint, gp engine.GridPoint, attempts int, mc engine.MCResult, perr error) (PointResult, error) {
 	if jerr := j.Err(); jerr != nil {
 		// The journal can no longer guarantee durability; pressing on
 		// would break the resume contract silently.
 		return PointResult{}, jerr
 	}
-	if err == nil {
-		if aerr := j.append(recPointDone, doneRecord{Point: pt.Index, MC: toRecord(mc)}, true); aerr != nil {
-			return PointResult{}, aerr
+	// The journal latches its first append error, so the last append of
+	// each record pair reports a failure of either.
+	if perr != nil {
+		var panicErr *engine.PanicError
+		rec := failRecord{Point: pt.Index, Attempt: attempts, Error: perr.Error()}
+		attempt := rec
+		attempt.Panic = errors.As(perr, &panicErr)
+		_ = j.append(recAttemptFail, attempt, true)
+		if err := j.append(recPointError, rec, true); err != nil {
+			return PointResult{}, err
 		}
-		return PointResult{
-			Point: pt, MC: mc, Status: StatusDone, Attempts: attempts,
-			Restored: spec.From != nil && spec.From.Folded > 0 && mc.RunsUsed <= spec.From.Folded,
-		}, nil
+		c.note(func(p *Progress) { p.PointsFailed++ })
+		return PointResult{Point: pt, Status: StatusFailed, Attempts: attempts,
+			Err: &PointError{Point: pt, Attempts: attempts, Err: perr}}, nil
 	}
-	if ctx.Err() != nil {
-		// The campaign itself was cancelled (SIGINT, parent deadline) —
-		// not a point failure.
-		return PointResult{}, err
+
+	pr := PointResult{Point: pt, MC: mc, Status: StatusDone}
+	switch {
+	case gp.Done != nil:
+		pr.Restored = true
+	case mc.Cached:
+		_ = j.append(recCacheHit, cacheHitRecord{Point: pt.Index}, false)
+	default:
+		pr.Attempts = attempts
+		// A snapshot that already folds the whole experiment completes
+		// the point without simulating.
+		pr.Restored = gp.Resume != nil && gp.Resume.Folded > 0 && mc.RunsUsed <= gp.Resume.Folded
 	}
-	// attempt_failed then point_error: the record pair earlier writers
-	// journaled for a quarantined point, kept so journals stay
-	// byte-identical.
-	var pe *engine.PanicError
-	if aerr := j.append(recAttemptFail, failRecord{
-		Point: pt.Index, Attempt: attempts, Error: err.Error(), Panic: errors.As(err, &pe),
-	}, true); aerr != nil {
-		return PointResult{}, aerr
+	if gp.Done == nil {
+		if err := j.append(recPointDone, doneRecord{Point: pt.Index, MC: toRecord(mc)}, true); err != nil {
+			return PointResult{}, err
+		}
 	}
-	if aerr := j.append(recPointError, failRecord{
-		Point: pt.Index, Attempt: attempts, Error: err.Error(),
-	}, true); aerr != nil {
-		return PointResult{}, aerr
+	c.note(func(p *Progress) {
+		p.PointsDone++
+		if pr.Restored {
+			p.PointsRestored++
+		} else if mc.Cached {
+			p.CacheHits++
+		}
+	})
+	if pr.Restored || mc.Cached {
+		c.served += mc.RunsUsed
+		c.reportFolded()
 	}
-	perr := &PointError{Point: pt, Attempts: attempts, Err: err}
-	return PointResult{Point: pt, Status: StatusFailed, Err: perr, Attempts: attempts}, nil
+	return pr, nil
 }

@@ -272,12 +272,9 @@ func TestCampaignQuarantinesPoisonedPoint(t *testing.T) {
 	const runs = 6
 	want := golden(t, base, grid, runs)
 
-	// Replicate 0 fires exactly once per point; occurrence 2 is point 1's
-	// attempt (after point 0's clean pass).
-	var zeroes atomic.Int64
 	restore := faultinject.Set(faultinject.SiteWorkerReplicate,
 		faultinject.PanicOn("poisoned point", func(detail any) bool {
-			return detail.(int) == 0 && zeroes.Add(1) == 2
+			return detail == faultinject.WorkerReplicate{Point: 1, Run: 0}
 		}))
 	defer restore()
 
@@ -309,6 +306,142 @@ func TestCampaignQuarantinesPoisonedPoint(t *testing.T) {
 	var panicErr *engine.PanicError
 	if !errors.As(perr, &panicErr) {
 		t.Fatalf("PointError %v does not unwrap to the worker *PanicError", perr)
+	}
+}
+
+// TestCampaignPoisonedPointAcrossWorkers: with the whole grid on one
+// coordinator run, points run concurrently and a worker moves between
+// them; a panic poisoning one point mid-replication still quarantines
+// only that point, at one worker and at three, and the resume heals it
+// from its journal so every point matches the golden.
+func TestCampaignPoisonedPointAcrossWorkers(t *testing.T) {
+	base := tinyConfig(mustStrategy(t, "Least-Waste"), 47)
+	grid := engine.SweepGrid{
+		BandwidthsBps: []float64{units.GBps(0.25), units.GBps(0.5)},
+		Strategies: []engine.Strategy{
+			mustStrategy(t, "Ordered-NB-Daly"), mustStrategy(t, "Least-Waste"),
+		},
+	}
+	const runs, poisoned = 6, 2
+	want := golden(t, base, grid, runs)
+
+	for _, workers := range []int{1, 3} {
+		path := filepath.Join(t.TempDir(), "campaign.journal")
+		restore := faultinject.Set(faultinject.SiteWorkerReplicate,
+			faultinject.PanicOn("poisoned point", func(detail any) bool {
+				return detail == faultinject.WorkerReplicate{Point: poisoned, Run: 3}
+			}))
+		seq, errf := New(Options{JournalPath: path, Workers: workers, SnapshotEvery: 1}).
+			RunSweep(context.Background(), base, grid, runs)
+		var got []PointResult
+		for pr := range seq {
+			got = append(got, pr)
+		}
+		restore()
+		if err := errf(); err != nil {
+			t.Fatalf("workers=%d: campaign aborted: %v", workers, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: got %d points, want %d", workers, len(got), len(want))
+		}
+		for i, pr := range got {
+			if i == poisoned {
+				var panicErr *engine.PanicError
+				if pr.Status != StatusFailed || !errors.As(pr.Err, &panicErr) {
+					t.Fatalf("workers=%d: poisoned point status %v err %v, want a quarantined panic", workers, pr.Status, pr.Err)
+				}
+				continue
+			}
+			if pr.Status != StatusDone {
+				t.Fatalf("workers=%d: point %d status %v: %v", workers, i, pr.Status, pr.Err)
+			}
+			sameMC(t, "clean point", pr.MC, want[i].MC)
+		}
+
+		seq, errf = New(Options{JournalPath: path, Resume: true, Workers: workers}).
+			RunSweep(context.Background(), base, grid, runs)
+		got = got[:0]
+		for pr := range seq {
+			got = append(got, pr)
+		}
+		if err := errf(); err != nil {
+			t.Fatalf("workers=%d: resume: %v", workers, err)
+		}
+		for i, pr := range got {
+			if pr.Status != StatusDone {
+				t.Fatalf("workers=%d: resumed point %d status %v: %v", workers, i, pr.Status, pr.Err)
+			}
+			if restored := i != poisoned; pr.Restored != restored {
+				t.Fatalf("workers=%d: resumed point %d Restored=%v, want %v", workers, i, pr.Restored, restored)
+			}
+			sameMC(t, "resumed point", pr.MC, want[i].MC)
+		}
+	}
+}
+
+// TestCampaignDedupsRepeatedCell: a shared-device strategy repeats its
+// result at every channel count, so without any result cache the
+// campaign simulates the k=2 cell zero times and returns it Cached, as
+// Session.Sweep does; the journal records it as a cache hit, and a
+// resume replays it without a cache or a simulation.
+func TestCampaignDedupsRepeatedCell(t *testing.T) {
+	base := tinyConfig(mustStrategy(t, "Oblivious-Daly"), 59)
+	grid := engine.SweepGrid{
+		Channels:   []int{1, 2},
+		Strategies: []engine.Strategy{mustStrategy(t, "Oblivious-Daly")},
+	}
+	const runs = 4
+	var perPoint [2]atomic.Int64
+	restore := faultinject.Set(faultinject.SiteWorkerReplicate, func(_ context.Context, detail any) error {
+		perPoint[detail.(faultinject.WorkerReplicate).Point].Add(1)
+		return nil
+	})
+	path := filepath.Join(t.TempDir(), "campaign.journal")
+	c := New(Options{JournalPath: path, Workers: 2})
+	seq, errf := c.RunSweep(context.Background(), base, grid, runs)
+	var got []PointResult
+	for pr := range seq {
+		got = append(got, pr)
+	}
+	restore()
+	if err := errf(); err != nil {
+		t.Fatal(err)
+	}
+	if n0, n1 := perPoint[0].Load(), perPoint[1].Load(); n0 != runs || n1 != 0 {
+		t.Fatalf("simulated %d and %d replicates of the two cells, want %d and 0", n0, n1, runs)
+	}
+	if len(got) != 2 || got[0].MC.Cached || !got[1].MC.Cached || got[1].Status != StatusDone {
+		t.Fatalf("cells came back %+v, want the k=2 cell Cached", got)
+	}
+	if got[1].Attempts != 0 {
+		t.Fatalf("repeated cell reports %d attempt(s), want 0", got[1].Attempts)
+	}
+	sameMC(t, "repeated cell", got[1].MC, got[0].MC)
+	if p := c.Snapshot(); p.CacheHits != 1 || p.ReplicatesFolded != 2*runs {
+		t.Fatalf("progress %+v, want 1 cache hit and %d replicates", p, 2*runs)
+	}
+	st, err := ReadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CacheHits != 1 || !st.Sealed {
+		t.Fatalf("journal records %d cache hits (sealed %v), want 1", st.CacheHits, st.Sealed)
+	}
+
+	defer faultinject.Set(faultinject.SiteWorkerReplicate,
+		faultinject.PanicOn("resume simulated", func(any) bool { return true }))()
+	seq, errf = New(Options{JournalPath: path, Resume: true, Workers: 2}).
+		RunSweep(context.Background(), base, grid, runs)
+	i := 0
+	for pr := range seq {
+		if !pr.Restored || pr.MC.Cached != (i == 1) {
+			t.Fatalf("resumed cell %d: restored %v cached %v", i, pr.Restored, pr.MC.Cached)
+		}
+		sameMC(t, "resumed cell", pr.MC, got[i].MC)
+		i++
+	}
+	if err := errf(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -410,7 +543,7 @@ func TestCampaignFailedPointResumesFromSnapshot(t *testing.T) {
 	// error returns, so snapshots up to Folded 4 reach the journal.
 	failOnce := faultinject.FailN(errors.New("transient io error"), 1)
 	restore := faultinject.Set(faultinject.SiteWorkerReplicate, func(ctx context.Context, detail any) error {
-		if detail.(int) == failAt {
+		if detail.(faultinject.WorkerReplicate).Run == failAt {
 			return failOnce(ctx, detail)
 		}
 		return nil

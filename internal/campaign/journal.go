@@ -166,14 +166,12 @@ type failRecord struct {
 	Panic bool `json:"panic,omitempty"`
 }
 
-// cacheHitRecord marks a point satisfied from the result cache: the
-// point's aggregates were not simulated this run, and the journal's
-// following point_done record carries them (with its cached flag set), so
-// resume needs no cache to replay the campaign bit-identically.
+// cacheHitRecord marks a point served Cached (from the result cache or
+// a repeated cell): the following point_done record carries its
+// aggregates with the cached flag set, so resume needs no cache. Older
+// writers also journaled a "key", which the reader ignores.
 type cacheHitRecord struct {
 	Point int `json:"point"`
-	// Key is the point's content address (engine.ExperimentKey).
-	Key string `json:"key"`
 }
 
 type envelope struct {

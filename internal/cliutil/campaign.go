@@ -30,7 +30,7 @@ func AddCampaignFlags(fs *flag.FlagSet) *CampaignFlags {
 	fs.BoolVar(&cf.Resume, "resume", false,
 		"resume the -journal file: completed points replay instantly, a partial or failed point restarts from its last snapshot")
 	fs.DurationVar(&cf.PointTimeout, "point-timeout", 0,
-		"deadline per point (e.g. 10m); a point exceeding it is cancelled and quarantined (0 = none)")
+		"deadline per point (e.g. 10m), counted from its first dispatched replicate; a point past it is quarantined at its next replicate boundary (0 = none)")
 	return cf
 }
 

@@ -16,9 +16,9 @@ import (
 // Get returns the result previously stored under the key (and whether one
 // was), Put stores one. Keys come from ExperimentKey, so equal keys mean
 // bit-identical experiments under the pinned CRN schedule. A Session
-// consults its cache (WithResultCache) for every cacheable Sweep point,
-// and the campaign runner consults its Options.Cache before running a
-// point; both paths Put every point they compute.
+// consults its cache (WithResultCache) once per cacheable SweepPoints
+// point — Sweep and the campaign runner both run through it — and Puts
+// every point it computes or is handed as already done.
 //
 // Implementations must be safe for concurrent use and must not let a
 // later caller observe mutations made by an earlier one (clone slices on
@@ -82,8 +82,7 @@ type experimentSpec struct {
 // requires.
 func ExperimentKey(cfg Config, runs int, opts MCOptions) (string, bool) {
 	if runs <= 0 || cfg.Trace != nil ||
-		opts.OnResult != nil || opts.ciValue != nil ||
-		opts.resume != nil || opts.onSnapshot != nil {
+		opts.OnResult != nil || opts.ciValue != nil {
 		return "", false
 	}
 	c := cfg.withDefaults()
@@ -191,11 +190,13 @@ func (m *sweepMemo) lookup(key string) (MCResult, bool) {
 	return MCResult{}, false
 }
 
-// store memoises a freshly computed point in both tiers.
+// store memoises a computed or replayed point in both tiers, clearing
+// its provenance flag so entries stay canonical.
 func (m *sweepMemo) store(key string, mc MCResult) {
 	if m == nil || key == "" {
 		return
 	}
+	mc.Cached = false
 	m.seen[key] = cloneMCResult(mc)
 	if m.cache != nil {
 		m.cache.Put(key, cloneMCResult(mc))

@@ -5,20 +5,21 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
+	"time"
 
 	"repro/internal/faultinject"
 )
 
 // This file is the grid coordinator, the one replicate scheduler every
-// Monte-Carlo experiment runs on. MonteCarlo, MonteCarloResume and each
-// MinBandwidth probe are one-point grids; Sweep, Compare and the
-// non-reference strategies of ComparePaired are n-point grids. The unit of
-// dispatch is a (point, replicate-chunk) work item. Workers steal across
-// point boundaries — no worker idles at a point boundary while any point
-// in the dispatch horizon still has work — while the coordinator (the
-// caller's goroutine) folds each point's replicates in strict run order
-// through mcFold and releases finished points in point order through a
-// bounded reorder window.
+// Monte-Carlo experiment runs on. MonteCarlo and each MinBandwidth probe
+// are one-point grids; SweepPoints (hence Sweep, Compare and campaigns)
+// and the non-reference strategies of ComparePaired are n-point grids.
+// The unit of dispatch is a (point, replicate-chunk) work item. Workers
+// steal across point boundaries — no worker idles at a point boundary
+// while any point in the dispatch horizon still has work — while the
+// coordinator (the caller's goroutine) folds each point's replicates in
+// strict run order through mcFold and releases concluded points in point
+// order through a bounded reorder window.
 //
 // Results do not depend on the schedule: replicate i of a point is a pure
 // function of (cfg.Seed, i) under the CRN schedule regardless of which
@@ -26,33 +27,56 @@ import (
 // decisions, evaluated at the fold boundaries of the same prefix — happens
 // in per-point run order on the coordinator.
 
+// GridPoint is one experiment of a SweepPoints run: a configuration plus
+// the hooks a durable campaign runner threads through the sweep.
+type GridPoint struct {
+	Config Config
+	// Done, when non-nil, is the point's known result (replayed from a
+	// journal), yielded unsimulated and memoised like a simulated one.
+	Done *MCResult
+	// Resume, when non-nil, restores the point from a snapshot: dispatch
+	// starts at Resume.Folded, bit-identical to never having stopped.
+	Resume *MCSnapshot
+	// OnSnapshot, when non-nil, receives the point's state after every
+	// SnapshotEvery-th folded replicate (<= 0: every one), on the
+	// caller's goroutine. Resume and OnSnapshot need the streaming path.
+	OnSnapshot    func(MCSnapshot)
+	SnapshotEvery int
+	// Timeout, when positive, is the point's deadline, counted from the
+	// dispatch of its first replicate; past it the point fails with
+	// context.DeadlineExceeded. A replicate is not interrupted
+	// mid-simulation: the deadline takes effect at the point's next
+	// replicate boundary, or inside a hook that honours its context.
+	Timeout time.Duration
+}
+
 // gridPoint is one Monte-Carlo experiment of a grid run.
 type gridPoint struct {
-	cfg  Config
+	GridPoint
 	runs int
 	opts MCOptions
 }
 
 // gridItem is one simulated replicate in flight from a worker to the
 // coordinator. Every dispatched run index produces exactly one item: a
-// result, an error, or a canceled marker.
+// result or an error.
 type gridItem struct {
 	p, i int
 	r    Result
 	err  error
-	// canceled marks a context error observed at dispatch; the
-	// coordinator surfaces ctx.Err() itself rather than folding these.
-	canceled bool
 }
 
 // gridPointState tracks one grid point. The scheduling counters (cursor,
-// foldedPub, active) are shared with workers under gridSweep.mu; the
-// fold state (fold, pending, nextFold, mc, err, done) belongs to the
-// coordinator alone.
+// foldedPub, active) and the point context are shared with workers under
+// gridSweep.mu; the fold state (fold, pending, nextFold, mc, err, done)
+// belongs to the coordinator alone.
 type gridPointState struct {
-	cfg  Config
-	key  string
-	anti bool
+	key string
+	// ctx is set at the point's first dispatch: the grid context, or a
+	// child carrying the point's Timeout. Workers read it under
+	// gridSweep.mu.
+	ctx    context.Context
+	cancel context.CancelFunc
 	// chunk is the work-item length: a few runs under fixed
 	// replication, single runs (pairs under antithetic) under sequential
 	// stopping so speculation past a stopping decision stays bounded.
@@ -76,8 +100,19 @@ type gridPointState struct {
 
 // gridSweep is one grid execution.
 type gridSweep struct {
+	ctx    context.Context
+	pts    []gridPoint
 	states []*gridPointState
 	arenas []*Arena
+
+	// The coordinator sets points up lazily and in order (see prepare):
+	// ready counts those set up, keyOwner maps a content address to its
+	// first cell, and chunk, progress and done feed each active point.
+	ready    int
+	keyOwner map[string]int
+	chunk    int
+	progress func(done int)
+	done     int
 
 	// window bounds per-point dispatch past the fold frontier (4 per
 	// worker), which also caps the pending map per point.
@@ -91,11 +126,7 @@ type gridSweep struct {
 	// nextYield is the reorder frontier: the lowest grid point not yet
 	// delivered to the consumer. Written by the coordinator only.
 	nextYield int
-	// errPoint is the lowest grid point that failed; dispatch freezes at
-	// it (points before it still complete) and the run surfaces its
-	// error when the yield frontier reaches it.
-	errPoint int
-	halted   bool
+	halted    bool
 
 	// dups lists, per canonical point, the later points that repeat its
 	// content address.
@@ -104,42 +135,45 @@ type gridSweep struct {
 }
 
 // runGrid evaluates pts under the grid coordinator, yielding each point's
-// result in point order on the caller's goroutine. memo (nil disables
-// it) serves and stores cacheable points and deduplicates repeated cells;
-// progress (nil disables it) observes the running count of folded
-// replicates across the grid. On failure it returns the failing point's
-// index and the unwrapped cause — ctx.Err() on cancellation, "engine:
-// run %d: ..." on a replicate failure; otherwise (-1, nil), also when
-// yield stops the iteration early.
+// outcome in point order on the caller's goroutine: its result or its own
+// failure, after which the grid goes on unless yield returns false. memo
+// (nil disables it) serves and stores cacheable points and deduplicates
+// repeated cells; progress (nil disables it) observes the running count
+// of folded replicates, a resumed point's snapshot included. It returns
+// ctx.Err() if the context ends the run first — the first undelivered
+// point is then the count of yields so far — and nil otherwise.
 //
 // With WithOnResult the lookahead is one point, so the per-run hook sees
 // whole-experiment run order: point p+1 dispatches only once point p has
 // been yielded.
-func (s *Session) runGrid(ctx context.Context, pts []gridPoint, memo *sweepMemo, progress func(done int), yield func(p int, mc MCResult) bool) (int, error) {
+func (s *Session) runGrid(ctx context.Context, pts []gridPoint, memo *sweepMemo, progress func(done int), yield func(p int, mc MCResult, err error) bool) error {
 	g := &gridSweep{
+		ctx:      ctx,
+		pts:      pts,
 		states:   make([]*gridPointState, len(pts)),
-		errPoint: len(pts),
 		dups:     map[int][]int{},
 		memo:     memo,
+		keyOwner: map[string]int{},
+		progress: progress,
 	}
 	g.cond = sync.NewCond(&g.mu)
-	keyOwner := map[string]int{}
-	runs := 0
-	for idx, pt := range pts {
-		g.setup(idx, pt, keyOwner)
-		runs += max(pt.runs, 0)
-	}
 
 	// The pool sizes to the grid's whole replication, not any single
 	// point's: a 30-point × 4-run grid keeps 16 workers busy even though
-	// no point alone would. Workers never outnumber the outstanding runs.
-	g.arenas = s.arenasFor(runs)
-	work := 0
-	for _, st := range g.states {
-		if st.active {
-			work += st.total - st.cursor
+	// no point alone would. Workers never outnumber the runs left to
+	// simulate (counted before memo hits, which lazy setup finds later).
+	runs, work := 0, 0
+	for _, pt := range pts {
+		runs += max(pt.runs, 0)
+		if pt.Done == nil && pt.runs > 0 {
+			left := pt.opts.budget(pt.runs)
+			if pt.Resume != nil {
+				left -= min(max(pt.Resume.Folded, 0), left)
+			}
+			work += left
 		}
 	}
+	g.arenas = s.arenasFor(runs)
 	workers := min(len(g.arenas), work)
 	g.window = 4 * workers
 	g.lookahead = 2*workers + 2
@@ -149,78 +183,59 @@ func (s *Session) runGrid(ctx context.Context, pts []gridPoint, memo *sweepMemo,
 	// A fixed-runs chunk is at most window/workers runs, so every worker
 	// can hold a chunk of the same point, and at most an even share of
 	// the outstanding work, so a small one-point grid still fans out.
-	chunk := 4
+	g.chunk = 4
 	if workers > 0 {
-		chunk = min(chunk, (work+workers-1)/workers)
+		g.chunk = min(g.chunk, (work+workers-1)/workers)
 	}
-	done := 0
-	for _, st := range g.states {
-		if !st.active {
-			continue
-		}
-		st.chunk = chunk
-		if st.fold.seqOn {
-			st.chunk = 1
-			if st.anti {
-				st.chunk = 2
-			}
-		}
-		if progress != nil {
-			st.fold.progress = func() {
-				done++
-				progress(done)
-			}
-		}
-	}
+	g.prepare(g.lookahead)
 
 	// Room for every run the workers may hold past the fold frontiers of
 	// a few points, so a worker rarely blocks on a busy coordinator.
 	resCh := make(chan gridItem, 4*workers+4)
 	started := false
-	// Halt dispatch and drain on every exit — error, cancellation, early
-	// break, even a panicking yield — so the run never leaks a worker
-	// goroutine past its return.
+	// Halt dispatch, release the point deadlines and drain on every exit
+	// — error, cancellation, early break, even a panicking yield — so the
+	// run never leaks a worker goroutine or a timer past its return.
 	defer func() {
-		if !started {
-			return
-		}
 		g.mu.Lock()
 		g.halted = true
+		for _, st := range g.states[:g.ready] {
+			g.retireLocked(st)
+		}
 		g.cond.Broadcast()
 		g.mu.Unlock()
-		for range resCh {
+		if started {
+			for range resCh {
+			}
 		}
 	}()
 
 	for {
-		// Release finished points in order. An invalid point surfaces
+		// Release concluded points in order. An invalid point surfaces
 		// at its position before anything else; cancellation surfaces at
 		// the first point not yet delivered when it was observed.
 		for g.nextYield < len(pts) {
 			p := g.nextYield
 			st := g.states[p]
-			if st.invalid {
-				return p, st.err
+			if !st.invalid {
+				if e := ctx.Err(); e != nil {
+					return e
+				}
+				if !st.done && st.err == nil {
+					break
+				}
 			}
-			if e := ctx.Err(); e != nil {
-				return p, e
+			if !yield(p, st.mc, st.err) {
+				return nil
 			}
-			if st.err != nil {
-				return p, st.err
-			}
-			if !st.done {
-				break
-			}
-			if !yield(p, st.mc) {
-				return -1, nil
-			}
+			g.prepare(p + 1 + g.lookahead)
 			g.mu.Lock()
 			g.nextYield++
 			g.cond.Broadcast()
 			g.mu.Unlock()
 		}
 		if g.nextYield == len(pts) {
-			return -1, nil
+			return nil
 		}
 		if !started {
 			// Workers start only once a point needs simulating: a
@@ -231,7 +246,7 @@ func (s *Session) runGrid(ctx context.Context, pts []gridPoint, memo *sweepMemo,
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					g.work(ctx, w, resCh)
+					g.work(w, resCh)
 				}(w)
 			}
 			go func() {
@@ -244,51 +259,67 @@ func (s *Session) runGrid(ctx context.Context, pts []gridPoint, memo *sweepMemo,
 			if !ok {
 				// Workers only exit once halted, which only the defer
 				// sets — unreachable, but fail loudly over hanging.
-				return g.nextYield, fmt.Errorf("engine: grid: result channel closed with %d points pending", len(pts)-g.nextYield)
+				return fmt.Errorf("engine: grid: result channel closed with %d points pending", len(pts)-g.nextYield)
 			}
-			g.process(ctx, it)
+			g.process(it)
 		case <-ctx.Done():
 			// Surfaced by the yield loop's ctx check next iteration.
 		}
 	}
 }
 
-// setup resolves point idx before any dispatch: a validation or resume
+// prepare sets up the points below hi that are not yet, so a long
+// grid's keys and cache lookups run while its first points simulate
+// rather than before them. The coordinator calls it before moving the
+// dispatch horizon up to hi, so no worker sees a point being set up.
+func (g *gridSweep) prepare(hi int) {
+	for hi = min(hi, len(g.pts)); g.ready < hi; g.ready++ {
+		g.setup(g.ready)
+	}
+}
+
+// setup resolves point idx: a replayed result, a validation or resume
 // failure, a memo or in-grid duplicate hit, a resumed point that is
 // already complete, or an active point with its fold state. The checks
 // run in the order a caller sees their errors: run count and
 // configuration first, then (after the coordinator's context check) the
 // resume and snapshot preconditions.
-func (g *gridSweep) setup(idx int, pt gridPoint, keyOwner map[string]int) {
-	st := &gridPointState{cfg: pt.cfg, anti: pt.opts.Antithetic}
+func (g *gridSweep) setup(idx int) {
+	pt, keyOwner := g.pts[idx], g.keyOwner
+	st := &gridPointState{}
 	g.states[idx] = st
-	fail := func(err error, invalid bool) {
-		st.err, st.invalid = err, invalid
-		g.errPoint = min(g.errPoint, idx)
+	if pt.Done != nil {
+		st.mc, st.done = *pt.Done, true
+		// A replayed cell serves its later repeats and the cache like a
+		// simulated one, unless an earlier cell already owns its key.
+		if key := g.memo.key(pt.Config); key != "" {
+			if _, owned := keyOwner[key]; !owned {
+				keyOwner[key], st.key = idx, key
+				g.memo.store(key, st.mc)
+			}
+		}
+		return
 	}
 	if pt.runs <= 0 {
-		fail(fmt.Errorf("engine: non-positive run count %d", pt.runs), true)
+		st.err, st.invalid = fmt.Errorf("engine: non-positive run count %d", pt.runs), true
 		return
 	}
-	if err := pt.cfg.Validate(); err != nil {
-		fail(err, true)
+	if err := pt.Config.Validate(); err != nil {
+		st.err, st.invalid = err, true
 		return
 	}
-	if err := pt.opts.checkStreaming(); err != nil {
-		fail(err, false)
+	if (pt.Resume != nil || pt.OnSnapshot != nil) && (pt.opts.KeepResults || pt.opts.KeepWasteRatios) {
+		st.err = fmt.Errorf("engine: resume and snapshots require the streaming path (no KeepResults/KeepWasteRatios)")
 		return
 	}
-	st.key = g.memo.key(pt.cfg)
+	st.key = g.memo.key(pt.Config)
 	if st.key != "" {
 		if owner, ok := keyOwner[st.key]; ok {
 			// A repeat of an earlier cell's content address (the
 			// k-axis × shared-device case SweepGrid documents) is never
-			// dispatched: it receives a clone of that cell's result,
-			// marked Cached.
-			if can := g.states[owner]; can.done {
-				st.mc = cloneMCResult(can.mc)
-				st.mc.Cached = true
-				st.done = true
+			// dispatched: it takes that cell's outcome once concluded.
+			if can := g.states[owner]; can.done || can.err != nil {
+				copyOutcome(st, can)
 			} else {
 				g.dups[owner] = append(g.dups[owner], idx)
 			}
@@ -301,35 +332,52 @@ func (g *gridSweep) setup(idx int, pt gridPoint, keyOwner map[string]int) {
 			return
 		}
 	}
-	st.fold = newMCFold(pt.cfg, pt.runs, pt.opts)
+	st.fold = newMCFold(pt.Config, pt.runs, pt.opts)
+	st.fold.onSnapshot, st.fold.snapshotEvery = pt.OnSnapshot, max(pt.SnapshotEvery, 1)
 	st.total = st.fold.total
-	if rs := pt.opts.resume; rs != nil {
-		if rs.Folded > st.total {
-			fail(fmt.Errorf("engine: resume snapshot folds %d replicates, experiment has %d", rs.Folded, st.total), false)
+	if rs := pt.Resume; rs != nil {
+		if rs.Folded < 0 || rs.Folded > st.total {
+			st.err = fmt.Errorf("engine: resume snapshot folds %d replicates, experiment has %d", rs.Folded, st.total)
 			return
 		}
 		if err := st.fold.restore(rs); err != nil {
-			fail(err, false)
+			st.err = err
 			return
 		}
 		st.cursor, st.nextFold, st.foldedPub = rs.Folded, rs.Folded, rs.Folded
 		if st.nextFold == st.total {
 			st.mc, st.done = st.fold.finalize(), true
+			g.finishPoint(idx)
 			return
 		}
 	}
 	st.pending = map[int]gridItem{}
 	st.active = true
+	st.chunk = g.chunk
+	if st.fold.seqOn {
+		st.chunk = 1
+		if pt.opts.Antithetic {
+			st.chunk = 2
+		}
+	}
+	if g.progress != nil {
+		g.done += st.nextFold
+		st.fold.progress = func() {
+			g.done++
+			g.progress(g.done)
+		}
+	}
 }
 
 // work is one grid worker: claim a work item, simulate its runs on this
-// worker's arena (reconfigured when the claim switches points), send one
-// item per run. Exits when next reports the run halted.
-func (g *gridSweep) work(ctx context.Context, w int, resCh chan<- gridItem) {
+// worker's arena (reconfigured when the claim switches points) under the
+// point's context, send one item per run. Exits when next reports the
+// run halted.
+func (g *gridSweep) work(w int, resCh chan<- gridItem) {
 	lastP := -1
 	reconfigured := false
 	for {
-		p, i, n := g.next(lastP)
+		p, i, n, pctx := g.next(lastP)
 		if p < 0 {
 			return
 		}
@@ -337,21 +385,21 @@ func (g *gridSweep) work(ctx context.Context, w int, resCh chan<- gridItem) {
 			lastP = p
 			reconfigured = false
 		}
-		st := g.states[p]
+		pt := &g.pts[p]
 		var claimErr error
 		if faultinject.Armed() {
-			claimErr = fireGridDispatch(ctx, p, i, n)
+			claimErr = fireGridDispatch(pctx, p, i, n)
 		}
 		for k := i; k < i+n; k++ {
 			if claimErr != nil {
 				resCh <- gridItem{p: p, i: k, err: claimErr}
 				continue
 			}
-			if err := ctx.Err(); err != nil {
-				resCh <- gridItem{p: p, i: k, err: err, canceled: true}
+			if err := pctx.Err(); err != nil {
+				resCh <- gridItem{p: p, i: k, err: err}
 				continue
 			}
-			r, err := runReplicate(ctx, g.arenas, w, &reconfigured, st.cfg, k, st.anti)
+			r, err := runReplicate(pctx, g.arenas, w, &reconfigured, pt.Config, p, k, pt.opts.Antithetic)
 			resCh <- gridItem{p: p, i: k, r: r, err: err}
 		}
 	}
@@ -373,20 +421,20 @@ func fireGridDispatch(ctx context.Context, p, i, n int) (err error) {
 // next claims the next work item for a worker: its current point while
 // that point has dispatchable work (keeping the arena configured), else
 // the lowest-index point in the dispatch horizon — work stealing across
-// point boundaries. Blocks while no work is eligible; returns p = -1
-// once the run halts.
-func (g *gridSweep) next(lastP int) (p, i, n int) {
+// point boundaries. The point's first claim starts its deadline. Blocks
+// while no work is eligible; returns p = -1 once the run halts.
+func (g *gridSweep) next(lastP int) (p, i, n int, ctx context.Context) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for {
 		if g.halted {
-			return -1, 0, 0
+			return -1, 0, 0, nil
 		}
 		p = -1
 		if lastP >= 0 && g.eligibleLocked(lastP) {
 			p = lastP
 		} else {
-			hi := min(len(g.states), g.nextYield+g.lookahead, g.errPoint)
+			hi := min(len(g.states), g.nextYield+g.lookahead)
 			for q := g.nextYield; q < hi; q++ {
 				if g.eligibleLocked(q) {
 					p = q
@@ -396,10 +444,16 @@ func (g *gridSweep) next(lastP int) (p, i, n int) {
 		}
 		if p >= 0 {
 			st := g.states[p]
+			if st.ctx == nil {
+				st.ctx = g.ctx
+				if t := g.pts[p].Timeout; t > 0 {
+					st.ctx, st.cancel = context.WithTimeout(g.ctx, t)
+				}
+			}
 			n = min(st.chunk, g.window-(st.cursor-st.foldedPub), st.total-st.cursor)
 			i = st.cursor
 			st.cursor += n
-			return p, i, n
+			return p, i, n, st.ctx
 		}
 		g.cond.Wait()
 	}
@@ -408,7 +462,7 @@ func (g *gridSweep) next(lastP int) (p, i, n int) {
 // eligibleLocked reports whether point p has dispatchable work. Callers
 // hold g.mu.
 func (g *gridSweep) eligibleLocked(p int) bool {
-	if p >= g.errPoint || p >= g.nextYield+g.lookahead {
+	if p >= g.nextYield+g.lookahead {
 		return false
 	}
 	st := g.states[p]
@@ -416,35 +470,33 @@ func (g *gridSweep) eligibleLocked(p int) bool {
 }
 
 // process folds one delivered item on the coordinator: buffer it, fold
-// the point's contiguous prefix in run order, and finalize the point when
-// its stopping rule fires or its budget completes. Items for points that
-// already finished (runs speculated past a stop, or past a failure) are
-// dropped. Once ctx is done nothing more folds, so the OnResult and
+// the point's contiguous prefix in run order, and conclude the point
+// when its stopping rule fires, its budget completes, a replicate fails
+// or its deadline has passed. Items for points that already concluded
+// (runs speculated past a stop, or past a failure) are dropped. Once the
+// grid's context is done nothing more folds, so the OnResult and
 // progress deliveries made before the cancellation was observed form an
 // exact in-order prefix.
-func (g *gridSweep) process(ctx context.Context, it gridItem) {
+func (g *gridSweep) process(it gridItem) {
 	st := g.states[it.p]
-	if st.done || st.err != nil || it.canceled {
+	if st.done || st.err != nil {
+		return
+	}
+	// Every item of a point follows its first claim, which set st.ctx.
+	if st.ctx != g.ctx && st.ctx.Err() != nil && g.ctx.Err() == nil {
+		g.fail(it.p, st.ctx.Err())
 		return
 	}
 	st.pending[it.i] = it
 	changed := false
-	for ctx.Err() == nil {
+	for g.ctx.Err() == nil {
 		q, ok := st.pending[st.nextFold]
 		if !ok {
 			break
 		}
 		delete(st.pending, st.nextFold)
 		if q.err != nil {
-			st.err = fmt.Errorf("engine: run %d: %w", q.i, q.err)
-			st.pending = nil
-			g.mu.Lock()
-			st.active = false
-			if it.p < g.errPoint {
-				g.errPoint = it.p
-			}
-			g.cond.Broadcast()
-			g.mu.Unlock()
+			g.fail(it.p, fmt.Errorf("engine: run %d: %w", q.i, q.err))
 			return
 		}
 		stop := st.fold.fold(q.i, q.r)
@@ -462,23 +514,56 @@ func (g *gridSweep) process(ctx context.Context, it gridItem) {
 		g.mu.Lock()
 		st.foldedPub = st.nextFold
 		if st.done {
-			st.active = false
+			g.retireLocked(st)
 		}
 		g.cond.Broadcast()
 		g.mu.Unlock()
 	}
 }
 
-// finishPoint memoises a completed canonical point and materialises its
-// duplicate cells as Cached clones.
+// retireLocked stops dispatching a concluded point and releases its
+// deadline. Callers hold g.mu.
+func (g *gridSweep) retireLocked(st *gridPointState) {
+	st.active = false
+	if st.cancel != nil {
+		st.cancel()
+	}
+}
+
+// fail concludes point p with err: dispatch of it stops, and its
+// duplicate cells fail with it.
+func (g *gridSweep) fail(p int, err error) {
+	st := g.states[p]
+	st.err = err
+	st.pending = nil
+	g.mu.Lock()
+	g.retireLocked(st)
+	g.cond.Broadcast()
+	g.mu.Unlock()
+	g.finishPoint(p)
+}
+
+// finishPoint settles a concluded canonical point: a completed one is
+// memoised, and its duplicate cells take its outcome.
 func (g *gridSweep) finishPoint(p int) {
 	st := g.states[p]
-	g.memo.store(st.key, st.mc)
+	if st.err == nil {
+		g.memo.store(st.key, st.mc)
+	}
 	for _, d := range g.dups[p] {
-		sd := g.states[d]
-		sd.mc = cloneMCResult(st.mc)
-		sd.mc.Cached = true
-		sd.done = true
+		copyOutcome(g.states[d], st)
 	}
 	delete(g.dups, p)
+}
+
+// copyOutcome gives duplicate cell d the outcome of its concluded
+// canonical cell: a clone of the result marked Cached, or the failure.
+func copyOutcome(d, can *gridPointState) {
+	if can.err != nil {
+		d.err = can.err
+		return
+	}
+	d.mc = cloneMCResult(can.mc)
+	d.mc.Cached = true
+	d.done = true
 }

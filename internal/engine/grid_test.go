@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -430,5 +431,140 @@ func TestSweepOnResultCrossPointRunOrder(t *testing.T) {
 	}
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("OnResult order = %v, want strict cross-point run order %v", order, want)
+	}
+}
+
+// collectPoints runs pts through SweepPoints and returns every point's
+// result and failure, failing the test on a run-level error.
+func collectPoints(t *testing.T, s *Session, pts []GridPoint, runs int) ([]MCResult, []error) {
+	t.Helper()
+	mcs := make([]MCResult, len(pts))
+	errs := make([]error, len(pts))
+	next := 0
+	err := s.SweepPoints(context.Background(), pts, runs, func(p int, mc MCResult, err error) bool {
+		if p != next {
+			t.Fatalf("SweepPoints yielded point %d, want %d", p, next)
+		}
+		next++
+		mcs[p], errs[p] = mc, err
+		return true
+	})
+	if err != nil {
+		t.Fatalf("SweepPoints: %v", err)
+	}
+	if next != len(pts) {
+		t.Fatalf("SweepPoints yielded %d of %d points", next, len(pts))
+	}
+	return mcs, errs
+}
+
+// TestSweepPointsFailuresInBand: a failed point is reported in band and
+// the grid runs on. A poisoned point's repeated cell takes its failure
+// without being simulated, a cell repeating a point whose resume
+// snapshot is rejected at setup fails with it, a point past its Timeout
+// fails with context.DeadlineExceeded, and every other point matches
+// the plain sweep.
+func TestSweepPointsFailuresInBand(t *testing.T) {
+	before := runtime.NumGoroutine()
+	base := tinyConfig(ObliviousDaly(), 13)
+	const runs = 4
+	var cfgs []Config
+	for _, k := range []int{1, 2} {
+		for _, strat := range []Strategy{ObliviousDaly(), OrderedDaly()} {
+			cfg := base
+			cfg.Channels, cfg.Strategy = k, strat
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	// Points 0 and 2 are the same cell (Oblivious-Daly ignores k), as
+	// are 4 and 5; 1 and 3 are distinct.
+	other := base
+	other.Seed++
+	cfgs = append(cfgs, other, other)
+	_, want := collectSweep(t, NewSession(WithWorkers(2)), base,
+		SweepGrid{Channels: []int{1, 2}, Strategies: []Strategy{ObliviousDaly(), OrderedDaly()}}, runs)
+
+	var simulated [6]atomic.Int64
+	restore := faultinject.Set(faultinject.SiteWorkerReplicate, func(ctx context.Context, detail any) error {
+		d := detail.(faultinject.WorkerReplicate)
+		simulated[d.Point].Add(1)
+		switch d.Point {
+		case 0:
+			if d.Run == 1 {
+				panic("poisoned cell")
+			}
+		case 3:
+			<-ctx.Done()
+			return ctx.Err()
+		}
+		return nil
+	})
+	defer restore()
+	pts := make([]GridPoint, len(cfgs))
+	for i, cfg := range cfgs {
+		pts[i] = GridPoint{Config: cfg}
+	}
+	pts[3].Timeout = 20 * time.Millisecond
+	pts[4].Resume = &MCSnapshot{Folded: runs + 1}
+	for _, workers := range []int{1, 3} {
+		for i := range simulated {
+			simulated[i].Store(0)
+		}
+		mcs, errs := collectPoints(t, NewSession(WithWorkers(workers)), pts, runs)
+		var pe *PanicError
+		if !errors.As(errs[0], &pe) || errs[2] != errs[0] {
+			t.Fatalf("workers=%d: poisoned cell %v, its repeat %v; want one shared *PanicError", workers, errs[0], errs[2])
+		}
+		if n := simulated[2].Load(); n != 0 {
+			t.Fatalf("workers=%d: the repeat of the poisoned cell simulated %d replicates", workers, n)
+		}
+		if errs[1] != nil || !reflect.DeepEqual(mcs[1], want[1]) {
+			t.Fatalf("workers=%d: clean point 1: %v\n got %+v\nwant %+v", workers, errs[1], mcs[1], want[1])
+		}
+		if !errors.Is(errs[3], context.DeadlineExceeded) {
+			t.Fatalf("workers=%d: timed-out point reported %v, want context.DeadlineExceeded", workers, errs[3])
+		}
+		if errs[4] == nil || !strings.Contains(errs[4].Error(), "folds") || errs[5] != errs[4] {
+			t.Fatalf("workers=%d: rejected snapshot %v, its repeat %v; want one shared error", workers, errs[4], errs[5])
+		}
+	}
+	checkNoGoroutineLeak(t, before)
+}
+
+// TestSweepPointsReplayedResult: a point handed in as already done is
+// yielded as is without simulating, and it serves a later repeat of its
+// cell and the result cache like a simulated result.
+func TestSweepPointsReplayedResult(t *testing.T) {
+	base := tinyConfig(ObliviousDaly(), 17)
+	const runs = 4
+	_, want := collectSweep(t, NewSession(WithWorkers(2)), base, SweepGrid{}, runs)
+	replayed := want[0]
+	replayed.Cached = true // journaled as a cache hit: provenance stays
+	k2 := base
+	k2.Channels = 2
+	restore := faultinject.Set(faultinject.SiteWorkerReplicate,
+		faultinject.PanicOn("replayed grid simulated", func(any) bool { return true }))
+	defer restore()
+	cache := &mapCache{}
+	mcs, errs := collectPoints(t, NewSession(WithWorkers(2), WithResultCache(cache)),
+		[]GridPoint{{Config: base, Done: &replayed}, {Config: k2}}, runs)
+	if errs[0] != nil || errs[1] != nil {
+		t.Fatalf("replayed grid failed: %v, %v", errs[0], errs[1])
+	}
+	if !reflect.DeepEqual(mcs[0], replayed) {
+		t.Fatalf("replayed point changed:\n got %+v\nwant %+v", mcs[0], replayed)
+	}
+	wantDup := want[0]
+	wantDup.Cached = true
+	if !reflect.DeepEqual(mcs[1], wantDup) {
+		t.Fatalf("repeat of the replayed cell:\n got %+v\nwant %+v", mcs[1], wantDup)
+	}
+	if len(cache.m) != 1 {
+		t.Fatalf("cache holds %d entries, want the replayed cell's", len(cache.m))
+	}
+	for _, mc := range cache.m {
+		if mc.Cached || !reflect.DeepEqual(mc, want[0]) {
+			t.Fatalf("cache entry %+v, want the canonical result %+v", mc, want[0])
+		}
 	}
 }

@@ -87,15 +87,6 @@ type MCOptions struct {
 	// ComparePaired uses to stop on the paired difference against a
 	// reference series instead of the raw mean.
 	ciValue func(i int, wasteRatio float64) float64
-	// resume, when non-nil, restores the experiment from a snapshot and
-	// dispatches from run index resume.Folded (streaming path only) —
-	// the crash-resilience seam of Session.MonteCarloResume.
-	resume *MCSnapshot
-	// onSnapshot, when non-nil, receives the experiment state after
-	// every snapshotEvery-th folded replicate (<= 0: every replicate),
-	// on the caller's goroutine.
-	onSnapshot    func(MCSnapshot)
-	snapshotEvery int
 }
 
 // TargetCI configures sequential stopping for a Monte-Carlo experiment:
@@ -143,24 +134,6 @@ func (o MCOptions) budget(runs int) int {
 	return runs
 }
 
-// checkStreaming rejects resume and snapshot hooks on a materialising
-// experiment: snapshots capture only the streaming-path state.
-func (o MCOptions) checkStreaming() error {
-	materialises := o.KeepResults || o.KeepWasteRatios
-	if o.resume != nil {
-		if materialises {
-			return fmt.Errorf("engine: resume requires the streaming path (no KeepResults/KeepWasteRatios)")
-		}
-		if o.resume.Folded < 0 {
-			return fmt.Errorf("engine: resume snapshot folds %d replicates", o.resume.Folded)
-		}
-	}
-	if o.onSnapshot != nil && materialises {
-		return fmt.Errorf("engine: snapshots require the streaming path (no KeepResults/KeepWasteRatios)")
-	}
-	return nil
-}
-
 // normWorkers resolves the worker count: 0 means GOMAXPROCS, and never
 // more workers than runs (never negative — an invalid run count resolves
 // to zero workers and is rejected by the grid coordinator's setup).
@@ -191,6 +164,10 @@ type mcFold struct {
 	// progress, when set, is called after each folded run, once its
 	// OnResult delivery has been made.
 	progress func()
+	// onSnapshot, when set, receives the fold state after every
+	// snapshotEvery-th folded run (GridPoint's hook; snapshotEvery >= 1).
+	onSnapshot    func(MCSnapshot)
+	snapshotEvery int
 
 	mc          MCResult
 	acc         stats.Accumulator
@@ -270,21 +247,15 @@ func (f *mcFold) fold(i int, r Result) (stop bool) {
 	if f.progress != nil {
 		f.progress()
 	}
-	if f.opts.onSnapshot != nil {
-		every := f.opts.snapshotEvery
-		if every <= 0 {
-			every = 1
-		}
-		if f.folded%every == 0 {
-			f.opts.onSnapshot(MCSnapshot{
-				Folded:   f.folded,
-				Util:     f.util,
-				Fails:    f.fails,
-				PairEven: f.pairEven,
-				Acc:      f.acc.State(),
-				CIAcc:    f.ciAcc.State(),
-			})
-		}
+	if f.onSnapshot != nil && f.folded%f.snapshotEvery == 0 {
+		f.onSnapshot(MCSnapshot{
+			Folded:   f.folded,
+			Util:     f.util,
+			Fails:    f.fails,
+			PairEven: f.pairEven,
+			Acc:      f.acc.State(),
+			CIAcc:    f.ciAcc.State(),
+		})
 	}
 	if f.seqOn && f.folded >= f.minRuns && f.folded < f.total &&
 		(!f.opts.Antithetic || f.folded%2 == 0) &&
@@ -333,7 +304,7 @@ func replicateDraw(masterSeed uint64, i int, antithetic bool) (seed uint64, anti
 // unrecoverable — is dropped so the next replicate rebuilds it from the
 // configuration. The faultinject site fires inside the guard, so injected
 // panics exercise exactly the recovery path a user panic takes.
-func runReplicate(ctx context.Context, arenas []*Arena, w int, reconfigured *bool, cfg Config, i int, antithetic bool) (r Result, err error) {
+func runReplicate(ctx context.Context, arenas []*Arena, w int, reconfigured *bool, cfg Config, p, i int, antithetic bool) (r Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			arenas[w] = nil
@@ -342,7 +313,8 @@ func runReplicate(ctx context.Context, arenas []*Arena, w int, reconfigured *boo
 		}
 	}()
 	if faultinject.Armed() {
-		if ferr := faultinject.Fire(ctx, faultinject.SiteWorkerReplicate, i); ferr != nil {
+		if ferr := faultinject.Fire(ctx, faultinject.SiteWorkerReplicate,
+			faultinject.WorkerReplicate{Point: p, Run: i}); ferr != nil {
 			return Result{}, ferr
 		}
 	}

@@ -21,7 +21,7 @@ func TestWorkerPanicRecovered(t *testing.T) {
 	before := runtime.NumGoroutine()
 	restore := faultinject.Set(faultinject.SiteWorkerReplicate,
 		faultinject.PanicOn("injected worker panic", func(detail any) bool {
-			return detail.(int) == 7
+			return detail.(faultinject.WorkerReplicate).Run == 7
 		}))
 	defer restore()
 
@@ -81,6 +81,22 @@ func TestWorkerHangHonoursDeadline(t *testing.T) {
 	checkNoGoroutineLeak(t, before)
 }
 
+// sweepOne runs gp as a one-point SweepPoints grid — the path a
+// campaign's snapshotted or resumed point takes — and returns its result
+// or its failure.
+func sweepOne(ctx context.Context, s *Session, gp GridPoint, runs int) (MCResult, error) {
+	var mc MCResult
+	var perr error
+	err := s.SweepPoints(ctx, []GridPoint{gp}, runs, func(_ int, r MCResult, e error) bool {
+		mc, perr = r, e
+		return true
+	})
+	if err == nil {
+		err = perr
+	}
+	return mc, err
+}
+
 // TestMonteCarloResumeBitIdentity pins the resume contract at every cut
 // point: run the experiment uninterrupted; then, for each replicate
 // boundary k, replay the snapshot taken at k (through a JSON round trip,
@@ -93,9 +109,10 @@ func TestMonteCarloResumeBitIdentity(t *testing.T) {
 	const runs = 24
 
 	var snaps []MCSnapshot
-	full, err := NewSession(WithWorkers(3)).MonteCarloResume(ctx, cfg, runs, ResumeSpec{
+	full, err := sweepOne(ctx, NewSession(WithWorkers(3)), GridPoint{
+		Config:     cfg,
 		OnSnapshot: func(s MCSnapshot) { snaps = append(snaps, s) },
-	})
+	}, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +128,7 @@ func TestMonteCarloResumeBitIdentity(t *testing.T) {
 		if err := json.Unmarshal(blob, &restored); err != nil {
 			t.Fatal(err)
 		}
-		got, err := NewSession(WithWorkers(2)).MonteCarloResume(ctx, cfg, runs, ResumeSpec{From: &restored})
+		got, err := sweepOne(ctx, NewSession(WithWorkers(2)), GridPoint{Config: cfg, Resume: &restored}, runs)
 		if err != nil {
 			t.Fatalf("resume at %d: %v", snap.Folded, err)
 		}
@@ -137,16 +154,17 @@ func TestMonteCarloResumeAntithetic(t *testing.T) {
 
 	var snaps []MCSnapshot
 	s := NewSession(WithWorkers(2), WithAntithetic(true))
-	full, err := s.MonteCarloResume(ctx, cfg, runs, ResumeSpec{
+	full, err := sweepOne(ctx, s, GridPoint{
+		Config:     cfg,
 		OnSnapshot: func(s MCSnapshot) { snaps = append(snaps, s) },
-	})
+	}, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, snap := range snaps {
 		snap := snap
-		got, err := NewSession(WithWorkers(3), WithAntithetic(true)).
-			MonteCarloResume(ctx, cfg, runs, ResumeSpec{From: &snap})
+		got, err := sweepOne(ctx, NewSession(WithWorkers(3), WithAntithetic(true)),
+			GridPoint{Config: cfg, Resume: &snap}, runs)
 		if err != nil {
 			t.Fatalf("resume at %d: %v", snap.Folded, err)
 		}
@@ -175,9 +193,10 @@ func TestMonteCarloResumeSequentialStopping(t *testing.T) {
 		return NewSession(WithWorkers(2), WithTargetCI(target, 0.95, 8, maxRuns))
 	}
 	var snaps []MCSnapshot
-	full, err := mk().MonteCarloResume(ctx, cfg, maxRuns, ResumeSpec{
+	full, err := sweepOne(ctx, mk(), GridPoint{
+		Config:     cfg,
 		OnSnapshot: func(s MCSnapshot) { snaps = append(snaps, s) },
-	})
+	}, maxRuns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +205,7 @@ func TestMonteCarloResumeSequentialStopping(t *testing.T) {
 	}
 	cut := full.RunsUsed / 2
 	snap := snaps[cut-1]
-	got, err := mk().MonteCarloResume(ctx, cfg, maxRuns, ResumeSpec{From: &snap})
+	got, err := sweepOne(ctx, mk(), GridPoint{Config: cfg, Resume: &snap}, maxRuns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,17 +221,18 @@ func TestResumeRequiresStreamingPath(t *testing.T) {
 	ctx := context.Background()
 	cfg := tinyConfig(OrderedNBDaly(), 1)
 	snap := &MCSnapshot{}
-	_, err := NewSession(WithKeepWasteRatios(true)).MonteCarloResume(ctx, cfg, 4, ResumeSpec{From: snap})
+	_, err := sweepOne(ctx, NewSession(WithKeepWasteRatios(true)), GridPoint{Config: cfg, Resume: snap}, 4)
 	if err == nil || !strings.Contains(err.Error(), "streaming path") {
 		t.Fatalf("materialising resume accepted (err %v)", err)
 	}
-	_, err = NewSession(WithKeepResults(true)).MonteCarloResume(ctx, cfg, 4, ResumeSpec{
+	_, err = sweepOne(ctx, NewSession(WithKeepResults(true)), GridPoint{
+		Config:     cfg,
 		OnSnapshot: func(MCSnapshot) {},
-	})
+	}, 4)
 	if err == nil || !strings.Contains(err.Error(), "streaming path") {
 		t.Fatalf("materialising snapshots accepted (err %v)", err)
 	}
-	_, err = NewSession().MonteCarloResume(ctx, cfg, 4, ResumeSpec{From: &MCSnapshot{Folded: 9}})
+	_, err = sweepOne(ctx, NewSession(), GridPoint{Config: cfg, Resume: &MCSnapshot{Folded: 9}}, 4)
 	if err == nil || !strings.Contains(err.Error(), "folds") {
 		t.Fatalf("overlong snapshot accepted (err %v)", err)
 	}
@@ -225,13 +245,14 @@ func TestMonteCarloResumeComplete(t *testing.T) {
 	cfg := tinyConfig(OrderedNBDaly(), 4)
 	const runs = 8
 	var last MCSnapshot
-	full, err := NewSession(WithWorkers(2)).MonteCarloResume(ctx, cfg, runs, ResumeSpec{
+	full, err := sweepOne(ctx, NewSession(WithWorkers(2)), GridPoint{
+		Config:     cfg,
 		OnSnapshot: func(s MCSnapshot) { last = s },
-	})
+	}, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewSession(WithWorkers(2)).MonteCarloResume(ctx, cfg, runs, ResumeSpec{From: &last})
+	got, err := sweepOne(ctx, NewSession(WithWorkers(2)), GridPoint{Config: cfg, Resume: &last}, runs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,17 +117,18 @@ func WithAntithetic(on bool) SessionOption {
 // (points × budget), so one callback renders a whole-campaign progress
 // bar. done strictly increases, once per folded replicate, and never
 // passes total; points that stop early or are served from a cache leave
-// it short of total. MonteCarloResume counts the snapshot's replicates
-// as done.
+// it short of total. A point resumed from a snapshot (GridPoint.Resume)
+// counts the snapshot's replicates as done.
 // MinBandwidth does not report progress: its bisection probes are an
 // open-ended search, not a campaign with a known total.
 func WithProgress(fn func(done, total int)) SessionOption {
 	return func(s *Session) { s.progress = fn }
 }
 
-// WithResultCache memoises the session's cacheable Sweep points in c:
-// before simulating a point the sweep consults the cache by the point's
-// ExperimentKey, and every computed point is stored back. A hit is
+// WithResultCache memoises the session's cacheable sweep points (Sweep,
+// Compare and SweepPoints, hence campaigns) in c: before simulating a
+// point the sweep consults the cache by the point's ExperimentKey, and
+// every computed or replayed point is stored back. A hit is
 // returned with MCResult.Cached set; its values are bit-identical to the
 // simulation it replaced. Points with per-run observers (WithOnResult,
 // Config.Trace) bypass the cache — see ExperimentKey. Repeated cells
@@ -194,15 +195,37 @@ func (s *Session) MonteCarlo(ctx context.Context, cfg Config, runs int) (MCResul
 // monteCarlo runs one experiment as a one-point grid, never memoised.
 func (s *Session) monteCarlo(ctx context.Context, cfg Config, runs int, opts MCOptions, progress func(done int)) (MCResult, error) {
 	var mc MCResult
-	_, err := s.runGrid(ctx, []gridPoint{{cfg: cfg, runs: runs, opts: opts}}, nil, progress,
-		func(_ int, r MCResult) bool {
-			mc = r
-			return true
-		})
+	pts := []gridPoint{{GridPoint: GridPoint{Config: cfg}, runs: runs, opts: opts}}
+	_, err := stopAtFailure(func(y func(int, MCResult, error) bool) error {
+		return s.runGrid(ctx, pts, nil, progress, y)
+	}, func(_ int, r MCResult) bool {
+		mc = r
+		return true
+	})
 	if err != nil {
 		return MCResult{}, err
 	}
 	return mc, nil
+}
+
+// stopAtFailure drives a grid run through run, delivering results to
+// yield until the first failure, and returns the first undelivered
+// point's index (the count delivered) with the point's or the run's error.
+func stopAtFailure(run func(yield func(int, MCResult, error) bool) error, yield func(int, MCResult) bool) (int, error) {
+	delivered := 0
+	var failed error
+	err := run(func(p int, mc MCResult, e error) bool {
+		if e != nil {
+			failed = e
+			return false
+		}
+		delivered++
+		return yield(p, mc)
+	})
+	if err == nil {
+		err = failed
+	}
+	return delivered, err
 }
 
 // reporter maps the grid's running count of folded replicates onto the
@@ -236,29 +259,49 @@ func (s *Session) reporter(base, total int) func(done int) {
 //
 // The sequence is single-use: re-ranging it re-runs the experiments.
 //
-// Execution schedule: the whole grid runs as one experiment — workers
-// steal (point, replicate-chunk) work items across point boundaries, so
-// no worker idles at a point boundary while a later point has work — and
-// repeated cells are served once and deduplicated (see WithResultCache).
-// Neither changes a result: each replicate is a pure function of the
-// configuration seed and run index, and each point folds in run order.
-// A session with WithOnResult runs the points one at a time.
+// Sweep is SweepPoints over the grid's points, stopping at the first
+// failed point.
 func (s *Session) Sweep(ctx context.Context, base Config, grid SweepGrid, runs int) (iter.Seq2[SweepPoint, MCResult], func() error) {
 	var err error
 	seq := func(yield func(SweepPoint, MCResult) bool) {
 		err = nil
 		pts := grid.Points(base)
-		gps := make([]gridPoint, len(pts))
+		gps := make([]GridPoint, len(pts))
 		for i, pt := range pts {
-			gps[i] = gridPoint{cfg: pt.Apply(base), runs: runs, opts: s.opts}
+			gps[i] = GridPoint{Config: pt.Apply(base)}
 		}
-		p, e := s.runGrid(ctx, gps, newSweepMemo(s, runs), s.reporter(0, len(pts)*s.opts.budget(runs)),
-			func(p int, mc MCResult) bool { return yield(pts[p], mc) })
+		p, e := stopAtFailure(func(y func(int, MCResult, error) bool) error {
+			return s.SweepPoints(ctx, gps, runs, y)
+		}, func(p int, mc MCResult) bool { return yield(pts[p], mc) })
 		if e != nil {
 			err = sweepPointErr(pts[p], e)
 		}
 	}
 	return seq, func() error { return err }
+}
+
+// SweepPoints evaluates the same Monte-Carlo experiment (runs replicates
+// under the session's options) at every point, reporting each point's
+// outcome in point order on the caller's goroutine: yield(p, mc, nil),
+// or yield(p, MCResult{}, err) for the point's own failure (a replicate
+// error or *PanicError, an invalid configuration, its Timeout). A failed
+// point does not stop the others; yield returning false does. It returns
+// ctx.Err() if the context ends the run first, otherwise nil.
+//
+// The whole list runs as one experiment: workers steal (point,
+// replicate-chunk) work items across point boundaries, and cacheable
+// points go through one memo — served from and stored to the session's
+// result cache, with a repeated cell simulated once and returned as a
+// Cached clone of its first cell (or with that cell's failure). Neither
+// changes a result: each replicate is a pure function of the
+// configuration seed and run index, and each point folds in run order.
+// A session with WithOnResult runs the points one at a time.
+func (s *Session) SweepPoints(ctx context.Context, pts []GridPoint, runs int, yield func(p int, mc MCResult, err error) bool) error {
+	gps := make([]gridPoint, len(pts))
+	for i, pt := range pts {
+		gps[i] = gridPoint{GridPoint: pt, runs: runs, opts: s.opts}
+	}
+	return s.runGrid(ctx, gps, newSweepMemo(s, runs), s.reporter(0, len(pts)*s.opts.budget(runs)), yield)
 }
 
 // sweepPointErr wraps a point failure exactly as Sweep reports it.
@@ -375,11 +418,13 @@ func (s *Session) ComparePaired(ctx context.Context, base Config, strategies []S
 		}
 		cfg := base
 		cfg.Strategy = strat
-		pts[k] = gridPoint{cfg: cfg, runs: refMC.RunsUsed, opts: opts}
+		pts[k] = gridPoint{GridPoint: GridPoint{Config: cfg}, runs: refMC.RunsUsed, opts: opts}
 	}
 	out := append(make([]MCResult, 0, len(strategies)), refMC)
 	cmps := make([]PairedComparison, 0, len(rest))
-	p, err := s.runGrid(ctx, pts, nil, s.reporter(budget, total), func(k int, mc MCResult) bool {
+	k, err := stopAtFailure(func(y func(int, MCResult, error) bool) error {
+		return s.runGrid(ctx, pts, nil, s.reporter(budget, total), y)
+	}, func(k int, mc MCResult) bool {
 		out = append(out, mc)
 		cmps = append(cmps, PairedComparison{
 			Strategy:          mc.Strategy,
@@ -394,7 +439,7 @@ func (s *Session) ComparePaired(ctx context.Context, base Config, strategies []S
 		return true
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("engine: paired comparison (%s): %w", rest[p].Name(), err)
+		return nil, nil, fmt.Errorf("engine: paired comparison (%s): %w", rest[k].Name(), err)
 	}
 	return out, cmps, nil
 }

@@ -323,21 +323,21 @@ func TestSessionProgress(t *testing.T) {
 }
 
 // TestSessionResumeProgress pins the progress contract the campaign
-// runner builds on (ReplicatesFolded = progressBase + done): a
-// MonteCarloResume from a snapshot folding f replicates reports
-// done = f+1 … total, once per replicate, in order.
+// runner builds on: a point resumed from a snapshot folding f
+// replicates reports done = f+1 … total, once per replicate, in order.
 func TestSessionResumeProgress(t *testing.T) {
 	ctx := context.Background()
 	cfg := tinyConfig(OrderedNBDaly(), 5)
 	const runs, f = 8, 3
 	var snap MCSnapshot
-	if _, err := NewSession(WithWorkers(2)).MonteCarloResume(ctx, cfg, runs, ResumeSpec{
+	if _, err := sweepOne(ctx, NewSession(WithWorkers(2)), GridPoint{
+		Config: cfg,
 		OnSnapshot: func(s MCSnapshot) {
 			if s.Folded == f {
 				snap = s
 			}
 		},
-	}); err != nil {
+	}, runs); err != nil {
 		t.Fatal(err)
 	}
 	var dones []int
@@ -347,7 +347,7 @@ func TestSessionResumeProgress(t *testing.T) {
 		}
 		dones = append(dones, done)
 	}))
-	if _, err := s.MonteCarloResume(ctx, cfg, runs, ResumeSpec{From: &snap}); err != nil {
+	if _, err := sweepOne(ctx, s, GridPoint{Config: cfg, Resume: &snap}, runs); err != nil {
 		t.Fatal(err)
 	}
 	if want := []int{4, 5, 6, 7, 8}; !reflect.DeepEqual(dones, want) {

@@ -102,8 +102,8 @@ func (g SweepGrid) Points(base Config) []SweepPoint {
 
 // Apply resolves the point into a runnable configuration over the base —
 // the same resolution Session.Sweep performs per point, exported so
-// external drivers (the campaign runner) can evaluate grid points one at
-// a time with their own per-point context and resume state.
+// external callers (the campaign runner) can build the GridPoints they
+// pass to Session.SweepPoints.
 func (pt SweepPoint) Apply(base Config) Config {
 	cfg := base
 	cfg.Platform.BandwidthBps = pt.BandwidthBps

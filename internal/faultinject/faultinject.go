@@ -22,7 +22,7 @@ import (
 const (
 	// SiteWorkerReplicate fires in the Monte-Carlo worker immediately
 	// before a replicate is simulated, inside the panic-recovery guard;
-	// detail is the run index (int). A panicking hook exercises the
+	// detail is a WorkerReplicate. A panicking hook exercises the
 	// worker's recover path; a hook blocking on ctx exercises the
 	// per-point deadline.
 	SiteWorkerReplicate = "engine/worker.replicate"
@@ -48,6 +48,12 @@ const (
 // item — grid point index, first run index, and chunk length.
 type GridDispatch struct {
 	Point, Run, Len int
+}
+
+// WorkerReplicate is the detail value of SiteWorkerReplicate: the grid
+// point and run index of the replicate (points of a grid run together).
+type WorkerReplicate struct {
+	Point, Run int
 }
 
 // Hook is an armed injection: return nil to let the site proceed, return

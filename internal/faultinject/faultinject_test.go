@@ -11,7 +11,7 @@ func TestDisarmedFastPath(t *testing.T) {
 	if Armed() {
 		t.Fatal("hooks armed at start")
 	}
-	if err := Fire(context.Background(), SiteWorkerReplicate, 0); err != nil {
+	if err := Fire(context.Background(), SiteWorkerReplicate, WorkerReplicate{}); err != nil {
 		t.Fatalf("disarmed Fire returned %v", err)
 	}
 }
@@ -56,10 +56,10 @@ func TestRestoreReinstallsPrevious(t *testing.T) {
 
 func TestPanicOnPropagates(t *testing.T) {
 	restore := Set(SiteWorkerReplicate, PanicOn("injected", func(detail any) bool {
-		return detail.(int) == 3
+		return detail.(WorkerReplicate).Run == 3
 	}))
 	defer restore()
-	if err := Fire(context.Background(), SiteWorkerReplicate, 2); err != nil {
+	if err := Fire(context.Background(), SiteWorkerReplicate, WorkerReplicate{Run: 2}); err != nil {
 		t.Fatalf("non-matching detail fired: %v", err)
 	}
 	defer func() {
@@ -67,7 +67,7 @@ func TestPanicOnPropagates(t *testing.T) {
 			t.Fatal("matching detail did not panic")
 		}
 	}()
-	Fire(context.Background(), SiteWorkerReplicate, 3)
+	Fire(context.Background(), SiteWorkerReplicate, WorkerReplicate{Run: 3})
 }
 
 func TestFailN(t *testing.T) {

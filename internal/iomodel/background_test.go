@@ -36,8 +36,7 @@ func TestFCFSBackgroundDeviceIntegration(t *testing.T) {
 	var order []string
 	mk := func(name string, kind Kind) *Transfer {
 		return &Transfer{Kind: kind, Volume: 500, Nodes: 1,
-			OnStart:    func(float64) { order = append(order, name) },
-			OnComplete: func(float64) {}}
+			Sink: funcSink{start: func(float64) { order = append(order, name) }}}
 	}
 	d.Submit(mk("first-input", Input)) // grabs the token
 	d.Submit(mk("drain", Drain))

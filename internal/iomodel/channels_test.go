@@ -17,13 +17,15 @@ func (r *recorder) transfer(name string, volume float64, nodes int) *Transfer {
 		Kind:   Input,
 		Volume: volume,
 		Nodes:  nodes,
-		OnStart: func(now float64) {
-			r.events = append(r.events, "start:"+name)
-			r.times = append(r.times, now)
-		},
-		OnComplete: func(now float64) {
-			r.events = append(r.events, "done:"+name)
-			r.times = append(r.times, now)
+		Sink: funcSink{
+			start: func(now float64) {
+				r.events = append(r.events, "start:"+name)
+				r.times = append(r.times, now)
+			},
+			done: func(now float64) {
+				r.events = append(r.events, "done:"+name)
+				r.times = append(r.times, now)
+			},
 		},
 	}
 }
@@ -191,13 +193,15 @@ func TestTokenDeviceAbortFromStartCallback(t *testing.T) {
 		Kind:   Input,
 		Volume: 1000, // would complete at t=15 if its wake survived
 		Nodes:  1,
-		OnStart: func(now float64) {
-			rec.events = append(rec.events, "start:poison")
-			rec.times = append(rec.times, now)
-			dev.Abort(poison)
-		},
-		OnComplete: func(now float64) {
-			t.Error("aborted transfer completed")
+		Sink: funcSink{
+			start: func(now float64) {
+				rec.events = append(rec.events, "start:poison")
+				rec.times = append(rec.times, now)
+				dev.Abort(poison)
+			},
+			done: func(now float64) {
+				t.Error("aborted transfer completed")
+			},
 		},
 	}
 	dev.Submit(blocker)
@@ -343,16 +347,18 @@ func TestTokenDeviceRegrantInsideCompletion(t *testing.T) {
 		completed := map[string]int{}
 		for _, name := range tc.submit {
 			tr := rec.transfer(name, volumes[name], 1)
-			onStart, onComplete := tr.OnStart, tr.OnComplete
-			tr.OnComplete = func(now float64) {
-				completed[name]++
-				onComplete(now)
-			}
-			if name == "poison" {
-				tr.OnStart = func(now float64) {
-					onStart(now)
-					dev.Abort(tr)
-				}
+			inner := tr.Sink.(funcSink)
+			tr.Sink = funcSink{
+				start: func(now float64) {
+					inner.start(now)
+					if name == "poison" {
+						dev.Abort(tr)
+					}
+				},
+				done: func(now float64) {
+					completed[name]++
+					inner.done(now)
+				},
 			}
 			dev.Submit(tr)
 		}

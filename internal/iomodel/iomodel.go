@@ -99,17 +99,8 @@ type Transfer struct {
 	// RecoverySeconds is the job's interference-free recovery time R_j.
 	RecoverySeconds float64
 
-	// Sink receives start/completion notifications. Either Sink or
-	// OnComplete must be set; when Sink is non-nil the closure fields are
-	// ignored.
+	// Sink receives start/completion notifications. Required.
 	Sink Sink
-	// OnStart fires when the transfer first moves data (immediately on
-	// submission for shared devices; at token grant for token devices).
-	// May be nil. Closure adapter for Sink-less call sites.
-	OnStart func(now float64)
-	// OnComplete fires when the last byte lands. Required unless Sink is
-	// set.
-	OnComplete func(now float64)
 
 	// Bookkeeping (read-only outside this package).
 	arrival float64
@@ -123,28 +114,10 @@ type Transfer struct {
 // additionally check InFlight before resetting the fields, where the
 // stale state is still observable.
 func (t *Transfer) valid() bool {
-	if t.Volume < 0 || (t.Sink == nil && t.OnComplete == nil) {
+	if t.Volume < 0 || t.Sink == nil {
 		return false
 	}
 	return !t.InFlight()
-}
-
-// notifyStart dispatches the start notification.
-func (t *Transfer) notifyStart(now float64) {
-	if t.Sink != nil {
-		t.Sink.TransferStarted(t, now)
-	} else if t.OnStart != nil {
-		t.OnStart(now)
-	}
-}
-
-// notifyComplete dispatches the completion notification.
-func (t *Transfer) notifyComplete(now float64) {
-	if t.Sink != nil {
-		t.Sink.TransferCompleted(t, now)
-	} else {
-		t.OnComplete(now)
-	}
 }
 
 type transferState int
@@ -347,7 +320,7 @@ func (d *SharedDevice) Submit(t *Transfer) {
 	d.weights = append(d.weights, float64(t.Nodes))
 	d.rem = append(d.rem, t.Volume)
 	d.ratesOK = false
-	t.notifyStart(now)
+	t.Sink.TransferStarted(t, now)
 	d.reschedule(now, 0)
 }
 
@@ -483,7 +456,7 @@ func (d *SharedDevice) reschedule(now, dt float64) {
 		t := d.active[done]
 		d.removeActive(done)
 		t.state = stateDone
-		t.notifyComplete(now)
+		t.Sink.TransferCompleted(t, now)
 		now = d.eng.Now()
 	}
 	if d.wake != nil {
@@ -820,7 +793,7 @@ func (d *TokenDevice) grant() {
 		d.busy++
 		t.state = stateActive
 		t.start = now
-		t.notifyStart(now)
+		t.Sink.TransferStarted(t, now)
 		if sl.t != t {
 			// The start callback aborted this grant re-entrantly; the
 			// slot was freed (and possibly re-granted, arming its own
@@ -840,7 +813,7 @@ func (d *TokenDevice) complete(sl *tokenSlot) {
 	sl.t = nil
 	d.busy--
 	t.state = stateDone
-	t.notifyComplete(d.eng.Now())
+	t.Sink.TransferCompleted(t, d.eng.Now())
 	d.grant()
 	if sl.t == nil {
 		sl.wake = nil

@@ -14,9 +14,9 @@ func newTransfer(kind Kind, volume float64, nodes int, done *[]float64) *Transfe
 		Kind:   kind,
 		Volume: volume,
 		Nodes:  nodes,
-		OnComplete: func(now float64) {
+		Sink: funcSink{done: func(now float64) {
 			*done = append(*done, now)
-		},
+		}},
 	}
 }
 
@@ -139,12 +139,11 @@ func TestSharedOnStartFiresAtSubmit(t *testing.T) {
 	d := NewSharedDevice(eng, 100, LinearShare{})
 	started := -1.0
 	tr := &Transfer{Kind: Input, Volume: 100, Nodes: 1,
-		OnStart:    func(now float64) { started = now },
-		OnComplete: func(float64) {}}
+		Sink: funcSink{start: func(now float64) { started = now }}}
 	eng.Schedule(3, func() { d.Submit(tr) })
 	eng.RunAll()
 	if started != 3 {
-		t.Fatalf("OnStart at %v, want 3", started)
+		t.Fatalf("TransferStarted at %v, want 3", started)
 	}
 }
 
@@ -190,8 +189,7 @@ func TestTokenOnStartAtGrant(t *testing.T) {
 	d.Submit(newTransfer(Input, 1000, 1, &done))
 	startedB := -1.0
 	b := &Transfer{Kind: Output, Volume: 100, Nodes: 1,
-		OnStart:    func(now float64) { startedB = now },
-		OnComplete: func(float64) {}}
+		Sink: funcSink{start: func(now float64) { startedB = now }}}
 	d.Submit(b)
 	if b.Pending() != true {
 		t.Fatal("queued transfer not pending")
@@ -243,14 +241,14 @@ func TestTokenResubmitFromCompletionCallback(t *testing.T) {
 	var times []float64
 	count := 0
 	var tr *Transfer
-	tr = &Transfer{Kind: Input, Volume: 100, Nodes: 1, OnComplete: func(now float64) {
+	tr = &Transfer{Kind: Input, Volume: 100, Nodes: 1, Sink: funcSink{done: func(now float64) {
 		times = append(times, now)
 		count++
 		if count < 3 {
 			next := *tr
 			d.Submit(&next)
 		}
-	}}
+	}}}
 	d.Submit(tr)
 	eng.RunAll()
 	if len(times) != 3 || times[0] != 1 || times[1] != 2 || times[2] != 3 {
@@ -284,10 +282,10 @@ func TestSharedConservationProperty(t *testing.T) {
 			v := 10 + r.Float64()*5000
 			at := r.Float64() * 10
 			totalVolume += v
-			tr := &Transfer{Kind: Input, Volume: v, Nodes: 1 + r.Intn(8), OnComplete: func(now float64) {
+			tr := &Transfer{Kind: Input, Volume: v, Nodes: 1 + r.Intn(8), Sink: funcSink{done: func(now float64) {
 				completed++
 				lastDone = now
-			}}
+			}}}
 			eng.Schedule(at, func() { d.Submit(tr) })
 		}
 		eng.RunAll()
@@ -318,9 +316,9 @@ func TestTokenSerialisationProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			v := 10 + r.Float64()*1000
 			totalDur += v / bw
-			tr := &Transfer{Kind: Input, Volume: v, Nodes: 1, OnComplete: func(now float64) {
+			tr := &Transfer{Kind: Input, Volume: v, Nodes: 1, Sink: funcSink{done: func(now float64) {
 				done = append(done, now)
-			}}
+			}}}
 			d.Submit(tr) // all at t=0: busy period = sum of durations
 		}
 		eng.RunAll()
@@ -369,10 +367,10 @@ func TestSharedCascadeEmptiesDeviceInOwnWake(t *testing.T) {
 	d := NewSharedDevice(eng, 120, LinearShare{})
 	var done, extra, late []float64
 	first := newTransfer(Input, 1200, 1, &done)
-	first.OnComplete = func(now float64) {
+	first.Sink = funcSink{done: func(now float64) {
 		done = append(done, now)
 		d.Submit(newTransfer(Output, 0, 1, &extra))
-	}
+	}}
 	d.Submit(first)
 	d.Submit(newTransfer(Input, 1200, 1, &done))
 	d.Submit(newTransfer(Input, 1200, 1, &done))

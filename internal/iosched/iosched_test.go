@@ -126,11 +126,9 @@ func TestExpectedWasteEquation1(t *testing.T) {
 	// whose current transfer blocks them (simpler: set via test device).
 	eng := sim.New()
 	dev := iomodel.NewTokenDevice(eng, bw, iomodel.FCFS{})
-	blocker := &iomodel.Transfer{Kind: iomodel.Regular, Volume: bw * 2000, Nodes: 1, OnComplete: func(float64) {}}
+	blocker := &iomodel.Transfer{Kind: iomodel.Regular, Volume: bw * 2000, Nodes: 1, Sink: funcSink{}}
 	dev.Submit(blocker) // holds token until t=2000
-	io1.OnComplete = func(float64) {}
-	io2.OnComplete = func(float64) {}
-	ck.OnComplete = func(float64) {}
+	io1.Sink, io2.Sink, ck.Sink = funcSink{}, funcSink{}, funcSink{}
 	eng.Schedule(900, func() { dev.Submit(io1) }) // d1 at t=1000: 100
 	eng.Schedule(940, func() { dev.Submit(io2) }) // d2 at t=1000: 60
 	eng.Schedule(950, func() { dev.Submit(ck) })  // ckpt candidate
@@ -159,13 +157,13 @@ func TestExpectedWasteEquation2(t *testing.T) {
 	now := 500.0
 	eng := sim.New()
 	dev := iomodel.NewTokenDevice(eng, bw, iomodel.FCFS{})
-	blocker := &iomodel.Transfer{Kind: iomodel.Regular, Volume: bw * 1e4, Nodes: 1, OnComplete: func(float64) {}}
+	blocker := &iomodel.Transfer{Kind: iomodel.Regular, Volume: bw * 1e4, Nodes: 1, Sink: funcSink{}}
 	dev.Submit(blocker)
-	io := &iomodel.Transfer{Kind: iomodel.Recovery, Volume: 100 * bw, Nodes: 3, OnComplete: func(float64) {}}
+	io := &iomodel.Transfer{Kind: iomodel.Recovery, Volume: 100 * bw, Nodes: 3, Sink: funcSink{}}
 	ck1 := &iomodel.Transfer{Kind: iomodel.Checkpoint, Volume: 200 * bw, Nodes: 5,
-		LastCkptEnd: 100, RecoverySeconds: 40, OnComplete: func(float64) {}}
+		LastCkptEnd: 100, RecoverySeconds: 40, Sink: funcSink{}}
 	ck2 := &iomodel.Transfer{Kind: iomodel.Checkpoint, Volume: 300 * bw, Nodes: 7,
-		LastCkptEnd: 200, RecoverySeconds: 60, OnComplete: func(float64) {}}
+		LastCkptEnd: 200, RecoverySeconds: 60, Sink: funcSink{}}
 	eng.Schedule(450, func() { dev.Submit(io) }) // d_io = 50 at now
 	eng.Schedule(460, func() { dev.Submit(ck1) })
 	eng.Schedule(470, func() { dev.Submit(ck2) })
@@ -208,7 +206,7 @@ func TestLeastWasteDeviceIntegration(t *testing.T) {
 	var order []string
 	mk := func(name string, volume float64, nodes int) *iomodel.Transfer {
 		return &iomodel.Transfer{Kind: iomodel.Input, Volume: volume, Nodes: nodes,
-			OnStart: func(float64) { order = append(order, name) }, OnComplete: func(float64) {}}
+			Sink: funcSink{start: func(float64) { order = append(order, name) }}}
 	}
 	// First grabs the token immediately (FCFS when idle).
 	dev.Submit(mk("first", 1000, 1))

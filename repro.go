@@ -105,10 +105,13 @@ type (
 	// CRN correlation and variance-reduction diagnostics.
 	PairedComparison = engine.PairedComparison
 	// Session is the context-aware experiment driver: one warm per-worker
-	// arena pool shared by Run, MonteCarlo, Sweep, Compare, ComparePaired
-	// and MinBandwidth for the session's lifetime. Not safe for concurrent
-	// use.
+	// arena pool shared by Run, MonteCarlo, Sweep, SweepPoints, Compare,
+	// ComparePaired and MinBandwidth for the session's lifetime. Not safe
+	// for concurrent use.
 	Session = engine.Session
+	// GridPoint is one experiment of Session.SweepPoints: a configuration
+	// plus a campaign runner's hooks (replay, resume, snapshots, deadline).
+	GridPoint = engine.GridPoint
 	// SessionOption configures a Session at construction (WithWorkers,
 	// WithKeepResults, WithKeepWasteRatios, WithOnResult, WithProgress,
 	// WithTargetCI, WithAntithetic, WithResultCache).
@@ -199,11 +202,9 @@ type (
 	// JournalPointState is one point's replayed journal state.
 	JournalPointState = campaign.PointState
 	// MCSnapshot is a resumable mid-experiment Monte-Carlo state: the
-	// exact accumulator bits after folding replicates [0, Folded).
+	// exact accumulator bits after folding replicates [0, Folded), as a
+	// campaign journals it and GridPoint.Resume takes it back.
 	MCSnapshot = engine.MCSnapshot
-	// ResumeSpec parameterises Session.MonteCarloResume: the snapshot to
-	// resume from and the cadence at which new snapshots are observed.
-	ResumeSpec = engine.ResumeSpec
 	// PanicError wraps a recovered simulation-worker panic with its
 	// stack; campaign quarantines it, bare Session methods return it.
 	PanicError = engine.PanicError
@@ -393,11 +394,12 @@ func WithTargetCI(halfWidth, confidence float64, minRuns, maxRuns int) SessionOp
 func WithAntithetic(on bool) SessionOption { return engine.WithAntithetic(on) }
 
 // WithResultCache attaches a content-addressed Monte-Carlo result cache
-// (see resultcache.New) to the session: every cacheable experiment is
-// looked up by ExperimentKey before simulating and stored after, and
-// served results carry MCResult.Cached. Within one Sweep, grid cells with
-// identical content addresses (e.g. the token-channel axis of a
-// shared-device strategy) deduplicate even without a cache attached.
+// (see resultcache.New) to the session: every cacheable sweep point
+// (Sweep, Compare, SweepPoints, and so every campaign) is looked up by
+// ExperimentKey before simulating and stored after, and served results
+// carry MCResult.Cached. Within one sweep, grid cells with identical
+// content addresses (e.g. the token-channel axis of a shared-device
+// strategy) deduplicate even without a cache attached.
 func WithResultCache(c ResultCache) SessionOption { return engine.WithResultCache(c) }
 
 // ExperimentKey returns the content address of a Monte-Carlo experiment —
