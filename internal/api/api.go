@@ -1,13 +1,13 @@
 // Package api is the wire layer of the coopsimd service: a canonical
 // JSON encoding of the engine's experiment types — engine.Config,
-// engine.SweepGrid and the Monte-Carlo options — with strategies
+// driver.SweepGrid and the Monte-Carlo options — with strategies
 // resolved by registry name, strict decoding (unknown fields
 // are errors, not silent drops), and validation that surfaces every
 // field error at once. The same types frame the service's streaming
 // results and management responses, so a campaign submitted over HTTP is
 // specified by exactly the data the in-process Session consumes:
 // resolving a decoded spec and running it yields results bit-identical
-// to the equivalent direct engine call.
+// to the equivalent direct Session call.
 package api
 
 import (
@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/burstbuffer"
 	"repro/internal/campaign"
+	"repro/internal/driver"
 	"repro/internal/engine"
 	"repro/internal/failure"
 	"repro/internal/iomodel"
@@ -129,7 +130,7 @@ type FailureSpec struct {
 	WeibullShape float64 `json:"weibull_shape,omitempty"`
 }
 
-// SweepGrid is the wire image of engine.SweepGrid, with strategies by
+// SweepGrid is the wire image of driver.SweepGrid, with strategies by
 // registry name and the platform axes in raw engine units.
 type SweepGrid struct {
 	BandwidthsBps   []float64     `json:"bandwidths_bps,omitempty"`
@@ -139,7 +140,7 @@ type SweepGrid struct {
 	Strategies      []string      `json:"strategies,omitempty"`
 }
 
-// TargetCI is the wire image of engine.TargetCI.
+// TargetCI is the wire image of driver.TargetCI.
 type TargetCI struct {
 	HalfWidth  float64 `json:"half_width"`
 	Confidence float64 `json:"confidence,omitempty"`
@@ -172,9 +173,9 @@ type CampaignSpec struct {
 // hand to the campaign layer.
 type Resolved struct {
 	Base       engine.Config
-	Grid       engine.SweepGrid
+	Grid       driver.SweepGrid
 	Runs       int
-	TargetCI   engine.TargetCI
+	TargetCI   driver.TargetCI
 	Antithetic bool
 }
 
@@ -220,9 +221,9 @@ func (s CampaignSpec) Resolve() (Resolved, error) {
 	if s.Runs <= 0 {
 		collect(fmt.Errorf("api: runs must be positive, got %d", s.Runs))
 	}
-	var tci engine.TargetCI
+	var tci driver.TargetCI
 	if t := s.Options.TargetCI; t != nil {
-		tci = engine.TargetCI{
+		tci = driver.TargetCI{
 			HalfWidth:  t.HalfWidth,
 			Confidence: t.Confidence,
 			MinRuns:    t.MinRuns,
@@ -357,11 +358,11 @@ func (p Platform) Resolve() (platform.Platform, error) {
 	return platform.Platform{}, fmt.Errorf("api: unknown platform preset %q (cielo or prospective; set nodes for an explicit platform)", p.Name)
 }
 
-// Resolve lowers the wire grid onto engine.SweepGrid, collecting every
+// Resolve lowers the wire grid onto driver.SweepGrid, collecting every
 // unresolvable name.
-func (g SweepGrid) Resolve() (engine.SweepGrid, error) {
+func (g SweepGrid) Resolve() (driver.SweepGrid, error) {
 	var errs []error
-	out := engine.SweepGrid{
+	out := driver.SweepGrid{
 		BandwidthsBps:   g.BandwidthsBps,
 		NodeMTBFSeconds: g.NodeMTBFSeconds,
 		Channels:        g.Channels,
@@ -372,7 +373,7 @@ func (g SweepGrid) Resolve() (engine.SweepGrid, error) {
 			errs = append(errs, err)
 			continue
 		}
-		out.FailureSpecs = append(out.FailureSpecs, engine.FailureSpec{Model: model, WeibullShape: fs.WeibullShape})
+		out.FailureSpecs = append(out.FailureSpecs, driver.FailureSpec{Model: model, WeibullShape: fs.WeibullShape})
 	}
 	for _, name := range g.Strategies {
 		strat, ok := engine.StrategyByName(name)
@@ -464,7 +465,7 @@ func (b *BurstBuffer) resolve() (*burstbuffer.Config, error) {
 // anything the wire cannot carry faithfully: an unregistered strategy, a
 // user interference model, or a trace hook. The encoding is canonical in
 // the sense the round-trip tests pin: decoding it and resolving yields a
-// configuration with the same engine.ExperimentKey.
+// configuration with the same driver.ExperimentKey.
 func FromConfig(cfg engine.Config) (Config, error) {
 	var errs []error
 	out := Config{
@@ -552,9 +553,9 @@ func FromConfig(cfg engine.Config) (Config, error) {
 	return out, errors.Join(errs...)
 }
 
-// FromGrid encodes an engine sweep grid onto the wire, erroring on
+// FromGrid encodes a driver sweep grid onto the wire, erroring on
 // unregistered strategies.
-func FromGrid(g engine.SweepGrid) (SweepGrid, error) {
+func FromGrid(g driver.SweepGrid) (SweepGrid, error) {
 	var errs []error
 	out := SweepGrid{
 		BandwidthsBps:   g.BandwidthsBps,
@@ -580,7 +581,7 @@ func FromGrid(g engine.SweepGrid) (SweepGrid, error) {
 	return out, errors.Join(errs...)
 }
 
-// MCResult is the wire image of a streamed engine.MCResult: the scalar
+// MCResult is the wire image of a streamed driver.MCResult: the scalar
 // aggregates and the candlestick summary. The per-run materialisations
 // (WasteRatios, Results) never cross the wire — the service always runs
 // the O(1)-memory streaming path, which leaves them nil. CIHalfWidth is
@@ -598,8 +599,8 @@ type MCResult struct {
 	Cached          bool          `json:"cached,omitempty"`
 }
 
-// FromMCResult encodes the streamable fields of an engine result.
-func FromMCResult(mc engine.MCResult) MCResult {
+// FromMCResult encodes the streamable fields of a Monte-Carlo result.
+func FromMCResult(mc driver.MCResult) MCResult {
 	out := MCResult{
 		Strategy:        mc.Strategy,
 		Summary:         mc.Summary,
@@ -617,9 +618,9 @@ func FromMCResult(mc engine.MCResult) MCResult {
 	return out
 }
 
-// Engine lowers the wire result back onto engine.MCResult.
-func (m MCResult) Engine() engine.MCResult {
-	out := engine.MCResult{
+// Engine lowers the wire result back onto driver.MCResult.
+func (m MCResult) Engine() driver.MCResult {
+	out := driver.MCResult{
 		Strategy:        m.Strategy,
 		Summary:         m.Summary,
 		MeanUtilization: m.MeanUtilization,

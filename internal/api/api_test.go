@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/driver"
 	"repro/internal/engine"
 	"repro/internal/failure"
 	"repro/internal/platform"
@@ -17,7 +18,7 @@ import (
 
 // TestConfigRoundTripKeyStable pins the core wire contract: encoding an
 // engine config to the wire, decoding it strictly, and resolving it
-// back must land on the same engine.ExperimentKey — for every
+// back must land on the same driver.ExperimentKey — for every
 // registered strategy. A drift here means an HTTP submission silently
 // simulates a different experiment than the in-process call.
 func TestConfigRoundTripKeyStable(t *testing.T) {
@@ -30,7 +31,7 @@ func TestConfigRoundTripKeyStable(t *testing.T) {
 			HorizonDays: 3,
 			Channels:    2,
 		}
-		wantKey, ok := engine.ExperimentKey(cfg, 5, engine.MCOptions{})
+		wantKey, ok := driver.ExperimentKey(cfg, 5, driver.MCOptions{})
 		if !ok {
 			t.Fatalf("%s: base config not cacheable", strat.Name())
 		}
@@ -52,7 +53,7 @@ func TestConfigRoundTripKeyStable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: resolve: %v", strat.Name(), err)
 		}
-		gotKey, ok := engine.ExperimentKey(res.Base, res.Runs, engine.MCOptions{})
+		gotKey, ok := driver.ExperimentKey(res.Base, res.Runs, driver.MCOptions{})
 		if !ok {
 			t.Fatalf("%s: resolved config not cacheable", strat.Name())
 		}
@@ -78,7 +79,7 @@ func TestDecodeLegacyScheduler(t *testing.T) {
 		if err != nil {
 			return "", err
 		}
-		key, _ := engine.ExperimentKey(res.Base, res.Runs, engine.MCOptions{})
+		key, _ := driver.ExperimentKey(res.Base, res.Runs, driver.MCOptions{})
 		return key, nil
 	}
 	want, err := resolveKey("")
@@ -112,10 +113,10 @@ func mustPlatform(t *testing.T, name string, bwGBps, mtbfYears float64) platform
 // TestGridRoundTrip pins that a full sweep grid survives the wire with
 // all five axes intact.
 func TestGridRoundTrip(t *testing.T) {
-	grid := engine.SweepGrid{
+	grid := driver.SweepGrid{
 		BandwidthsBps:   []float64{units.GBps(40), units.GBps(80)},
 		NodeMTBFSeconds: []float64{units.Years(2)},
-		FailureSpecs: []engine.FailureSpec{
+		FailureSpecs: []driver.FailureSpec{
 			{Model: mustFailure(t, "exponential")},
 			{Model: mustFailure(t, "weibull"), WeibullShape: 0.7},
 		},
@@ -207,7 +208,7 @@ func TestValidateCollectsAllErrors(t *testing.T) {
 // observations) across the JSON boundary, which float64 JSON cannot
 // carry directly.
 func TestMCResultInfRoundTrip(t *testing.T) {
-	in := engine.MCResult{Strategy: "Least-Waste", RunsUsed: 1, CIHalfWidth: math.Inf(1), Confidence: 0.95}
+	in := driver.MCResult{Strategy: "Least-Waste", RunsUsed: 1, CIHalfWidth: math.Inf(1), Confidence: 0.95}
 	wire := FromMCResult(in)
 	blob, err := EncodeJSON(wire)
 	if err != nil {

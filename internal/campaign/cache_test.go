@@ -5,7 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/engine"
+	"repro/internal/driver"
 	"repro/internal/faultinject"
 	"repro/internal/resultcache"
 	"repro/internal/units"
@@ -17,7 +17,7 @@ import (
 // cache and the journal compose instead of depending on each other.
 func TestCampaignResultCache(t *testing.T) {
 	base := tinyConfig(mustStrategy(t, "Ordered-NB-Daly"), 101)
-	grid := engine.SweepGrid{BandwidthsBps: []float64{units.GBps(0.25), units.GBps(0.5)}}
+	grid := driver.SweepGrid{BandwidthsBps: []float64{units.GBps(0.25), units.GBps(0.5)}}
 	const runs = 5
 	want := golden(t, base, grid, runs)
 

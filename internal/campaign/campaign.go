@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/driver"
 	"repro/internal/engine"
 )
 
@@ -42,7 +43,7 @@ func (s PointStatus) String() string {
 // it and moves on instead of aborting the sweep.
 type PointError struct {
 	// Point identifies the failed cell.
-	Point engine.SweepPoint
+	Point driver.SweepPoint
 	// Attempts counts the point's attempts: one per campaign run that
 	// simulated it, this run included.
 	Attempts int
@@ -61,9 +62,9 @@ func (e *PointError) Unwrap() error { return e.Err }
 
 // PointResult is one grid point's outcome in campaign order.
 type PointResult struct {
-	Point engine.SweepPoint
+	Point driver.SweepPoint
 	// MC holds the aggregates when Status is StatusDone.
-	MC engine.MCResult
+	MC driver.MCResult
 	// Status classifies the outcome; Err is the *PointError when
 	// StatusFailed.
 	Status PointStatus
@@ -104,22 +105,22 @@ type Options struct {
 	// deadline takes effect at the point's next replicate boundary, or
 	// inside a hook that honours its context.
 	PointTimeout time.Duration
-	// Workers bounds the engine's parallelism (0 means GOMAXPROCS).
+	// Workers bounds the session's parallelism (0 means GOMAXPROCS).
 	Workers int
-	// Antithetic and TargetCI configure the engine's variance-reduction
+	// Antithetic and TargetCI configure the session's variance-reduction
 	// and sequential-stopping behaviour, as the Session options.
 	Antithetic bool
-	TargetCI   engine.TargetCI
+	TargetCI   driver.TargetCI
 	// Progress, when set, receives campaign-wide replicate progress
 	// (done, total) across all points, monotone within a run.
 	Progress func(done, total int)
 	// Cache, when non-nil, is the session's result cache
-	// (engine.WithResultCache); every completed point, journal replays
+	// (driver.WithResultCache); every completed point, journal replays
 	// included, is stored in it. A hit — like a repeated cell, with or
 	// without a cache — yields MC.Cached and journals cache_hit plus the
 	// point's aggregates, so a resume needs no cache. Results are
 	// bit-identical either way.
-	Cache engine.ResultCache
+	Cache driver.ResultCache
 }
 
 // Progress is a point-in-time snapshot of campaign advancement — the
@@ -146,10 +147,10 @@ type Progress struct {
 	CacheHits int
 }
 
-// Campaign runs sweeps durably over one engine.Session.
+// Campaign runs sweeps durably over one driver.Session.
 type Campaign struct {
 	opts    Options
-	session *engine.Session
+	session *driver.Session
 	// folded is the session's last folded-replicate count; served adds
 	// the RunsUsed of points yielded unfolded (journal replays, cached
 	// cells). Both change on the RunSweep goroutine only.
@@ -181,25 +182,25 @@ func (c *Campaign) note(f func(*Progress)) {
 // streaming aggregation path — the only path with O(1) resumable state.
 func New(opts Options) *Campaign {
 	c := &Campaign{opts: opts}
-	sopts := []engine.SessionOption{
-		engine.WithWorkers(opts.Workers),
-		engine.WithAntithetic(opts.Antithetic),
+	sopts := []driver.SessionOption{
+		driver.WithWorkers(opts.Workers),
+		driver.WithAntithetic(opts.Antithetic),
 	}
 	if opts.TargetCI.HalfWidth > 0 {
-		sopts = append(sopts, engine.WithTargetCI(opts.TargetCI.HalfWidth,
+		sopts = append(sopts, driver.WithTargetCI(opts.TargetCI.HalfWidth,
 			opts.TargetCI.Confidence, opts.TargetCI.MinRuns, opts.TargetCI.MaxRuns))
 	}
 	if opts.Cache != nil {
-		sopts = append(sopts, engine.WithResultCache(opts.Cache))
+		sopts = append(sopts, driver.WithResultCache(opts.Cache))
 	}
 	// The session progress hook always feeds the Snapshot counters —
 	// replicate-level progress inside the in-flight points — and
 	// forwards to the caller's Progress callback when one is set.
-	sopts = append(sopts, engine.WithProgress(func(done, _ int) {
+	sopts = append(sopts, driver.WithProgress(func(done, _ int) {
 		c.folded = done
 		c.reportFolded()
 	}))
-	c.session = engine.NewSession(sopts...)
+	c.session = driver.NewSession(sopts...)
 	return c
 }
 
@@ -250,13 +251,19 @@ type fingerprintSpec struct {
 }
 
 // fingerprint hashes the campaign's canonical spec. Interfaces and
-// function fields of Config are identified by name (strategies) or
-// dynamic type (interference models) — the precision a journal header
-// can have without serializing code.
-func (c *Campaign) fingerprint(base engine.Config, grid engine.SweepGrid, runs int) string {
+// function fields of Config are identified by name (strategies) or by
+// dynamic type plus parameters (interference models) — the precision a
+// journal header can have without serializing code. A parameterless
+// model keeps its bare type name, so nil, LinearShare and Unlimited hash
+// as they did before parameters were included.
+func (c *Campaign) fingerprint(base engine.Config, grid driver.SweepGrid, runs int) string {
 	classes := make([]string, len(base.Classes))
 	for i, cl := range base.Classes {
 		classes[i] = fmt.Sprintf("%v", cl)
+	}
+	interference := fmt.Sprintf("%T", base.Interference)
+	if params := fmt.Sprintf("%+v", base.Interference); base.Interference != nil && params != "{}" {
+		interference += params
 	}
 	spec := fingerprintSpec{
 		PlatformName:    base.Platform.Name,
@@ -270,7 +277,7 @@ func (c *Campaign) fingerprint(base engine.Config, grid engine.SweepGrid, runs i
 		Warmup:          base.WarmupDays,
 		Cooldown:        base.CooldownDays,
 		Gen:             base.Gen,
-		Interference:    fmt.Sprintf("%T", base.Interference),
+		Interference:    interference,
 		Channels:        base.Channels,
 		FailureModel:    int(base.FailureModel),
 		WeibullShape:    base.WeibullShape,
@@ -337,7 +344,7 @@ func (c *Campaign) openOrCreate(fp string, points, runs int, seed uint64) (*Jour
 }
 
 // RunSweep evaluates the grid over the base configuration durably, as
-// one engine.Session.SweepPoints run: each point gets one attempt with
+// one driver.Session.SweepPoints run: each point gets one attempt with
 // journaled snapshots, a failed point is quarantined, and results stream
 // in grid order as an iterator. The returned errf (call it after iteration)
 // reports campaign-level failure — journal durability loss or context
@@ -349,7 +356,7 @@ func (c *Campaign) openOrCreate(fp string, points, runs int, seed uint64) (*Jour
 // into its restored accumulators — bit-identical to never having
 // stopped; a previously failed point gets a fresh attempt, from its last
 // journaled snapshot.
-func (c *Campaign) RunSweep(ctx context.Context, base engine.Config, grid engine.SweepGrid, runs int) (iter.Seq[PointResult], func() error) {
+func (c *Campaign) RunSweep(ctx context.Context, base engine.Config, grid driver.SweepGrid, runs int) (iter.Seq[PointResult], func() error) {
 	var campErr error
 	seq := func(yield func(PointResult) bool) {
 		campErr = c.runSweep(ctx, base, grid, runs, yield)
@@ -359,7 +366,7 @@ func (c *Campaign) RunSweep(ctx context.Context, base engine.Config, grid engine
 
 // Run evaluates a single configuration durably — a one-point campaign.
 func (c *Campaign) Run(ctx context.Context, cfg engine.Config, runs int) (PointResult, error) {
-	grid := engine.SweepGrid{}
+	grid := driver.SweepGrid{}
 	var out PointResult
 	seq, errf := c.RunSweep(ctx, cfg, grid, runs)
 	for pr := range seq {
@@ -368,7 +375,7 @@ func (c *Campaign) Run(ctx context.Context, cfg engine.Config, runs int) (PointR
 	return out, errf()
 }
 
-func (c *Campaign) runSweep(ctx context.Context, base engine.Config, grid engine.SweepGrid, runs int, yield func(PointResult) bool) error {
+func (c *Campaign) runSweep(ctx context.Context, base engine.Config, grid driver.SweepGrid, runs int, yield func(PointResult) bool) error {
 	if err := base.Validate(); err != nil {
 		return err
 	}
@@ -405,9 +412,9 @@ func (c *Campaign) runSweep(ctx context.Context, base engine.Config, grid engine
 	}
 	// attempts: each point's journaled failures plus this run's attempt.
 	attempts := make([]int, len(pts))
-	gps := make([]engine.GridPoint, len(pts))
+	gps := make([]driver.GridPoint, len(pts))
 	for i, pt := range pts {
-		gp := engine.GridPoint{Config: pt.Apply(base), Timeout: c.opts.PointTimeout}
+		gp := driver.GridPoint{Config: pt.Apply(base), Timeout: c.opts.PointTimeout}
 		attempts[i] = 1
 		if replayed != nil {
 			if st := replayed.Points[pt.Index]; st != nil {
@@ -418,7 +425,7 @@ func (c *Campaign) runSweep(ctx context.Context, base engine.Config, grid engine
 		if j != nil && gp.Done == nil {
 			// Durability errors latch in the journal and fail the
 			// campaign at the next point the sweep reports.
-			gp.OnSnapshot = func(s engine.MCSnapshot) {
+			gp.OnSnapshot = func(s driver.MCSnapshot) {
 				_ = j.append(recSnap, snapRecord{Point: pt.Index, Snap: s}, false)
 			}
 			gp.SnapshotEvery = every
@@ -428,7 +435,7 @@ func (c *Campaign) runSweep(ctx context.Context, base engine.Config, grid engine
 
 	var fatal error
 	stopped := false
-	err = c.session.SweepPoints(ctx, gps, runs, func(p int, mc engine.MCResult, perr error) bool {
+	err = c.session.SweepPoints(ctx, gps, runs, func(p int, mc driver.MCResult, perr error) bool {
 		var pr PointResult
 		pr, fatal = c.conclude(j, pts[p], gps[p], attempts[p], mc, perr)
 		stopped = fatal != nil || !yield(pr)
@@ -457,7 +464,7 @@ func (c *Campaign) runSweep(ctx context.Context, base engine.Config, grid engine
 // journaled, kept so journals stay byte-identical. The returned error is
 // campaign-fatal (journal loss); per-point failure comes back inside the
 // PointResult.
-func (c *Campaign) conclude(j *Journal, pt engine.SweepPoint, gp engine.GridPoint, attempts int, mc engine.MCResult, perr error) (PointResult, error) {
+func (c *Campaign) conclude(j *Journal, pt driver.SweepPoint, gp driver.GridPoint, attempts int, mc driver.MCResult, perr error) (PointResult, error) {
 	if jerr := j.Err(); jerr != nil {
 		// The journal can no longer guarantee durability; pressing on
 		// would break the resume contract silently.
@@ -466,7 +473,7 @@ func (c *Campaign) conclude(j *Journal, pt engine.SweepPoint, gp engine.GridPoin
 	// The journal latches its first append error, so the last append of
 	// each record pair reports a failure of either.
 	if perr != nil {
-		var panicErr *engine.PanicError
+		var panicErr *driver.PanicError
 		rec := failRecord{Point: pt.Index, Attempt: attempts, Error: perr.Error()}
 		attempt := rec
 		attempt.Panic = errors.As(perr, &panicErr)

@@ -12,8 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/driver"
 	"repro/internal/engine"
 	"repro/internal/faultinject"
+	"repro/internal/iomodel"
 	"repro/internal/platform"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -59,7 +61,7 @@ func mustStrategy(t *testing.T, name string) engine.Strategy {
 // golden runs the grid uninterrupted through a plain unjournaled
 // campaign — the reference every recovery test compares against bit for
 // bit.
-func golden(t *testing.T, base engine.Config, grid engine.SweepGrid, runs int) []PointResult {
+func golden(t *testing.T, base engine.Config, grid driver.SweepGrid, runs int) []PointResult {
 	t.Helper()
 	seq, errf := New(Options{Workers: 3}).RunSweep(context.Background(), base, grid, runs)
 	var out []PointResult
@@ -76,7 +78,7 @@ func golden(t *testing.T, base engine.Config, grid engine.SweepGrid, runs int) [
 }
 
 // sameMC asserts bit-identity of the aggregates campaign results carry.
-func sameMC(t *testing.T, tag string, got, want engine.MCResult) {
+func sameMC(t *testing.T, tag string, got, want driver.MCResult) {
 	t.Helper()
 	if got.Summary != want.Summary ||
 		got.MeanUtilization != want.MeanUtilization ||
@@ -95,7 +97,7 @@ func sameMC(t *testing.T, tag string, got, want engine.MCResult) {
 // and replaying it restores every point's aggregates exactly.
 func TestCampaignJournalRoundTrip(t *testing.T) {
 	base := tinyConfig(mustStrategy(t, "Ordered-NB-Daly"), 11)
-	grid := engine.SweepGrid{BandwidthsBps: []float64{units.GBps(0.25), units.GBps(0.5)}}
+	grid := driver.SweepGrid{BandwidthsBps: []float64{units.GBps(0.25), units.GBps(0.5)}}
 	const runs = 6
 	want := golden(t, base, grid, runs)
 
@@ -160,7 +162,7 @@ func TestCampaignJournalRoundTrip(t *testing.T) {
 // to the uninterrupted golden at every point.
 func TestCampaignResumeMidPointBitIdentity(t *testing.T) {
 	base := tinyConfig(mustStrategy(t, "Least-Waste"), 23)
-	grid := engine.SweepGrid{
+	grid := driver.SweepGrid{
 		Strategies: []engine.Strategy{
 			mustStrategy(t, "Ordered-Daly"),
 			mustStrategy(t, "Ordered-NB-Daly"),
@@ -219,7 +221,7 @@ func TestCampaignResumeMidPointBitIdentity(t *testing.T) {
 // and resumes bit-identically.
 func TestCampaignTornTailRecovery(t *testing.T) {
 	base := tinyConfig(mustStrategy(t, "Ordered-NB-Daly"), 31)
-	grid := engine.SweepGrid{NodeMTBFSeconds: []float64{units.Years(1), units.Years(2)}}
+	grid := driver.SweepGrid{NodeMTBFSeconds: []float64{units.Years(1), units.Years(2)}}
 	const runs = 6
 	want := golden(t, base, grid, runs)
 
@@ -266,7 +268,7 @@ func TestCampaignTornTailRecovery(t *testing.T) {
 // single attempt while every other point completes bit-identically.
 func TestCampaignQuarantinesPoisonedPoint(t *testing.T) {
 	base := tinyConfig(mustStrategy(t, "Ordered-NB-Daly"), 41)
-	grid := engine.SweepGrid{
+	grid := driver.SweepGrid{
 		BandwidthsBps: []float64{units.GBps(0.25), units.GBps(0.5), units.GBps(1)},
 	}
 	const runs = 6
@@ -303,7 +305,7 @@ func TestCampaignQuarantinesPoisonedPoint(t *testing.T) {
 	if perr.Attempts != 1 {
 		t.Fatalf("poisoned point burned %d attempts, want 1", perr.Attempts)
 	}
-	var panicErr *engine.PanicError
+	var panicErr *driver.PanicError
 	if !errors.As(perr, &panicErr) {
 		t.Fatalf("PointError %v does not unwrap to the worker *PanicError", perr)
 	}
@@ -316,7 +318,7 @@ func TestCampaignQuarantinesPoisonedPoint(t *testing.T) {
 // from its journal so every point matches the golden.
 func TestCampaignPoisonedPointAcrossWorkers(t *testing.T) {
 	base := tinyConfig(mustStrategy(t, "Least-Waste"), 47)
-	grid := engine.SweepGrid{
+	grid := driver.SweepGrid{
 		BandwidthsBps: []float64{units.GBps(0.25), units.GBps(0.5)},
 		Strategies: []engine.Strategy{
 			mustStrategy(t, "Ordered-NB-Daly"), mustStrategy(t, "Least-Waste"),
@@ -346,7 +348,7 @@ func TestCampaignPoisonedPointAcrossWorkers(t *testing.T) {
 		}
 		for i, pr := range got {
 			if i == poisoned {
-				var panicErr *engine.PanicError
+				var panicErr *driver.PanicError
 				if pr.Status != StatusFailed || !errors.As(pr.Err, &panicErr) {
 					t.Fatalf("workers=%d: poisoned point status %v err %v, want a quarantined panic", workers, pr.Status, pr.Err)
 				}
@@ -386,7 +388,7 @@ func TestCampaignPoisonedPointAcrossWorkers(t *testing.T) {
 // resume replays it without a cache or a simulation.
 func TestCampaignDedupsRepeatedCell(t *testing.T) {
 	base := tinyConfig(mustStrategy(t, "Oblivious-Daly"), 59)
-	grid := engine.SweepGrid{
+	grid := driver.SweepGrid{
 		Channels:   []int{1, 2},
 		Strategies: []engine.Strategy{mustStrategy(t, "Oblivious-Daly")},
 	}
@@ -450,7 +452,7 @@ func TestCampaignDedupsRepeatedCell(t *testing.T) {
 // fault is fixed heals everything bit-identically.
 func TestCampaignFailAndHeal(t *testing.T) {
 	base := tinyConfig(mustStrategy(t, "Ordered-NB-Daly"), 53)
-	grid := engine.SweepGrid{
+	grid := driver.SweepGrid{
 		BandwidthsBps: []float64{units.GBps(0.25), units.GBps(0.5), units.GBps(1), units.GBps(2)},
 	}
 	const runs = 4
@@ -500,7 +502,7 @@ func TestCampaignFailAndHeal(t *testing.T) {
 // campaign itself stays alive.
 func TestCampaignPointTimeout(t *testing.T) {
 	base := tinyConfig(mustStrategy(t, "Ordered-NB-Daly"), 61)
-	grid := engine.SweepGrid{BandwidthsBps: []float64{units.GBps(0.5), units.GBps(1)}}
+	grid := driver.SweepGrid{BandwidthsBps: []float64{units.GBps(0.5), units.GBps(1)}}
 
 	restore := faultinject.Set(faultinject.SiteWorkerReplicate, faultinject.HangUntilCancel())
 	defer restore()
@@ -537,7 +539,7 @@ func TestCampaignPointTimeout(t *testing.T) {
 func TestCampaignFailedPointResumesFromSnapshot(t *testing.T) {
 	base := tinyConfig(mustStrategy(t, "Least-Waste"), 71)
 	const runs, every, failAt = 8, 2, 5
-	want := golden(t, base, engine.SweepGrid{}, runs)
+	want := golden(t, base, driver.SweepGrid{}, runs)
 
 	// Workers 1 folds replicates 0..failAt-1 before replicate failAt's
 	// error returns, so snapshots up to Folded 4 reach the journal.
@@ -595,7 +597,7 @@ func TestCampaignFailedPointResumesFromSnapshot(t *testing.T) {
 // attempts.
 func TestResumeLegacyRetryJournal(t *testing.T) {
 	base := tinyConfig(mustStrategy(t, "Ordered-NB-Daly"), 43)
-	grid := engine.SweepGrid{
+	grid := driver.SweepGrid{
 		BandwidthsBps: []float64{units.GBps(0.25), units.GBps(0.5), units.GBps(1)},
 	}
 	const runs = 12
@@ -656,7 +658,7 @@ func TestCampaignFingerprintMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "campaign.journal")
 
 	seq, errf := New(Options{JournalPath: path, Workers: 2}).
-		RunSweep(context.Background(), base, engine.SweepGrid{}, 4)
+		RunSweep(context.Background(), base, driver.SweepGrid{}, 4)
 	for range seq {
 	}
 	if err := errf(); err != nil {
@@ -666,7 +668,7 @@ func TestCampaignFingerprintMismatch(t *testing.T) {
 	other := base
 	other.Seed = 82
 	seq, errf = New(Options{JournalPath: path, Resume: true, Workers: 2}).
-		RunSweep(context.Background(), other, engine.SweepGrid{}, 4)
+		RunSweep(context.Background(), other, driver.SweepGrid{}, 4)
 	for range seq {
 	}
 	if err := errf(); err == nil || !strings.Contains(err.Error(), "different campaign") {
@@ -675,11 +677,39 @@ func TestCampaignFingerprintMismatch(t *testing.T) {
 
 	// And an existing journal without -resume is an explicit error.
 	seq, errf = New(Options{JournalPath: path, Workers: 2}).
-		RunSweep(context.Background(), base, engine.SweepGrid{}, 4)
+		RunSweep(context.Background(), base, driver.SweepGrid{}, 4)
 	for range seq {
 	}
 	if err := errf(); err == nil || !errors.Is(err, fs.ErrExist) {
 		t.Fatalf("overwriting an existing journal accepted (err %v)", err)
+	}
+}
+
+// TestCampaignFingerprintInterferenceParams: the fingerprint covers an
+// interference model's parameters, so a journal written under
+// Degraded{Gamma: 0.5} is refused by a resume under Gamma 0.9 instead of
+// replaying the other model's results, and still resumes under 0.5.
+func TestCampaignFingerprintInterferenceParams(t *testing.T) {
+	base := tinyConfig(mustStrategy(t, "Oblivious-Daly"), 83)
+	base.Interference = iomodel.Degraded{Gamma: 0.5}
+	path := filepath.Join(t.TempDir(), "campaign.journal")
+	run := func(cfg engine.Config, resume bool) error {
+		seq, errf := New(Options{JournalPath: path, Resume: resume, Workers: 2}).
+			RunSweep(context.Background(), cfg, driver.SweepGrid{}, 2)
+		for range seq {
+		}
+		return errf()
+	}
+	if err := run(base, false); err != nil {
+		t.Fatal(err)
+	}
+	other := base
+	other.Interference = iomodel.Degraded{Gamma: 0.9}
+	if err := run(other, true); err == nil || !strings.Contains(err.Error(), "different campaign") {
+		t.Fatalf("resume under another Degraded gamma accepted (err %v)", err)
+	}
+	if err := run(base, true); err != nil {
+		t.Fatalf("resume under the same gamma: %v", err)
 	}
 }
 
@@ -688,8 +718,8 @@ const childEnv = "REPRO_CAMPAIGN_CHILD_JOURNAL"
 
 // killGrid is the shared campaign of the SIGKILL test: every registered
 // strategy on the tiny platform.
-func killGrid() engine.SweepGrid {
-	return engine.SweepGrid{Strategies: engine.AllStrategies()}
+func killGrid() driver.SweepGrid {
+	return driver.SweepGrid{Strategies: engine.AllStrategies()}
 }
 
 const killRuns = 4
@@ -826,7 +856,7 @@ func TestCampaignSIGKILLResume(t *testing.T) {
 // read never perturbs or consumes the campaign itself.
 func TestCampaignProgressSnapshot(t *testing.T) {
 	base := tinyConfig(mustStrategy(t, "Least-Waste"), 7)
-	grid := engine.SweepGrid{Strategies: []engine.Strategy{
+	grid := driver.SweepGrid{Strategies: []engine.Strategy{
 		mustStrategy(t, "Least-Waste"), mustStrategy(t, "Ordered-Daly"),
 	}}
 	const runs = 3

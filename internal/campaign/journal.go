@@ -1,4 +1,4 @@
-// Package campaign is the durable execution layer over engine.Session:
+// Package campaign is the durable execution layer over driver.Session:
 // it runs sweep campaigns with their progress journaled to an
 // append-only, CRC-framed, fsync-batched file, so a campaign killed by a
 // crash, OOM, or preemption resumes from the journal bit-identically to
@@ -25,7 +25,7 @@ import (
 	"math"
 	"os"
 
-	"repro/internal/engine"
+	"repro/internal/driver"
 	"repro/internal/faultinject"
 	"repro/internal/stats"
 )
@@ -121,7 +121,7 @@ func (f *extFloat) UnmarshalJSON(b []byte) error {
 }
 
 // mcRecord is the serializable aggregate of a completed point — the
-// subset of engine.MCResult a streaming campaign materialises.
+// subset of driver.MCResult a streaming campaign materialises.
 type mcRecord struct {
 	Strategy        string        `json:"strategy"`
 	Summary         summaryRecord `json:"summary"`
@@ -149,7 +149,7 @@ type summaryRecord struct {
 
 type snapRecord struct {
 	Point int               `json:"point"`
-	Snap  engine.MCSnapshot `json:"snap"`
+	Snap  driver.MCSnapshot `json:"snap"`
 }
 
 type doneRecord struct {
@@ -323,9 +323,9 @@ func (j *Journal) Close() error {
 // PointState is one point's replayed journal state.
 type PointState struct {
 	// Done holds the point's final aggregates when it completed.
-	Done *engine.MCResult
+	Done *driver.MCResult
 	// Snap is the latest mid-point snapshot (partial progress).
-	Snap *engine.MCSnapshot
+	Snap *driver.MCSnapshot
 	// Attempts counts recorded failed attempts.
 	Attempts int
 	// Failed records a quarantined PointError; a resume re-attempts the
@@ -538,7 +538,7 @@ func (st *ReplayState) apply(rec envelope) error {
 }
 
 // toRecord converts a streaming-path MCResult to its journal form.
-func toRecord(mc engine.MCResult) mcRecord {
+func toRecord(mc driver.MCResult) mcRecord {
 	s := mc.Summary
 	return mcRecord{
 		Strategy: mc.Strategy,
@@ -557,9 +557,9 @@ func toRecord(mc engine.MCResult) mcRecord {
 }
 
 // toMCResult reverses toRecord.
-func (r mcRecord) toMCResult() engine.MCResult {
+func (r mcRecord) toMCResult() driver.MCResult {
 	s := r.Summary
-	return engine.MCResult{
+	return driver.MCResult{
 		Strategy: r.Strategy,
 		Summary: stats.Summary{
 			N: s.N, Mean: float64(s.Mean), Min: float64(s.Min), Max: float64(s.Max),

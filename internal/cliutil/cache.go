@@ -12,7 +12,7 @@ import (
 // paperfigs front ends.
 type CacheFlags struct {
 	// Dir is the -cache-dir path ("" = no cross-run cache; in-grid
-	// deduplication in the engine still applies).
+	// deduplication in the driver still applies).
 	Dir string
 }
 

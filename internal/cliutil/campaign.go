@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/engine"
+	"repro/internal/driver"
 )
 
 // CampaignFlags binds the crash-resilience flags shared by the coopsim
@@ -42,11 +42,11 @@ func (cf *CampaignFlags) Enabled() bool {
 }
 
 // CampaignOptions assembles the campaign.Options for a run, folding in
-// the session-level knobs the campaign forwards to its engine session.
+// the session-level knobs the campaign forwards to its session.
 // journalSuffix distinguishes multiple campaigns sharing one -journal
 // flag value (paperfigs appends ".fig1"/".fig2" — each figure is its own
 // campaign with its own fingerprint).
-func (cf *CampaignFlags) CampaignOptions(journalSuffix string, workers int, antithetic bool, tci engine.TargetCI, progress func(done, total int)) (campaign.Options, error) {
+func (cf *CampaignFlags) CampaignOptions(journalSuffix string, workers int, antithetic bool, tci driver.TargetCI, progress func(done, total int)) (campaign.Options, error) {
 	journal := cf.Journal
 	if journal != "" && journalSuffix != "" {
 		journal += journalSuffix

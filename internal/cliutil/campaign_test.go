@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/engine"
+	"repro/internal/driver"
 )
 
 // parseCampaignFlags registers the campaign flags on a fresh
@@ -34,7 +34,7 @@ func TestCampaignFlags(t *testing.T) {
 	if !cf.Enabled() {
 		t.Fatal("-point-timeout 5m alone left the campaign layer off")
 	}
-	opts, err := cf.CampaignOptions("", 3, false, engine.TargetCI{}, nil)
+	opts, err := cf.CampaignOptions("", 3, false, driver.TargetCI{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestCampaignFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts, err = cf.CampaignOptions(".fig1", 0, false, engine.TargetCI{}, nil)
+	opts, err = cf.CampaignOptions(".fig1", 0, false, driver.TargetCI{}, nil)
 	if err != nil || opts.JournalPath != "c.journal.fig1" || !opts.Resume {
 		t.Fatalf("-journal c.journal -resume gave options %+v, err %v", opts, err)
 	}
@@ -55,7 +55,7 @@ func TestCampaignFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cf.CampaignOptions("", 0, false, engine.TargetCI{}, nil); err == nil {
+	if _, err := cf.CampaignOptions("", 0, false, driver.TargetCI{}, nil); err == nil {
 		t.Fatal("-resume without -journal accepted")
 	}
 

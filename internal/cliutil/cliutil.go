@@ -13,6 +13,7 @@ import (
 	"strings"
 	"syscall"
 
+	"repro/internal/driver"
 	"repro/internal/engine"
 	"repro/internal/platform"
 )
@@ -70,10 +71,10 @@ func Channels(spec string) ([]int, error) {
 // TargetCI parses a -target-ci flag value of the form
 // "halfWidth[:confidence[:minRuns[:maxRuns]]]" into a sequential-stopping
 // target; the empty string keeps fixed-runs behaviour (the zero TargetCI).
-// Omitted components select the engine defaults (confidence 0.95,
+// Omitted components select the driver defaults (confidence 0.95,
 // minRuns 8, maxRuns = the experiment's -runs).
-func TargetCI(spec string) (engine.TargetCI, error) {
-	var t engine.TargetCI
+func TargetCI(spec string) (driver.TargetCI, error) {
+	var t driver.TargetCI
 	if spec == "" {
 		return t, nil
 	}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/driver"
 	"repro/internal/engine"
 )
 
@@ -86,14 +87,14 @@ func TestInterruptContext(t *testing.T) {
 func TestTargetCI(t *testing.T) {
 	cases := []struct {
 		spec string
-		want engine.TargetCI
+		want driver.TargetCI
 	}{
-		{"", engine.TargetCI{}},
-		{"0.002", engine.TargetCI{HalfWidth: 0.002}},
-		{"0.002:0.99", engine.TargetCI{HalfWidth: 0.002, Confidence: 0.99}},
-		{"0.002:0.99:16", engine.TargetCI{HalfWidth: 0.002, Confidence: 0.99, MinRuns: 16}},
-		{"0.002:0.99:16:400", engine.TargetCI{HalfWidth: 0.002, Confidence: 0.99, MinRuns: 16, MaxRuns: 400}},
-		{" 0.01 : 0.9 : 4 : 8 ", engine.TargetCI{HalfWidth: 0.01, Confidence: 0.9, MinRuns: 4, MaxRuns: 8}},
+		{"", driver.TargetCI{}},
+		{"0.002", driver.TargetCI{HalfWidth: 0.002}},
+		{"0.002:0.99", driver.TargetCI{HalfWidth: 0.002, Confidence: 0.99}},
+		{"0.002:0.99:16", driver.TargetCI{HalfWidth: 0.002, Confidence: 0.99, MinRuns: 16}},
+		{"0.002:0.99:16:400", driver.TargetCI{HalfWidth: 0.002, Confidence: 0.99, MinRuns: 16, MaxRuns: 400}},
+		{" 0.01 : 0.9 : 4 : 8 ", driver.TargetCI{HalfWidth: 0.01, Confidence: 0.9, MinRuns: 4, MaxRuns: 8}},
 	}
 	for _, c := range cases {
 		got, err := TargetCI(c.spec)

@@ -1,13 +1,13 @@
-package engine
+package driver
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"slices"
 
 	"repro/internal/burstbuffer"
+	"repro/internal/engine"
 	"repro/internal/platform"
 	"repro/internal/workload"
 )
@@ -16,9 +16,9 @@ import (
 // Get returns the result previously stored under the key (and whether one
 // was), Put stores one. Keys come from ExperimentKey, so equal keys mean
 // bit-identical experiments under the pinned CRN schedule. A Session
-// consults its cache (WithResultCache) once per cacheable SweepPoints
-// point — Sweep and the campaign runner both run through it — and Puts
-// every point it computes or is handed as already done.
+// Gets from its cache (WithResultCache) once per distinct key of a
+// SweepPoints run — Sweep and the campaign runner both run through it —
+// and Puts every point it computes or is handed as already done.
 //
 // Implementations must be safe for concurrent use and must not let a
 // later caller observe mutations made by an earlier one (clone slices on
@@ -75,17 +75,17 @@ type experimentSpec struct {
 // (cfg, runs, opts) — the sha256 of its canonical spec, in hex — and
 // whether the experiment is cacheable at all. Experiments with per-run
 // observers (OnResult, Trace) or a transformed CI estimand are not
-// cacheable: a memo hit would skip the simulation their hooks observe.
+// cacheable: a cache hit would skip the simulation their hooks observe.
 //
 // Strategies are identified by Name(); user-registered strategies must
 // use distinct names for distinct behaviours, as the registry already
 // requires.
-func ExperimentKey(cfg Config, runs int, opts MCOptions) (string, bool) {
+func ExperimentKey(cfg engine.Config, runs int, opts MCOptions) (string, bool) {
 	if runs <= 0 || cfg.Trace != nil ||
 		opts.OnResult != nil || opts.ciValue != nil {
 		return "", false
 	}
-	c := cfg.withDefaults()
+	c := cfg.WithDefaults()
 	seq := opts.TargetCI.withDefaults()
 	total := opts.budget(runs)
 	if seq.HalfWidth <= 0 {
@@ -125,80 +125,4 @@ func ExperimentKey(cfg Config, runs int, opts MCOptions) (string, bool) {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), true
-}
-
-// cloneMCResult deep-copies the slice-valued fields so a memoised result
-// handed out twice cannot alias mutations between consumers.
-func cloneMCResult(mc MCResult) MCResult {
-	mc.WasteRatios = slices.Clone(mc.WasteRatios)
-	mc.Results = slices.Clone(mc.Results)
-	return mc
-}
-
-// sweepMemo is the per-sweep memo the grid coordinator consults: an
-// in-grid tier (repeated cells within one grid — the k-axis ×
-// shared-device case) backed by the session's ResultCache, when one is
-// installed. A nil memo disables memoisation: per-run observers must see
-// every simulation, and single experiments (MonteCarlo, the paired
-// comparison, bisection probes) are never memoised.
-type sweepMemo struct {
-	runs  int
-	opts  MCOptions
-	cache ResultCache
-	seen  map[string]MCResult
-}
-
-// newSweepMemo builds the memo for one sweep, or nil when the session's
-// options make memoisation unobservable-preserving impossible.
-func newSweepMemo(s *Session, runs int) *sweepMemo {
-	if s.opts.OnResult != nil {
-		return nil
-	}
-	return &sweepMemo{runs: runs, opts: s.opts, cache: s.cache, seen: map[string]MCResult{}}
-}
-
-// key returns the point's content-address, or "" when uncacheable.
-func (m *sweepMemo) key(cfg Config) string {
-	if m == nil {
-		return ""
-	}
-	k, ok := ExperimentKey(cfg, m.runs, m.opts)
-	if !ok {
-		return ""
-	}
-	return k
-}
-
-// lookup returns the memoised result for the key, marked Cached, checking
-// the in-grid tier before the session cache.
-func (m *sweepMemo) lookup(key string) (MCResult, bool) {
-	if m == nil || key == "" {
-		return MCResult{}, false
-	}
-	if mc, ok := m.seen[key]; ok {
-		mc = cloneMCResult(mc)
-		mc.Cached = true
-		return mc, true
-	}
-	if m.cache != nil {
-		if mc, ok := m.cache.Get(key); ok {
-			m.seen[key] = cloneMCResult(mc)
-			mc.Cached = true
-			return mc, true
-		}
-	}
-	return MCResult{}, false
-}
-
-// store memoises a computed or replayed point in both tiers, clearing
-// its provenance flag so entries stay canonical.
-func (m *sweepMemo) store(key string, mc MCResult) {
-	if m == nil || key == "" {
-		return
-	}
-	mc.Cached = false
-	m.seen[key] = cloneMCResult(mc)
-	if m.cache != nil {
-		m.cache.Put(key, cloneMCResult(mc))
-	}
 }

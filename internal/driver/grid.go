@@ -1,12 +1,14 @@
-package engine
+package driver
 
 import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/faultinject"
 )
 
@@ -30,9 +32,9 @@ import (
 // GridPoint is one experiment of a SweepPoints run: a configuration plus
 // the hooks a durable campaign runner threads through the sweep.
 type GridPoint struct {
-	Config Config
+	Config engine.Config
 	// Done, when non-nil, is the point's known result (replayed from a
-	// journal), yielded unsimulated and memoised like a simulated one.
+	// journal), yielded unsimulated and cached like a simulated one.
 	Done *MCResult
 	// Resume, when non-nil, restores the point from a snapshot: dispatch
 	// starts at Resume.Folded, bit-identical to never having stopped.
@@ -62,7 +64,7 @@ type gridPoint struct {
 // result or an error.
 type gridItem struct {
 	p, i int
-	r    Result
+	r    engine.Result
 	err  error
 }
 
@@ -103,7 +105,7 @@ type gridSweep struct {
 	ctx    context.Context
 	pts    []gridPoint
 	states []*gridPointState
-	arenas []*Arena
+	arenas []*engine.Arena
 
 	// The coordinator sets points up lazily and in order (see prepare):
 	// ready counts those set up, keyOwner maps a content address to its
@@ -131,28 +133,33 @@ type gridSweep struct {
 	// dups lists, per canonical point, the later points that repeat its
 	// content address.
 	dups map[int][]int
-	memo *sweepMemo
+	// memoise keys the cacheable points: keyOwner then deduplicates
+	// repeated cells, and cache (nil disables it) serves and stores them.
+	memoise bool
+	cache   ResultCache
 }
 
 // runGrid evaluates pts under the grid coordinator, yielding each point's
 // outcome in point order on the caller's goroutine: its result or its own
-// failure, after which the grid goes on unless yield returns false. memo
-// (nil disables it) serves and stores cacheable points and deduplicates
-// repeated cells; progress (nil disables it) observes the running count
-// of folded replicates, a resumed point's snapshot included. It returns
+// failure, after which the grid goes on unless yield returns false.
+// memoise keys each cacheable point by its ExperimentKey: a repeated cell
+// is simulated once, and the session's result cache serves and stores
+// the point. progress (nil disables it) observes the running count of
+// folded replicates, a resumed point's snapshot included. It returns
 // ctx.Err() if the context ends the run first — the first undelivered
 // point is then the count of yields so far — and nil otherwise.
 //
 // With WithOnResult the lookahead is one point, so the per-run hook sees
 // whole-experiment run order: point p+1 dispatches only once point p has
 // been yielded.
-func (s *Session) runGrid(ctx context.Context, pts []gridPoint, memo *sweepMemo, progress func(done int), yield func(p int, mc MCResult, err error) bool) error {
+func (s *Session) runGrid(ctx context.Context, pts []gridPoint, memoise bool, progress func(done int), yield func(p int, mc MCResult, err error) bool) error {
 	g := &gridSweep{
 		ctx:      ctx,
 		pts:      pts,
 		states:   make([]*gridPointState, len(pts)),
 		dups:     map[int][]int{},
-		memo:     memo,
+		memoise:  memoise,
+		cache:    s.cache,
 		keyOwner: map[string]int{},
 		progress: progress,
 	}
@@ -161,7 +168,7 @@ func (s *Session) runGrid(ctx context.Context, pts []gridPoint, memo *sweepMemo,
 	// The pool sizes to the grid's whole replication, not any single
 	// point's: a 30-point × 4-run grid keeps 16 workers busy even though
 	// no point alone would. Workers never outnumber the runs left to
-	// simulate (counted before memo hits, which lazy setup finds later).
+	// simulate (counted before cache hits, which lazy setup finds later).
 	runs, work := 0, 0
 	for _, pt := range pts {
 		runs += max(pt.runs, 0)
@@ -239,7 +246,7 @@ func (s *Session) runGrid(ctx context.Context, pts []gridPoint, memo *sweepMemo,
 		}
 		if !started {
 			// Workers start only once a point needs simulating: a
-			// pre-cancelled context or a fully memoised grid spawns none.
+			// pre-cancelled context or a fully cached grid spawns none.
 			started = true
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
@@ -279,7 +286,7 @@ func (g *gridSweep) prepare(hi int) {
 }
 
 // setup resolves point idx: a replayed result, a validation or resume
-// failure, a memo or in-grid duplicate hit, a resumed point that is
+// failure, a cache or in-grid duplicate hit, a resumed point that is
 // already complete, or an active point with its fold state. The checks
 // run in the order a caller sees their errors: run count and
 // configuration first, then (after the coordinator's context check) the
@@ -292,10 +299,10 @@ func (g *gridSweep) setup(idx int) {
 		st.mc, st.done = *pt.Done, true
 		// A replayed cell serves its later repeats and the cache like a
 		// simulated one, unless an earlier cell already owns its key.
-		if key := g.memo.key(pt.Config); key != "" {
+		if key := g.key(pt); key != "" {
 			if _, owned := keyOwner[key]; !owned {
 				keyOwner[key], st.key = idx, key
-				g.memo.store(key, st.mc)
+				g.put(key, st.mc)
 			}
 		}
 		return
@@ -312,7 +319,7 @@ func (g *gridSweep) setup(idx int) {
 		st.err = fmt.Errorf("engine: resume and snapshots require the streaming path (no KeepResults/KeepWasteRatios)")
 		return
 	}
-	st.key = g.memo.key(pt.Config)
+	st.key = g.key(pt)
 	if st.key != "" {
 		if owner, ok := keyOwner[st.key]; ok {
 			// A repeat of an earlier cell's content address (the
@@ -326,10 +333,12 @@ func (g *gridSweep) setup(idx int) {
 			return
 		}
 		keyOwner[st.key] = idx
-		if mc, ok := g.memo.lookup(st.key); ok {
-			st.mc = mc
-			st.done = true
-			return
+		if g.cache != nil {
+			if mc, ok := g.cache.Get(st.key); ok {
+				mc.Cached = true
+				st.mc, st.done = mc, true
+				return
+			}
 		}
 	}
 	st.fold = newMCFold(pt.Config, pt.runs, pt.opts)
@@ -543,12 +552,32 @@ func (g *gridSweep) fail(p int, err error) {
 	g.finishPoint(p)
 }
 
-// finishPoint settles a concluded canonical point: a completed one is
-// memoised, and its duplicate cells take its outcome.
+// key returns the point's content address, or "" when the grid does
+// not memoise or the point is not cacheable.
+func (g *gridSweep) key(pt gridPoint) string {
+	if !g.memoise {
+		return ""
+	}
+	k, _ := ExperimentKey(pt.Config, pt.runs, pt.opts)
+	return k
+}
+
+// put stores a concluded point in the session cache, if there is one,
+// with its provenance flag cleared so that entries stay canonical.
+func (g *gridSweep) put(key string, mc MCResult) {
+	if g.cache == nil || key == "" {
+		return
+	}
+	mc.Cached = false
+	g.cache.Put(key, cloneMCResult(mc))
+}
+
+// finishPoint settles a concluded canonical point: a completed one goes
+// to the cache, and its duplicate cells take its outcome.
 func (g *gridSweep) finishPoint(p int) {
 	st := g.states[p]
 	if st.err == nil {
-		g.memo.store(st.key, st.mc)
+		g.put(st.key, st.mc)
 	}
 	for _, d := range g.dups[p] {
 		copyOutcome(g.states[d], st)
@@ -566,4 +595,12 @@ func copyOutcome(d, can *gridPointState) {
 	d.mc = cloneMCResult(can.mc)
 	d.mc.Cached = true
 	d.done = true
+}
+
+// cloneMCResult deep-copies the slice-valued fields so that a result
+// handed out twice cannot alias mutations between consumers.
+func cloneMCResult(mc MCResult) MCResult {
+	mc.WasteRatios = slices.Clone(mc.WasteRatios)
+	mc.Results = slices.Clone(mc.Results)
+	return mc
 }

@@ -1,4 +1,4 @@
-package engine
+package driver
 
 import (
 	"context"
@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"runtime/debug"
 
+	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -30,7 +31,7 @@ type MCResult struct {
 	MeanFailures    float64
 	// Results keeps the per-run details, in run order (nil unless
 	// MCOptions.KeepResults).
-	Results []Result
+	Results []engine.Result
 	// RunsUsed is the number of replicates actually simulated and folded
 	// into the aggregates: the requested count on a fixed-runs
 	// experiment, possibly fewer under sequential stopping (TargetCI).
@@ -67,7 +68,7 @@ type MCOptions struct {
 	// OnResult, when non-nil, receives every run's Result in strict run
 	// order (i ascending, 0-based). The Result is passed by value; the
 	// callback runs on the caller's goroutine.
-	OnResult func(i int, r Result)
+	OnResult func(i int, r engine.Result)
 	// TargetCI enables sequential stopping: the experiment halts at the
 	// first replicate boundary where the confidence interval on the
 	// estimator mean is at least as tight as TargetCI.HalfWidth. The
@@ -179,7 +180,7 @@ type mcFold struct {
 }
 
 // newMCFold builds the fold state for one experiment over cfg.
-func newMCFold(cfg Config, runs int, opts MCOptions) *mcFold {
+func newMCFold(cfg engine.Config, runs int, opts MCOptions) *mcFold {
 	seq := opts.TargetCI.withDefaults()
 	seqOn := seq.HalfWidth > 0
 	total := opts.budget(runs)
@@ -190,7 +191,7 @@ func newMCFold(cfg Config, runs int, opts MCOptions) *mcFold {
 	f := &mcFold{opts: opts, seq: seq, seqOn: seqOn, total: total, minRuns: minRuns}
 	f.mc = MCResult{Strategy: cfg.Strategy.Name()}
 	if opts.KeepResults {
-		f.mc.Results = make([]Result, total)
+		f.mc.Results = make([]engine.Result, total)
 	}
 	if opts.KeepWasteRatios {
 		f.mc.WasteRatios = make([]float64, total)
@@ -216,7 +217,7 @@ func (f *mcFold) restore(rs *MCSnapshot) error {
 
 // fold incorporates run i's result and reports whether the sequential
 // stopping rule fired on it. Runs must arrive in strict run order.
-func (f *mcFold) fold(i int, r Result) (stop bool) {
+func (f *mcFold) fold(i int, r engine.Result) (stop bool) {
 	if f.opts.OnResult != nil {
 		f.opts.OnResult(i, r)
 	}
@@ -304,7 +305,7 @@ func replicateDraw(masterSeed uint64, i int, antithetic bool) (seed uint64, anti
 // unrecoverable — is dropped so the next replicate rebuilds it from the
 // configuration. The faultinject site fires inside the guard, so injected
 // panics exercise exactly the recovery path a user panic takes.
-func runReplicate(ctx context.Context, arenas []*Arena, w int, reconfigured *bool, cfg Config, p, i int, antithetic bool) (r Result, err error) {
+func runReplicate(ctx context.Context, arenas []*engine.Arena, w int, reconfigured *bool, cfg engine.Config, p, i int, antithetic bool) (r engine.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			arenas[w] = nil
@@ -315,20 +316,20 @@ func runReplicate(ctx context.Context, arenas []*Arena, w int, reconfigured *boo
 	if faultinject.Armed() {
 		if ferr := faultinject.Fire(ctx, faultinject.SiteWorkerReplicate,
 			faultinject.WorkerReplicate{Point: p, Run: i}); ferr != nil {
-			return Result{}, ferr
+			return engine.Result{}, ferr
 		}
 	}
 	a := arenas[w]
 	switch {
 	case a == nil:
-		if a, err = NewArena(cfg); err != nil {
-			return Result{}, fmt.Errorf("worker %d: build arena: %w", w, err)
+		if a, err = engine.NewArena(cfg); err != nil {
+			return engine.Result{}, fmt.Errorf("worker %d: build arena: %w", w, err)
 		}
 		arenas[w] = a
 		*reconfigured = true
 	case !*reconfigured:
 		if err = a.Reconfigure(cfg); err != nil {
-			return Result{}, fmt.Errorf("worker %d: reconfigure arena: %w", w, err)
+			return engine.Result{}, fmt.Errorf("worker %d: reconfigure arena: %w", w, err)
 		}
 		*reconfigured = true
 	}

@@ -1,10 +1,15 @@
-package engine
+// Package driver is the experiment driver of the paper's evaluation
+// (§6): a Session replicates the simulator of package engine over many
+// initial conditions and strategies on one grid coordinator. The
+// layering is one-way: driver imports engine, never the reverse.
+package driver
 
 import (
 	"context"
 	"fmt"
 	"iter"
 
+	"repro/internal/engine"
 	"repro/internal/stats"
 )
 
@@ -41,9 +46,9 @@ type Session struct {
 	// arenas is the per-worker pool, grown on demand and retained for the
 	// Session's lifetime. Slot w belongs to worker w; an arena configured
 	// for an earlier scenario is reconfigured in place, never rebuilt.
-	arenas []*Arena
-	// cache, when non-nil, memoises cacheable sweep points by content
-	// address (WithResultCache).
+	arenas []*engine.Arena
+	// cache, when non-nil, serves and stores cacheable sweep points by
+	// content address (WithResultCache).
 	cache ResultCache
 }
 
@@ -77,7 +82,7 @@ func WithKeepWasteRatios(keep bool) SessionOption {
 // the O(1)-memory observation hook. Across the points of a Sweep or
 // Compare the order is whole-experiment: such a session runs the points
 // one at a time, point p+1 starting only once point p is complete.
-func WithOnResult(fn func(i int, r Result)) SessionOption {
+func WithOnResult(fn func(i int, r engine.Result)) SessionOption {
 	return func(s *Session) { s.opts.OnResult = fn }
 }
 
@@ -152,7 +157,7 @@ func NewSession(opts ...SessionOption) *Session {
 // given replication count, growing the session pool when the experiment
 // needs more workers than any before it. Slots keep their arenas across
 // calls — that is the whole point of a Session.
-func (s *Session) arenasFor(runs int) []*Arena {
+func (s *Session) arenasFor(runs int) []*engine.Arena {
 	w := normWorkers(runs, s.workers)
 	for len(s.arenas) < w {
 		s.arenas = append(s.arenas, nil)
@@ -162,22 +167,22 @@ func (s *Session) arenasFor(runs int) []*Arena {
 
 // Run executes one simulation of the configuration through the session
 // pool (worker 0's arena, built or reconfigured in place) and returns its
-// measurements. The result is bit-identical to the package-level Run. A
+// measurements. The result is bit-identical to engine.Run. A
 // done context returns ctx.Err() before the simulation starts; a
 // single simulation is not interrupted mid-run.
-func (s *Session) Run(ctx context.Context, cfg Config) (Result, error) {
+func (s *Session) Run(ctx context.Context, cfg engine.Config) (engine.Result, error) {
 	if err := ctx.Err(); err != nil {
-		return Result{}, err
+		return engine.Result{}, err
 	}
 	arenas := s.arenasFor(1)
 	if arenas[0] == nil {
-		a, err := NewArena(cfg)
+		a, err := engine.NewArena(cfg)
 		if err != nil {
-			return Result{}, err
+			return engine.Result{}, err
 		}
 		arenas[0] = a
 	} else if err := arenas[0].Reconfigure(cfg); err != nil {
-		return Result{}, err
+		return engine.Result{}, err
 	}
 	return arenas[0].Run(cfg.Seed)
 }
@@ -188,16 +193,17 @@ func (s *Session) Run(ctx context.Context, cfg Config) (Result, error) {
 // according to the session's options. Results are delivered in strict run
 // order. Cancelling ctx stops dispatch at the next replicate boundary,
 // drains the workers and returns ctx.Err().
-func (s *Session) MonteCarlo(ctx context.Context, cfg Config, runs int) (MCResult, error) {
+func (s *Session) MonteCarlo(ctx context.Context, cfg engine.Config, runs int) (MCResult, error) {
 	return s.monteCarlo(ctx, cfg, runs, s.opts, s.reporter(0, s.opts.budget(runs)))
 }
 
-// monteCarlo runs one experiment as a one-point grid, never memoised.
-func (s *Session) monteCarlo(ctx context.Context, cfg Config, runs int, opts MCOptions, progress func(done int)) (MCResult, error) {
+// monteCarlo runs one experiment as a one-point grid that never consults
+// the cache.
+func (s *Session) monteCarlo(ctx context.Context, cfg engine.Config, runs int, opts MCOptions, progress func(done int)) (MCResult, error) {
 	var mc MCResult
 	pts := []gridPoint{{GridPoint: GridPoint{Config: cfg}, runs: runs, opts: opts}}
 	_, err := stopAtFailure(func(y func(int, MCResult, error) bool) error {
-		return s.runGrid(ctx, pts, nil, progress, y)
+		return s.runGrid(ctx, pts, false, progress, y)
 	}, func(_ int, r MCResult) bool {
 		mc = r
 		return true
@@ -261,7 +267,7 @@ func (s *Session) reporter(base, total int) func(done int) {
 //
 // Sweep is SweepPoints over the grid's points, stopping at the first
 // failed point.
-func (s *Session) Sweep(ctx context.Context, base Config, grid SweepGrid, runs int) (iter.Seq2[SweepPoint, MCResult], func() error) {
+func (s *Session) Sweep(ctx context.Context, base engine.Config, grid SweepGrid, runs int) (iter.Seq2[SweepPoint, MCResult], func() error) {
 	var err error
 	seq := func(yield func(SweepPoint, MCResult) bool) {
 		err = nil
@@ -274,7 +280,7 @@ func (s *Session) Sweep(ctx context.Context, base Config, grid SweepGrid, runs i
 			return s.SweepPoints(ctx, gps, runs, y)
 		}, func(p int, mc MCResult) bool { return yield(pts[p], mc) })
 		if e != nil {
-			err = sweepPointErr(pts[p], e)
+			err = fmt.Errorf("engine: sweep point %d (%s): %w", pts[p].Index, pts[p].Strategy.Name(), e)
 		}
 	}
 	return seq, func() error { return err }
@@ -290,7 +296,7 @@ func (s *Session) Sweep(ctx context.Context, base Config, grid SweepGrid, runs i
 //
 // The whole list runs as one experiment: workers steal (point,
 // replicate-chunk) work items across point boundaries, and cacheable
-// points go through one memo — served from and stored to the session's
+// points are keyed once each — served from and stored to the session's
 // result cache, with a repeated cell simulated once and returned as a
 // Cached clone of its first cell (or with that cell's failure). Neither
 // changes a result: each replicate is a pure function of the
@@ -301,12 +307,7 @@ func (s *Session) SweepPoints(ctx context.Context, pts []GridPoint, runs int, yi
 	for i, pt := range pts {
 		gps[i] = gridPoint{GridPoint: pt, runs: runs, opts: s.opts}
 	}
-	return s.runGrid(ctx, gps, newSweepMemo(s, runs), s.reporter(0, len(pts)*s.opts.budget(runs)), yield)
-}
-
-// sweepPointErr wraps a point failure exactly as Sweep reports it.
-func sweepPointErr(pt SweepPoint, err error) error {
-	return fmt.Errorf("engine: sweep point %d (%s): %w", pt.Index, pt.Strategy.Name(), err)
+	return s.runGrid(ctx, gps, true, s.reporter(0, len(pts)*s.opts.budget(runs)), yield)
 }
 
 // Compare runs the same Monte-Carlo experiment for every given strategy —
@@ -314,7 +315,7 @@ func sweepPointErr(pt SweepPoint, err error) error {
 // and failure traces (the paired design of §5's comparisons) — through
 // the session's warm arenas, returning one MCResult per strategy in
 // order.
-func (s *Session) Compare(ctx context.Context, base Config, strategies []Strategy, runs int) ([]MCResult, error) {
+func (s *Session) Compare(ctx context.Context, base engine.Config, strategies []engine.Strategy, runs int) ([]MCResult, error) {
 	out := make([]MCResult, 0, len(strategies))
 	if len(strategies) == 0 {
 		return out, nil
@@ -374,7 +375,7 @@ type PairedComparison struct {
 // Under sequential stopping the reference stops on its own mean first and
 // the other strategies never run past its replicate count — pairing needs
 // both series at every index.
-func (s *Session) ComparePaired(ctx context.Context, base Config, strategies []Strategy, runs int) ([]MCResult, []PairedComparison, error) {
+func (s *Session) ComparePaired(ctx context.Context, base engine.Config, strategies []engine.Strategy, runs int) ([]MCResult, []PairedComparison, error) {
 	if len(strategies) < 2 {
 		return nil, nil, fmt.Errorf("engine: paired comparison needs at least two strategies, got %d", len(strategies))
 	}
@@ -403,7 +404,7 @@ func (s *Session) ComparePaired(ctx context.Context, base Config, strategies []S
 		opts := s.opts
 		pa := &pas[k]
 		user := opts.OnResult
-		opts.OnResult = func(i int, r Result) {
+		opts.OnResult = func(i int, r engine.Result) {
 			pa.Add(r.WasteRatio, refVals[i])
 			if user != nil {
 				user(i, r)
@@ -423,7 +424,7 @@ func (s *Session) ComparePaired(ctx context.Context, base Config, strategies []S
 	out := append(make([]MCResult, 0, len(strategies)), refMC)
 	cmps := make([]PairedComparison, 0, len(rest))
 	k, err := stopAtFailure(func(y func(int, MCResult, error) bool) error {
-		return s.runGrid(ctx, pts, nil, s.reporter(budget, total), y)
+		return s.runGrid(ctx, pts, false, s.reporter(budget, total), y)
 	}, func(k int, mc MCResult) bool {
 		out = append(out, mc)
 		cmps = append(cmps, PairedComparison{
@@ -460,7 +461,7 @@ func (s *Session) ComparePaired(ctx context.Context, base Config, strategies []S
 // CI lets every probe stop as soon as its mean is resolved tightly
 // enough, which is where sequential stopping pays off most — the
 // bisection multiplies any per-probe saving by its depth.
-func (s *Session) MinBandwidth(ctx context.Context, cfg Config, targetEfficiency, loBps, hiBps float64, runs, steps int) (float64, error) {
+func (s *Session) MinBandwidth(ctx context.Context, cfg engine.Config, targetEfficiency, loBps, hiBps float64, runs, steps int) (float64, error) {
 	if targetEfficiency <= 0 || targetEfficiency >= 1 {
 		return 0, fmt.Errorf("engine: target efficiency %v outside (0,1)", targetEfficiency)
 	}

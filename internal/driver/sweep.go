@@ -1,6 +1,9 @@
-package engine
+package driver
 
-import "repro/internal/failure"
+import (
+	"repro/internal/engine"
+	"repro/internal/failure"
+)
 
 // FailureSpec pairs a failure inter-arrival model with its shape parameter
 // (used only by the Weibull model) — one point of a sweep's failure axis.
@@ -32,7 +35,7 @@ type SweepGrid struct {
 	// rectangular output keeps per-k comparisons trivially alignable.
 	Channels []int
 	// Strategies are the I/O-discipline × checkpoint-policy variants.
-	Strategies []Strategy
+	Strategies []engine.Strategy
 }
 
 // SweepPoint is one cell of a sweep grid, with every axis value resolved.
@@ -47,13 +50,13 @@ type SweepPoint struct {
 	// Channels is the token-channel override (always >= 1).
 	Channels int
 	// Strategy is the strategy override.
-	Strategy Strategy
+	Strategy engine.Strategy
 }
 
 // Points enumerates the grid over the base configuration in evaluation
 // order: bandwidth, then MTBF, then failure model, then channel count,
 // then strategy (innermost).
-func (g SweepGrid) Points(base Config) []SweepPoint {
+func (g SweepGrid) Points(base engine.Config) []SweepPoint {
 	bws := g.BandwidthsBps
 	if len(bws) == 0 {
 		bws = []float64{base.Platform.BandwidthBps}
@@ -76,7 +79,7 @@ func (g SweepGrid) Points(base Config) []SweepPoint {
 	}
 	strats := g.Strategies
 	if len(strats) == 0 {
-		strats = []Strategy{base.Strategy}
+		strats = []engine.Strategy{base.Strategy}
 	}
 	pts := make([]SweepPoint, 0, len(bws)*len(mtbfs)*len(fails)*len(chans)*len(strats))
 	for _, bw := range bws {
@@ -104,7 +107,7 @@ func (g SweepGrid) Points(base Config) []SweepPoint {
 // the same resolution Session.Sweep performs per point, exported so
 // external callers (the campaign runner) can build the GridPoints they
 // pass to Session.SweepPoints.
-func (pt SweepPoint) Apply(base Config) Config {
+func (pt SweepPoint) Apply(base engine.Config) engine.Config {
 	cfg := base
 	cfg.Platform.BandwidthBps = pt.BandwidthBps
 	cfg.Platform.NodeMTBFSeconds = pt.NodeMTBFSeconds

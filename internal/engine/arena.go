@@ -71,7 +71,7 @@ func NewArena(cfg Config) (*Arena, error) {
 // periods) while retaining every pool. Replicates after a Reconfigure are
 // bit-identical to fresh-build runs of the new configuration.
 func (a *Arena) Reconfigure(cfg Config) error {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.validate(); err != nil {
 		return err
 	}

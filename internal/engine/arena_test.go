@@ -1,12 +1,10 @@
 package engine
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
 	"repro/internal/burstbuffer"
-	"repro/internal/units"
 )
 
 // arenaConfigs returns the configurations the reuse invariant is pinned
@@ -174,106 +172,5 @@ func TestArenaInvalidConfig(t *testing.T) {
 	}
 	if err := a.Reconfigure(bad); err == nil {
 		t.Fatal("Reconfigure accepted an invalid config")
-	}
-}
-
-// TestSweepMatchesPointwiseMonteCarlo pins Sweep against the ground truth:
-// every grid point's MCResult must be bit-identical to an independent
-// Session.MonteCarlo of that point's configuration on a fresh session,
-// even though the sweep reuses one arena set across the whole grid.
-func TestSweepMatchesPointwiseMonteCarlo(t *testing.T) {
-	base := tinyConfig(OrderedDaly(), 29)
-	grid := SweepGrid{
-		BandwidthsBps: []float64{units.GBps(0.25), units.GBps(0.5)},
-		Strategies:    []Strategy{OrderedNBDaly(), LeastWaste()},
-	}
-	const runs = 3
-	pts, got := collectSweep(t, NewSession(WithWorkers(2), WithKeepWasteRatios(true)), base, grid, runs)
-	if len(got) != 4 {
-		t.Fatalf("sweep delivered %d points, want 4", len(got))
-	}
-	for i, pt := range pts {
-		if pt.Index != i {
-			t.Fatalf("point %d delivered with Index %d", i, pt.Index)
-		}
-		cfg := base
-		cfg.Platform.BandwidthBps = pt.BandwidthBps
-		cfg.Platform.NodeMTBFSeconds = pt.NodeMTBFSeconds
-		cfg.Strategy = pt.Strategy
-		want, err := NewSession(WithWorkers(2), WithKeepWasteRatios(true)).MonteCarlo(context.Background(), cfg, runs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("point %d (%s @ %v B/s) diverged:\n sweep %+v\n fresh %+v",
-				i, pt.Strategy.Name(), pt.BandwidthBps, got[i], want)
-		}
-	}
-}
-
-// TestSweepChannelAxis: the channel-count axis enumerates between the
-// failure and strategy axes, each point runs with its k applied, and every
-// point's result is bit-identical to an independent evaluation of that
-// configuration.
-func TestSweepChannelAxis(t *testing.T) {
-	base := tinyConfig(OrderedNBDaly(), 43)
-	grid := SweepGrid{
-		Channels:   []int{1, 2},
-		Strategies: []Strategy{OrderedNBDaly(), LeastWaste()},
-	}
-	const runs = 2
-	pts, got := collectSweep(t, NewSession(WithWorkers(2), WithKeepWasteRatios(true)), base, grid, runs)
-	if len(pts) != 4 {
-		t.Fatalf("sweep delivered %d points, want 4", len(pts))
-	}
-	wantK := []int{1, 1, 2, 2} // channels outer, strategy inner
-	for i, pt := range pts {
-		if pt.Channels != wantK[i] {
-			t.Fatalf("point %d has Channels %d, want %d", i, pt.Channels, wantK[i])
-		}
-		cfg := base
-		cfg.Channels = pt.Channels
-		cfg.Strategy = pt.Strategy
-		want, err := NewSession(WithWorkers(2), WithKeepWasteRatios(true)).MonteCarlo(context.Background(), cfg, runs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("point %d (%s, k=%d) diverged from pointwise evaluation",
-				i, pt.Strategy.Name(), pt.Channels)
-		}
-	}
-	// More channels cannot hurt a token discipline on this workload: the
-	// k=2 Ordered-NB mean waste is at most the k=1 mean plus noise slack.
-	if got[2].Summary.Mean > got[0].Summary.Mean+0.05 {
-		t.Errorf("k=2 mean waste %.4f well above k=1 %.4f", got[2].Summary.Mean, got[0].Summary.Mean)
-	}
-}
-
-// TestSweepGridDefaults: empty axes inherit the base configuration, and a
-// fully empty grid is a single point.
-func TestSweepGridDefaults(t *testing.T) {
-	base := tinyConfig(LeastWaste(), 31)
-	pts := SweepGrid{}.Points(base)
-	if len(pts) != 1 {
-		t.Fatalf("empty grid has %d points, want 1", len(pts))
-	}
-	pt := pts[0]
-	if pt.BandwidthBps != base.Platform.BandwidthBps ||
-		pt.NodeMTBFSeconds != base.Platform.NodeMTBFSeconds ||
-		pt.Strategy != base.Strategy ||
-		pt.Failure.Model != base.FailureModel {
-		t.Fatalf("default point %+v does not match base", pt)
-	}
-	s := NewSession(WithWorkers(1))
-	if _, mcs := collectSweep(t, s, base, SweepGrid{}, 2); len(mcs) != 1 {
-		t.Fatalf("empty-grid sweep yielded %d points, want 1", len(mcs))
-	}
-	points, errf := s.Sweep(context.Background(), base, SweepGrid{}, 0)
-	for range points {
-		t.Fatal("zero-run sweep yielded a point")
-	}
-	if errf() == nil {
-		t.Fatal("zero runs accepted")
 	}
 }

@@ -83,8 +83,9 @@ type TraceEvent struct {
 	Note  string
 }
 
-// withDefaults returns a copy with defaults resolved.
-func (c Config) withDefaults() Config {
+// WithDefaults returns a copy with the documented zero-value defaults
+// resolved: the configuration every run and every content address sees.
+func (c Config) WithDefaults() Config {
 	if c.Strategy.Discipline == nil {
 		c.Strategy.Discipline = iosched.Oblivious
 	}
@@ -114,13 +115,13 @@ func (c Config) withDefaults() Config {
 // Validate reports every configuration error after defaulting, one
 // descriptive error per offending field, joined with errors.Join — so a
 // config that is wrong in three ways surfaces all three at once instead
-// of one deep failure per fix attempt. Every driver entry point (arena
-// construction and the grid coordinator, hence Session.Run / MonteCarlo
-// / Sweep / Compare / MinBandwidth) validates through here before any
+// of one deep failure per fix attempt. Every entry point (arena
+// construction and the driver's grid coordinator, hence Session.Run /
+// MonteCarlo / Sweep / Compare / MinBandwidth) validates through here before any
 // simulation state is touched; a nil return guarantees the configuration
 // builds.
 func (c Config) Validate() error {
-	return c.withDefaults().validate()
+	return c.WithDefaults().validate()
 }
 
 // validate collects the configuration errors of an already-defaulted

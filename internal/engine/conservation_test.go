@@ -54,7 +54,7 @@ func TestWasteConservationAllStrategies(t *testing.T) {
 // checkConservation verifies the node-second identity on one Result.
 func checkConservation(t *testing.T, cfg Config, res Result, path string) {
 	t.Helper()
-	w0, w1 := cfg.withDefaults().window()
+	w0, w1 := cfg.WithDefaults().window()
 	capacity := float64(cfg.Platform.Nodes) * (w1 - w0)
 	allocated := res.Utilization * capacity
 

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -372,88 +371,6 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("%s: invalid config accepted", tc.name)
 		}
-	}
-}
-
-// batchSession is a Session that materialises every run: per-run Results
-// and waste ratios, with the exact sorted Summary.
-func batchSession(workers int) *Session {
-	return NewSession(WithWorkers(workers), WithKeepResults(true), WithKeepWasteRatios(true))
-}
-
-func TestMonteCarlo(t *testing.T) {
-	ctx := context.Background()
-	cfg := tinyConfig(OrderedNBDaly(), 41)
-	mc, err := batchSession(2).MonteCarlo(ctx, cfg, 6)
-	if err != nil {
-		t.Fatalf("MonteCarlo: %v", err)
-	}
-	if mc.Summary.N != 6 || len(mc.WasteRatios) != 6 {
-		t.Fatalf("summary over %d runs, want 6", mc.Summary.N)
-	}
-	if mc.Summary.Mean <= 0 || mc.Summary.Mean >= 1 {
-		t.Fatalf("mean waste %v implausible", mc.Summary.Mean)
-	}
-	// Replication must be deterministic and prefix-stable: run i is the
-	// same regardless of total run count.
-	mc2, err := batchSession(1).MonteCarlo(ctx, cfg, 3)
-	if err != nil {
-		t.Fatalf("MonteCarlo: %v", err)
-	}
-	for i := 0; i < 3; i++ {
-		if mc.WasteRatios[i] != mc2.WasteRatios[i] {
-			t.Fatalf("run %d not prefix-stable: %v vs %v", i, mc.WasteRatios[i], mc2.WasteRatios[i])
-		}
-	}
-	if _, err := batchSession(1).MonteCarlo(ctx, cfg, 0); err == nil {
-		t.Error("zero runs accepted")
-	}
-}
-
-func TestCompareStrategies(t *testing.T) {
-	cfg := tinyConfig(OrderedDaly(), 43)
-	strats := []Strategy{ObliviousDaly(), LeastWaste()}
-	out, err := batchSession(2).Compare(context.Background(), cfg, strats, 3)
-	if err != nil {
-		t.Fatalf("Compare: %v", err)
-	}
-	if len(out) != 2 || out[0].Strategy != "Oblivious-Daly" || out[1].Strategy != "Least-Waste" {
-		t.Fatalf("unexpected output: %+v", out)
-	}
-}
-
-func TestMinBandwidthForEfficiency(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bisection search in -short mode")
-	}
-	cfg := tinyConfig(OrderedNBDaly(), 47)
-	cfg.HorizonDays = 4
-	cfg.Gen.MinDays = 4
-	ctx := context.Background()
-	s := NewSession(WithWorkers(2))
-	lo, hi := units.GBps(0.05), units.GBps(50)
-	bw, err := s.MinBandwidth(ctx, cfg, 0.6, lo, hi, 2, 8)
-	if err != nil {
-		t.Fatalf("MinBandwidth: %v", err)
-	}
-	if bw < lo || bw > hi {
-		t.Fatalf("returned bandwidth %v outside bracket", bw)
-	}
-	// The mean waste at the found bandwidth must meet the target.
-	check := cfg
-	check.Platform.BandwidthBps = bw
-	mc, err := batchSession(2).MonteCarlo(ctx, check, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mc.Summary.Mean > 0.4+1e-9 {
-		t.Fatalf("waste %v at returned bandwidth exceeds target 0.4", mc.Summary.Mean)
-	}
-	if _, err := s.MinBandwidth(ctx, cfg, 1.5, lo, hi, 1, 4); err == nil {
-		t.Error("invalid target accepted")
-	}
-	if _, err := s.MinBandwidth(ctx, cfg, 0.8, hi, lo, 1, 4); err == nil {
-		t.Error("inverted bracket accepted")
 	}
 }
 

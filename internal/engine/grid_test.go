@@ -1,4 +1,4 @@
-package engine
+package engine_test
 
 import (
 	"context"
@@ -12,16 +12,21 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/driver"
+	. "repro/internal/engine"
 	"repro/internal/faultinject"
+	"repro/internal/rng"
+	"repro/internal/stats"
+	"repro/internal/units"
 )
 
 // collectSweep pulls a whole sweep into slices, failing the test on a
 // sweep error.
-func collectSweep(t *testing.T, s *Session, base Config, grid SweepGrid, runs int) ([]SweepPoint, []MCResult) {
+func collectSweep(t *testing.T, s *driver.Session, base Config, grid driver.SweepGrid, runs int) ([]driver.SweepPoint, []driver.MCResult) {
 	t.Helper()
 	points, errf := s.Sweep(context.Background(), base, grid, runs)
-	var pts []SweepPoint
-	var mcs []MCResult
+	var pts []driver.SweepPoint
+	var mcs []driver.MCResult
 	for pt, mc := range points {
 		pts = append(pts, pt)
 		mcs = append(mcs, mc)
@@ -33,38 +38,104 @@ func collectSweep(t *testing.T, s *Session, base Config, grid SweepGrid, runs in
 }
 
 // referenceSweep is the sequential reference the grid coordinator is
-// pinned against: every point in order, one replicate at a time in run
-// order on a freshly built arena, folded through newMCFold until the
-// budget or the stopping rule ends it. A cell whose content address
-// repeats an earlier cell's is marked Cached, as in-grid dedup marks it.
-func referenceSweep(t *testing.T, base Config, grid SweepGrid, runs int, opts MCOptions) []MCResult {
+// pinned against: every point in order through referenceMonteCarlo. A
+// cell whose content address repeats an earlier cell's is marked Cached,
+// as in-grid dedup marks it.
+func referenceSweep(t *testing.T, base Config, grid driver.SweepGrid, runs int, opts driver.MCOptions) []driver.MCResult {
 	t.Helper()
-	var out []MCResult
+	var out []driver.MCResult
 	seen := map[string]bool{}
 	for _, pt := range grid.Points(base) {
 		cfg := pt.Apply(base)
-		f := newMCFold(cfg, runs, opts)
-		for i := 0; i < f.total; i++ {
-			a, err := NewArena(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := a.RunAnti(replicateDraw(cfg.Seed, i, opts.Antithetic))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if f.fold(i, r) {
-				break
-			}
-		}
-		mc := f.finalize()
-		if key, ok := ExperimentKey(cfg, runs, opts); ok {
+		mc := referenceMonteCarlo(t, cfg, runs, opts)
+		if key, ok := driver.ExperimentKey(cfg, runs, opts); ok {
 			mc.Cached = seen[key]
 			seen[key] = true
 		}
 		out = append(out, mc)
 	}
 	return out
+}
+
+// referenceMonteCarlo restates the fold rules of one Monte-Carlo
+// experiment, one replicate at a time in run order on a freshly built
+// arena. Replicate i draws the CRN seed of i, or of i/2 under antithetic
+// pairing with the odd member complemented. Results, waste ratios,
+// utilisation and failures fold in run order; the CI estimator folds the
+// waste ratio, or the pair averages. The budget is TargetCI.MaxRuns when
+// set, and the stopping rule fires at the first (pair) boundary at or
+// past MinRuns (default 8, at least 2, rounded up to a pair) whose
+// half-width is within the target.
+func referenceMonteCarlo(t *testing.T, cfg Config, runs int, opts driver.MCOptions) driver.MCResult {
+	t.Helper()
+	seq := opts.TargetCI
+	if seq.Confidence == 0 {
+		seq.Confidence = 0.95
+	}
+	if seq.MinRuns == 0 {
+		seq.MinRuns = 8
+	}
+	seq.MinRuns = max(seq.MinRuns, 2)
+	if opts.Antithetic && seq.MinRuns%2 == 1 {
+		seq.MinRuns++
+	}
+	total := runs
+	if seq.HalfWidth > 0 && seq.MaxRuns > 0 {
+		total = seq.MaxRuns
+	}
+	mc := driver.MCResult{Strategy: cfg.Strategy.Name()}
+	var acc, ciAcc stats.Accumulator
+	var util, fails, pairEven float64
+	n := 0
+	for n < total {
+		i := n
+		seed, anti := rng.ReplicateSeed(cfg.Seed, i), false
+		if opts.Antithetic {
+			seed, anti = rng.ReplicateSeed(cfg.Seed, i/2), i%2 == 1
+		}
+		a, err := NewArena(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := a.RunAnti(seed, anti)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opts.KeepResults {
+			mc.Results = append(mc.Results, r)
+		}
+		if opts.KeepWasteRatios {
+			mc.WasteRatios = append(mc.WasteRatios, r.WasteRatio)
+		} else {
+			acc.Add(r.WasteRatio)
+		}
+		util += r.Utilization
+		fails += float64(r.Failures)
+		n++
+		switch {
+		case !opts.Antithetic:
+			ciAcc.Add(r.WasteRatio)
+		case i%2 == 0:
+			pairEven = r.WasteRatio
+		default:
+			ciAcc.Add((pairEven + r.WasteRatio) / 2)
+		}
+		if seq.HalfWidth > 0 && n >= seq.MinRuns && (!opts.Antithetic || n%2 == 0) &&
+			ciAcc.HalfWidth(seq.Confidence) <= seq.HalfWidth {
+			break
+		}
+	}
+	if opts.KeepWasteRatios {
+		mc.Summary = stats.Summarize(mc.WasteRatios)
+	} else {
+		mc.Summary = acc.Summary()
+	}
+	mc.MeanUtilization = util / float64(n)
+	mc.MeanFailures = fails / float64(n)
+	mc.RunsUsed = n
+	mc.Confidence = seq.Confidence
+	mc.CIHalfWidth = ciAcc.HalfWidth(seq.Confidence)
+	return mc
 }
 
 // TestSweepGridBitIdentity pins the grid coordinator's core contract:
@@ -74,24 +145,27 @@ func referenceSweep(t *testing.T, base Config, grid SweepGrid, runs int, opts MC
 // and antithetic pairing. The heap4 level of the subtest names is kept
 // from when the test also ran a calendar queue.
 func TestSweepGridBitIdentity(t *testing.T) {
-	base := tinyConfig(Strategy{}, 7)
-	grid := SweepGrid{Strategies: AllStrategies(), Channels: []int{1, 2}}
+	base := TinyConfig(Strategy{}, 7)
+	grid := driver.SweepGrid{Strategies: AllStrategies(), Channels: []int{1, 2}}
+	ci := driver.TargetCI{HalfWidth: 0.05, MinRuns: 2}
 	variants := []struct {
 		name string
-		opts []SessionOption
+		opts []driver.SessionOption
+		mc   driver.MCOptions // what opts select
 		runs int
 	}{
-		{"fixed", nil, 4},
-		{"target-ci", []SessionOption{WithTargetCI(0.05, 0, 2, 0)}, 16},
-		{"antithetic", []SessionOption{WithAntithetic(true)}, 4},
-		{"antithetic-target-ci", []SessionOption{WithAntithetic(true), WithTargetCI(0.05, 0, 2, 0)}, 16},
+		{"fixed", nil, driver.MCOptions{}, 4},
+		{"target-ci", []driver.SessionOption{driver.WithTargetCI(0.05, 0, 2, 0)}, driver.MCOptions{TargetCI: ci}, 16},
+		{"antithetic", []driver.SessionOption{driver.WithAntithetic(true)}, driver.MCOptions{Antithetic: true}, 4},
+		{"antithetic-target-ci", []driver.SessionOption{driver.WithAntithetic(true), driver.WithTargetCI(0.05, 0, 2, 0)},
+			driver.MCOptions{TargetCI: ci, Antithetic: true}, 16},
 	}
 	for _, v := range variants {
 		t.Run("heap4/"+v.name, func(t *testing.T) {
-			want := referenceSweep(t, base, grid, v.runs, NewSession(v.opts...).opts)
+			want := referenceSweep(t, base, grid, v.runs, v.mc)
 			for _, workers := range []int{1, 3, 7} {
-				gridOpts := append([]SessionOption{WithWorkers(workers)}, v.opts...)
-				pts, got := collectSweep(t, NewSession(gridOpts...), base, grid, v.runs)
+				gridOpts := append([]driver.SessionOption{driver.WithWorkers(workers)}, v.opts...)
+				pts, got := collectSweep(t, driver.NewSession(gridOpts...), base, grid, v.runs)
 				if len(got) != len(want) {
 					t.Fatalf("workers=%d: %d points, want %d", workers, len(got), len(want))
 				}
@@ -110,13 +184,13 @@ func TestSweepGridBitIdentity(t *testing.T) {
 // token-channel axis of a shared-device strategy — are simulated once and
 // served as clones flagged Cached, equal to the sequential reference.
 func TestSweepGridDedupe(t *testing.T) {
-	base := tinyConfig(Strategy{}, 3)
-	grid := SweepGrid{
+	base := TinyConfig(Strategy{}, 3)
+	grid := driver.SweepGrid{
 		Strategies: []Strategy{ObliviousDaly(), OrderedDaly()},
 		Channels:   []int{1, 2, 4},
 	}
-	pts, mcs := collectSweep(t, NewSession(WithWorkers(2)), base, grid, 4)
-	canonical := map[string]MCResult{}
+	pts, mcs := collectSweep(t, driver.NewSession(driver.WithWorkers(2)), base, grid, 4)
+	canonical := map[string]driver.MCResult{}
 	for i, mc := range mcs {
 		shared := !pts[i].Strategy.Discipline.UsesToken()
 		name := pts[i].Strategy.Name()
@@ -138,7 +212,7 @@ func TestSweepGridDedupe(t *testing.T) {
 			canonical[name] = mc
 		}
 	}
-	if want := referenceSweep(t, base, grid, 4, MCOptions{}); !reflect.DeepEqual(mcs, want) {
+	if want := referenceSweep(t, base, grid, 4, driver.MCOptions{}); !reflect.DeepEqual(mcs, want) {
 		t.Errorf("deduplicated sweep diverges from the sequential reference:\n got %+v\nwant %+v", mcs, want)
 	}
 }
@@ -146,11 +220,11 @@ func TestSweepGridDedupe(t *testing.T) {
 // mapCache is a minimal ResultCache for tests.
 type mapCache struct {
 	mu         sync.Mutex
-	m          map[string]MCResult
+	m          map[string]driver.MCResult
 	gets, puts int
 }
 
-func (c *mapCache) Get(key string) (MCResult, bool) {
+func (c *mapCache) Get(key string) (driver.MCResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gets++
@@ -158,12 +232,12 @@ func (c *mapCache) Get(key string) (MCResult, bool) {
 	return mc, ok
 }
 
-func (c *mapCache) Put(key string, mc MCResult) {
+func (c *mapCache) Put(key string, mc driver.MCResult) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.puts++
 	if c.m == nil {
-		c.m = map[string]MCResult{}
+		c.m = map[string]driver.MCResult{}
 	}
 	c.m[key] = mc
 }
@@ -172,17 +246,17 @@ func (c *mapCache) Put(key string, mc MCResult) {
 // every unique cell and a second session's identical sweep is served
 // entirely from it — every row flagged Cached, values bit-identical.
 func TestSweepGridResultCache(t *testing.T) {
-	base := tinyConfig(Strategy{}, 5)
-	grid := SweepGrid{Strategies: []Strategy{ObliviousDaly(), OrderedDaly(), LeastWaste()}, Channels: []int{1, 2}}
+	base := TinyConfig(Strategy{}, 5)
+	grid := driver.SweepGrid{Strategies: []Strategy{ObliviousDaly(), OrderedDaly(), LeastWaste()}, Channels: []int{1, 2}}
 	cache := &mapCache{}
 
-	_, first := collectSweep(t, NewSession(WithWorkers(2), WithResultCache(cache)), base, grid, 3)
+	_, first := collectSweep(t, driver.NewSession(driver.WithWorkers(2), driver.WithResultCache(cache)), base, grid, 3)
 	// Oblivious-Daly k=2 deduplicates in-grid: 5 unique cells of 6.
 	if cache.puts != 5 {
 		t.Errorf("first sweep stored %d cells, want 5", cache.puts)
 	}
 
-	_, second := collectSweep(t, NewSession(WithWorkers(3), WithResultCache(cache)), base, grid, 3)
+	_, second := collectSweep(t, driver.NewSession(driver.WithWorkers(3), driver.WithResultCache(cache)), base, grid, 3)
 	for i, mc := range second {
 		if !mc.Cached {
 			t.Errorf("second sweep point %d not served from cache", i)
@@ -207,12 +281,12 @@ func TestSweepGridCancelMidPoint(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	s := NewSession(WithWorkers(4), WithProgress(func(done, total int) {
+	s := driver.NewSession(driver.WithWorkers(4), driver.WithProgress(func(done, total int) {
 		if done == 5 {
 			cancel()
 		}
 	}))
-	points, errf := s.Sweep(ctx, tinyConfig(OrderedDaly(), 5), SweepGrid{Strategies: AllStrategies()}, 50)
+	points, errf := s.Sweep(ctx, TinyConfig(OrderedDaly(), 5), driver.SweepGrid{Strategies: AllStrategies()}, 50)
 	seen := 0
 	for range points {
 		seen++
@@ -231,8 +305,8 @@ func TestSweepGridCancelMidPoint(t *testing.T) {
 // the scheduler and leaks no goroutine; errf reports no error.
 func TestSweepGridEarlyBreak(t *testing.T) {
 	before := runtime.NumGoroutine()
-	s := NewSession(WithWorkers(4))
-	points, errf := s.Sweep(context.Background(), tinyConfig(OrderedDaly(), 5), SweepGrid{Strategies: AllStrategies()}, 8)
+	s := driver.NewSession(driver.WithWorkers(4))
+	points, errf := s.Sweep(context.Background(), TinyConfig(OrderedDaly(), 5), driver.SweepGrid{Strategies: AllStrategies()}, 8)
 	for range points {
 		break
 	}
@@ -241,7 +315,7 @@ func TestSweepGridEarlyBreak(t *testing.T) {
 	}
 	checkNoGoroutineLeak(t, before)
 	// The session stays usable after an abandoned sweep.
-	if _, err := s.MonteCarlo(context.Background(), tinyConfig(OrderedDaly(), 5), 2); err != nil {
+	if _, err := s.MonteCarlo(context.Background(), TinyConfig(OrderedDaly(), 5), 2); err != nil {
 		t.Fatalf("MonteCarlo after abandoned sweep: %v", err)
 	}
 }
@@ -260,8 +334,8 @@ func TestSweepGridDispatchFaultError(t *testing.T) {
 	})
 	defer restore()
 
-	s := NewSession(WithWorkers(3))
-	points, errf := s.Sweep(context.Background(), tinyConfig(OrderedDaly(), 5), SweepGrid{Strategies: AllStrategies()}, 3)
+	s := driver.NewSession(driver.WithWorkers(3))
+	points, errf := s.Sweep(context.Background(), TinyConfig(OrderedDaly(), 5), driver.SweepGrid{Strategies: AllStrategies()}, 3)
 	seen := 0
 	for range points {
 		seen++
@@ -288,8 +362,8 @@ func TestSweepGridDispatchFaultPanic(t *testing.T) {
 	}))
 	defer restore()
 
-	s := NewSession(WithWorkers(3))
-	points, errf := s.Sweep(context.Background(), tinyConfig(OrderedDaly(), 5), SweepGrid{Strategies: AllStrategies()}, 3)
+	s := driver.NewSession(driver.WithWorkers(3))
+	points, errf := s.Sweep(context.Background(), TinyConfig(OrderedDaly(), 5), driver.SweepGrid{Strategies: AllStrategies()}, 3)
 	seen := 0
 	for range points {
 		seen++
@@ -298,7 +372,7 @@ func TestSweepGridDispatchFaultPanic(t *testing.T) {
 		t.Fatalf("iterator yielded %d points before the panicking one, want 1", seen)
 	}
 	err := errf()
-	var pe *PanicError
+	var pe *driver.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("errf = %v, want a *PanicError", err)
 	}
@@ -318,8 +392,8 @@ func TestSweepGridDispatchFaultHang(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	s := NewSession(WithWorkers(2))
-	points, errf := s.Sweep(ctx, tinyConfig(OrderedDaly(), 5), SweepGrid{Strategies: AllStrategies()}, 3)
+	s := driver.NewSession(driver.WithWorkers(2))
+	points, errf := s.Sweep(ctx, TinyConfig(OrderedDaly(), 5), driver.SweepGrid{Strategies: AllStrategies()}, 3)
 	for range points {
 		t.Fatal("a point completed despite every dispatch hanging")
 	}
@@ -329,85 +403,62 @@ func TestSweepGridDispatchFaultHang(t *testing.T) {
 	checkNoGoroutineLeak(t, before)
 }
 
-// TestSweepGridPoolSizing pins the satellite fix: the worker pool sizes
-// to the total outstanding grid work, not a single point's replicate
-// count — a 1-run-per-point grid still fans out across workers.
-func TestSweepGridPoolSizing(t *testing.T) {
-	s := NewSession(WithWorkers(4))
-	if got := len(s.arenasFor(8)); got != 4 {
-		t.Errorf("arenasFor(8 grid runs) = %d workers, want 4", got)
-	}
-	if got := len(s.arenasFor(1)); got != 1 {
-		t.Errorf("arenasFor(1 run) = %d workers, want 1", got)
-	}
-	// The grid path must size by len(points)*runs: 8 points of 1 run
-	// each behave like one 8-run experiment, not like runs=1.
-	base := tinyConfig(Strategy{}, 2)
-	grid := SweepGrid{Strategies: AllStrategies()}
-	if _, mcs := collectSweep(t, s, base, grid, 1); len(mcs) != len(AllStrategies()) {
-		t.Fatalf("grid yielded %d points", len(mcs))
-	}
-	if got := len(s.arenas); got != 4 {
-		t.Errorf("after a %d-point 1-run grid sweep the session holds %d arenas, want 4", len(AllStrategies()), got)
-	}
-}
-
 // TestExperimentKey pins the content-addressing rules the caches rely on.
 func TestExperimentKey(t *testing.T) {
-	cfg := tinyConfig(OrderedDaly(), 9)
-	key := func(c Config, runs int, opts MCOptions) string {
+	cfg := TinyConfig(OrderedDaly(), 9)
+	key := func(c Config, runs int, opts driver.MCOptions) string {
 		t.Helper()
-		k, ok := ExperimentKey(c, runs, opts)
+		k, ok := driver.ExperimentKey(c, runs, opts)
 		if !ok {
 			t.Fatalf("ExperimentKey unexpectedly uncacheable for %+v", opts)
 		}
 		return k
 	}
 
-	base := key(cfg, 4, MCOptions{})
-	if base != key(cfg, 4, MCOptions{}) {
+	base := key(cfg, 4, driver.MCOptions{})
+	if base != key(cfg, 4, driver.MCOptions{}) {
 		t.Error("equal experiments hash to different keys")
 	}
 
 	seeded := cfg
 	seeded.Seed = 10
-	if key(seeded, 4, MCOptions{}) == base {
+	if key(seeded, 4, driver.MCOptions{}) == base {
 		t.Error("seed change did not change the key")
 	}
-	if key(cfg, 5, MCOptions{}) == base {
+	if key(cfg, 5, driver.MCOptions{}) == base {
 		t.Error("run-count change did not change the key")
 	}
-	if key(cfg, 4, MCOptions{Antithetic: true}) == base {
+	if key(cfg, 4, driver.MCOptions{Antithetic: true}) == base {
 		t.Error("antithetic change did not change the key")
 	}
-	if key(cfg, 4, MCOptions{TargetCI: TargetCI{HalfWidth: 0.01}}) == base {
+	if key(cfg, 4, driver.MCOptions{TargetCI: driver.TargetCI{HalfWidth: 0.01}}) == base {
 		t.Error("stopping-rule change did not change the key")
 	}
 
 	// Token channels are dead configuration for shared-device strategies:
 	// the k axis collapses for them and only for them.
-	shared1, shared2 := tinyConfig(ObliviousDaly(), 9), tinyConfig(ObliviousDaly(), 9)
+	shared1, shared2 := TinyConfig(ObliviousDaly(), 9), TinyConfig(ObliviousDaly(), 9)
 	shared2.Channels = 2
-	if key(shared1, 4, MCOptions{}) != key(shared2, 4, MCOptions{}) {
+	if key(shared1, 4, driver.MCOptions{}) != key(shared2, 4, driver.MCOptions{}) {
 		t.Error("channel count changed a shared-device strategy's key")
 	}
 	token2 := cfg
 	token2.Channels = 2
-	if key(token2, 4, MCOptions{}) == base {
+	if key(token2, 4, driver.MCOptions{}) == base {
 		t.Error("channel count did not change a token strategy's key")
 	}
 
 	// Uncacheable experiments: per-run observation hooks, traces, and
 	// non-positive run counts.
-	if _, ok := ExperimentKey(cfg, 4, MCOptions{OnResult: func(int, Result) {}}); ok {
+	if _, ok := driver.ExperimentKey(cfg, 4, driver.MCOptions{OnResult: func(int, Result) {}}); ok {
 		t.Error("OnResult experiment reported cacheable")
 	}
 	traced := cfg
 	traced.Trace = func(TraceEvent) {}
-	if _, ok := ExperimentKey(traced, 4, MCOptions{}); ok {
+	if _, ok := driver.ExperimentKey(traced, 4, driver.MCOptions{}); ok {
 		t.Error("traced experiment reported cacheable")
 	}
-	if _, ok := ExperimentKey(cfg, 0, MCOptions{}); ok {
+	if _, ok := driver.ExperimentKey(cfg, 0, driver.MCOptions{}); ok {
 		t.Error("zero-run experiment reported cacheable")
 	}
 }
@@ -417,11 +468,11 @@ func TestExperimentKey(t *testing.T) {
 // WithOnResult no point starts before the previous one is complete.
 func TestSweepOnResultCrossPointRunOrder(t *testing.T) {
 	var order []string
-	s := NewSession(WithWorkers(4), WithOnResult(func(i int, r Result) {
+	s := driver.NewSession(driver.WithWorkers(4), driver.WithOnResult(func(i int, r Result) {
 		order = append(order, fmt.Sprintf("%s/%d", r.Strategy, i))
 	}))
-	base := tinyConfig(Strategy{}, 2)
-	grid := SweepGrid{Strategies: []Strategy{ObliviousDaly(), OrderedDaly(), LeastWaste()}}
+	base := TinyConfig(Strategy{}, 2)
+	grid := driver.SweepGrid{Strategies: []Strategy{ObliviousDaly(), OrderedDaly(), LeastWaste()}}
 	collectSweep(t, s, base, grid, 3)
 	var want []string
 	for _, strat := range grid.Strategies {
@@ -436,12 +487,12 @@ func TestSweepOnResultCrossPointRunOrder(t *testing.T) {
 
 // collectPoints runs pts through SweepPoints and returns every point's
 // result and failure, failing the test on a run-level error.
-func collectPoints(t *testing.T, s *Session, pts []GridPoint, runs int) ([]MCResult, []error) {
+func collectPoints(t *testing.T, s *driver.Session, pts []driver.GridPoint, runs int) ([]driver.MCResult, []error) {
 	t.Helper()
-	mcs := make([]MCResult, len(pts))
+	mcs := make([]driver.MCResult, len(pts))
 	errs := make([]error, len(pts))
 	next := 0
-	err := s.SweepPoints(context.Background(), pts, runs, func(p int, mc MCResult, err error) bool {
+	err := s.SweepPoints(context.Background(), pts, runs, func(p int, mc driver.MCResult, err error) bool {
 		if p != next {
 			t.Fatalf("SweepPoints yielded point %d, want %d", p, next)
 		}
@@ -466,7 +517,7 @@ func collectPoints(t *testing.T, s *Session, pts []GridPoint, runs int) ([]MCRes
 // the plain sweep.
 func TestSweepPointsFailuresInBand(t *testing.T) {
 	before := runtime.NumGoroutine()
-	base := tinyConfig(ObliviousDaly(), 13)
+	base := TinyConfig(ObliviousDaly(), 13)
 	const runs = 4
 	var cfgs []Config
 	for _, k := range []int{1, 2} {
@@ -481,8 +532,8 @@ func TestSweepPointsFailuresInBand(t *testing.T) {
 	other := base
 	other.Seed++
 	cfgs = append(cfgs, other, other)
-	_, want := collectSweep(t, NewSession(WithWorkers(2)), base,
-		SweepGrid{Channels: []int{1, 2}, Strategies: []Strategy{ObliviousDaly(), OrderedDaly()}}, runs)
+	_, want := collectSweep(t, driver.NewSession(driver.WithWorkers(2)), base,
+		driver.SweepGrid{Channels: []int{1, 2}, Strategies: []Strategy{ObliviousDaly(), OrderedDaly()}}, runs)
 
 	var simulated [6]atomic.Int64
 	restore := faultinject.Set(faultinject.SiteWorkerReplicate, func(ctx context.Context, detail any) error {
@@ -500,18 +551,18 @@ func TestSweepPointsFailuresInBand(t *testing.T) {
 		return nil
 	})
 	defer restore()
-	pts := make([]GridPoint, len(cfgs))
+	pts := make([]driver.GridPoint, len(cfgs))
 	for i, cfg := range cfgs {
-		pts[i] = GridPoint{Config: cfg}
+		pts[i] = driver.GridPoint{Config: cfg}
 	}
 	pts[3].Timeout = 20 * time.Millisecond
-	pts[4].Resume = &MCSnapshot{Folded: runs + 1}
+	pts[4].Resume = &driver.MCSnapshot{Folded: runs + 1}
 	for _, workers := range []int{1, 3} {
 		for i := range simulated {
 			simulated[i].Store(0)
 		}
-		mcs, errs := collectPoints(t, NewSession(WithWorkers(workers)), pts, runs)
-		var pe *PanicError
+		mcs, errs := collectPoints(t, driver.NewSession(driver.WithWorkers(workers)), pts, runs)
+		var pe *driver.PanicError
 		if !errors.As(errs[0], &pe) || errs[2] != errs[0] {
 			t.Fatalf("workers=%d: poisoned cell %v, its repeat %v; want one shared *PanicError", workers, errs[0], errs[2])
 		}
@@ -535,9 +586,9 @@ func TestSweepPointsFailuresInBand(t *testing.T) {
 // yielded as is without simulating, and it serves a later repeat of its
 // cell and the result cache like a simulated result.
 func TestSweepPointsReplayedResult(t *testing.T) {
-	base := tinyConfig(ObliviousDaly(), 17)
+	base := TinyConfig(ObliviousDaly(), 17)
 	const runs = 4
-	_, want := collectSweep(t, NewSession(WithWorkers(2)), base, SweepGrid{}, runs)
+	_, want := collectSweep(t, driver.NewSession(driver.WithWorkers(2)), base, driver.SweepGrid{}, runs)
 	replayed := want[0]
 	replayed.Cached = true // journaled as a cache hit: provenance stays
 	k2 := base
@@ -546,8 +597,8 @@ func TestSweepPointsReplayedResult(t *testing.T) {
 		faultinject.PanicOn("replayed grid simulated", func(any) bool { return true }))
 	defer restore()
 	cache := &mapCache{}
-	mcs, errs := collectPoints(t, NewSession(WithWorkers(2), WithResultCache(cache)),
-		[]GridPoint{{Config: base, Done: &replayed}, {Config: k2}}, runs)
+	mcs, errs := collectPoints(t, driver.NewSession(driver.WithWorkers(2), driver.WithResultCache(cache)),
+		[]driver.GridPoint{{Config: base, Done: &replayed}, {Config: k2}}, runs)
 	if errs[0] != nil || errs[1] != nil {
 		t.Fatalf("replayed grid failed: %v, %v", errs[0], errs[1])
 	}
@@ -566,5 +617,106 @@ func TestSweepPointsReplayedResult(t *testing.T) {
 		if mc.Cached || !reflect.DeepEqual(mc, want[0]) {
 			t.Fatalf("cache entry %+v, want the canonical result %+v", mc, want[0])
 		}
+	}
+}
+
+// TestSweepMatchesPointwiseMonteCarlo pins Sweep against the ground truth:
+// every grid point's MCResult must be bit-identical to an independent
+// Session.MonteCarlo of that point's configuration on a fresh session,
+// even though the sweep reuses one arena set across the whole grid.
+func TestSweepMatchesPointwiseMonteCarlo(t *testing.T) {
+	base := TinyConfig(OrderedDaly(), 29)
+	grid := driver.SweepGrid{
+		BandwidthsBps: []float64{units.GBps(0.25), units.GBps(0.5)},
+		Strategies:    []Strategy{OrderedNBDaly(), LeastWaste()},
+	}
+	const runs = 3
+	pts, got := collectSweep(t, driver.NewSession(driver.WithWorkers(2), driver.WithKeepWasteRatios(true)), base, grid, runs)
+	if len(got) != 4 {
+		t.Fatalf("sweep delivered %d points, want 4", len(got))
+	}
+	for i, pt := range pts {
+		if pt.Index != i {
+			t.Fatalf("point %d delivered with Index %d", i, pt.Index)
+		}
+		cfg := base
+		cfg.Platform.BandwidthBps = pt.BandwidthBps
+		cfg.Platform.NodeMTBFSeconds = pt.NodeMTBFSeconds
+		cfg.Strategy = pt.Strategy
+		want, err := driver.NewSession(driver.WithWorkers(2), driver.WithKeepWasteRatios(true)).MonteCarlo(context.Background(), cfg, runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("point %d (%s @ %v B/s) diverged:\n sweep %+v\n fresh %+v",
+				i, pt.Strategy.Name(), pt.BandwidthBps, got[i], want)
+		}
+	}
+}
+
+// TestSweepChannelAxis: the channel-count axis enumerates between the
+// failure and strategy axes, each point runs with its k applied, and every
+// point's result is bit-identical to an independent evaluation of that
+// configuration.
+func TestSweepChannelAxis(t *testing.T) {
+	base := TinyConfig(OrderedNBDaly(), 43)
+	grid := driver.SweepGrid{
+		Channels:   []int{1, 2},
+		Strategies: []Strategy{OrderedNBDaly(), LeastWaste()},
+	}
+	const runs = 2
+	pts, got := collectSweep(t, driver.NewSession(driver.WithWorkers(2), driver.WithKeepWasteRatios(true)), base, grid, runs)
+	if len(pts) != 4 {
+		t.Fatalf("sweep delivered %d points, want 4", len(pts))
+	}
+	wantK := []int{1, 1, 2, 2} // channels outer, strategy inner
+	for i, pt := range pts {
+		if pt.Channels != wantK[i] {
+			t.Fatalf("point %d has Channels %d, want %d", i, pt.Channels, wantK[i])
+		}
+		cfg := base
+		cfg.Channels = pt.Channels
+		cfg.Strategy = pt.Strategy
+		want, err := driver.NewSession(driver.WithWorkers(2), driver.WithKeepWasteRatios(true)).MonteCarlo(context.Background(), cfg, runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("point %d (%s, k=%d) diverged from pointwise evaluation",
+				i, pt.Strategy.Name(), pt.Channels)
+		}
+	}
+	// More channels cannot hurt a token discipline on this workload: the
+	// k=2 Ordered-NB mean waste is at most the k=1 mean plus noise slack.
+	if got[2].Summary.Mean > got[0].Summary.Mean+0.05 {
+		t.Errorf("k=2 mean waste %.4f well above k=1 %.4f", got[2].Summary.Mean, got[0].Summary.Mean)
+	}
+}
+
+// TestSweepGridDefaults: empty axes inherit the base configuration, and a
+// fully empty grid is a single point.
+func TestSweepGridDefaults(t *testing.T) {
+	base := TinyConfig(LeastWaste(), 31)
+	pts := driver.SweepGrid{}.Points(base)
+	if len(pts) != 1 {
+		t.Fatalf("empty grid has %d points, want 1", len(pts))
+	}
+	pt := pts[0]
+	if pt.BandwidthBps != base.Platform.BandwidthBps ||
+		pt.NodeMTBFSeconds != base.Platform.NodeMTBFSeconds ||
+		pt.Strategy != base.Strategy ||
+		pt.Failure.Model != base.FailureModel {
+		t.Fatalf("default point %+v does not match base", pt)
+	}
+	s := driver.NewSession(driver.WithWorkers(1))
+	if _, mcs := collectSweep(t, s, base, driver.SweepGrid{}, 2); len(mcs) != 1 {
+		t.Fatalf("empty-grid sweep yielded %d points, want 1", len(mcs))
+	}
+	points, errf := s.Sweep(context.Background(), base, driver.SweepGrid{}, 0)
+	for range points {
+		t.Fatal("zero-run sweep yielded a point")
+	}
+	if errf() == nil {
+		t.Fatal("zero runs accepted")
 	}
 }

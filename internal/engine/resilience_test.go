@@ -1,4 +1,4 @@
-package engine
+package engine_test
 
 import (
 	"context"
@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/driver"
+	. "repro/internal/engine"
 	"repro/internal/faultinject"
 )
 
@@ -25,12 +27,12 @@ func TestWorkerPanicRecovered(t *testing.T) {
 		}))
 	defer restore()
 
-	s := NewSession(WithWorkers(4))
-	_, err := s.MonteCarlo(context.Background(), tinyConfig(OrderedNBDaly(), 3), 64)
+	s := driver.NewSession(driver.WithWorkers(4))
+	_, err := s.MonteCarlo(context.Background(), TinyConfig(OrderedNBDaly(), 3), 64)
 	if err == nil {
 		t.Fatal("experiment with a panicking replicate reported success")
 	}
-	var pe *PanicError
+	var pe *driver.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("error %v (%T) is not a *PanicError", err, err)
 	}
@@ -49,11 +51,11 @@ func TestWorkerPanicRecovered(t *testing.T) {
 	// slot was dropped, and the next experiment on the same session
 	// rebuilds it and produces the exact un-poisoned result.
 	restore()
-	want, err := NewSession(WithWorkers(4)).MonteCarlo(context.Background(), tinyConfig(OrderedNBDaly(), 3), 16)
+	want, err := driver.NewSession(driver.WithWorkers(4)).MonteCarlo(context.Background(), TinyConfig(OrderedNBDaly(), 3), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.MonteCarlo(context.Background(), tinyConfig(OrderedNBDaly(), 3), 16)
+	got, err := s.MonteCarlo(context.Background(), TinyConfig(OrderedNBDaly(), 3), 16)
 	if err != nil {
 		t.Fatalf("session did not survive a recovered panic: %v", err)
 	}
@@ -74,7 +76,7 @@ func TestWorkerHangHonoursDeadline(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err := NewSession(WithWorkers(2)).MonteCarlo(ctx, tinyConfig(OrderedNBDaly(), 3), 100)
+	_, err := driver.NewSession(driver.WithWorkers(2)).MonteCarlo(ctx, TinyConfig(OrderedNBDaly(), 3), 100)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("hung experiment returned %v, want context.DeadlineExceeded", err)
 	}
@@ -84,10 +86,10 @@ func TestWorkerHangHonoursDeadline(t *testing.T) {
 // sweepOne runs gp as a one-point SweepPoints grid — the path a
 // campaign's snapshotted or resumed point takes — and returns its result
 // or its failure.
-func sweepOne(ctx context.Context, s *Session, gp GridPoint, runs int) (MCResult, error) {
-	var mc MCResult
+func sweepOne(ctx context.Context, s *driver.Session, gp driver.GridPoint, runs int) (driver.MCResult, error) {
+	var mc driver.MCResult
 	var perr error
-	err := s.SweepPoints(ctx, []GridPoint{gp}, runs, func(_ int, r MCResult, e error) bool {
+	err := s.SweepPoints(ctx, []driver.GridPoint{gp}, runs, func(_ int, r driver.MCResult, e error) bool {
 		mc, perr = r, e
 		return true
 	})
@@ -105,13 +107,13 @@ func sweepOne(ctx context.Context, s *Session, gp GridPoint, runs int) (MCResult
 // the uninterrupted one bit for bit.
 func TestMonteCarloResumeBitIdentity(t *testing.T) {
 	ctx := context.Background()
-	cfg := tinyConfig(LeastWaste(), 5)
+	cfg := TinyConfig(LeastWaste(), 5)
 	const runs = 24
 
-	var snaps []MCSnapshot
-	full, err := sweepOne(ctx, NewSession(WithWorkers(3)), GridPoint{
+	var snaps []driver.MCSnapshot
+	full, err := sweepOne(ctx, driver.NewSession(driver.WithWorkers(3)), driver.GridPoint{
 		Config:     cfg,
-		OnSnapshot: func(s MCSnapshot) { snaps = append(snaps, s) },
+		OnSnapshot: func(s driver.MCSnapshot) { snaps = append(snaps, s) },
 	}, runs)
 	if err != nil {
 		t.Fatal(err)
@@ -124,11 +126,11 @@ func TestMonteCarloResumeBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var restored MCSnapshot
+		var restored driver.MCSnapshot
 		if err := json.Unmarshal(blob, &restored); err != nil {
 			t.Fatal(err)
 		}
-		got, err := sweepOne(ctx, NewSession(WithWorkers(2)), GridPoint{Config: cfg, Resume: &restored}, runs)
+		got, err := sweepOne(ctx, driver.NewSession(driver.WithWorkers(2)), driver.GridPoint{Config: cfg, Resume: &restored}, runs)
 		if err != nil {
 			t.Fatalf("resume at %d: %v", snap.Folded, err)
 		}
@@ -149,22 +151,22 @@ func TestMonteCarloResumeBitIdentity(t *testing.T) {
 // member awaiting its twin — stays bit-identical.
 func TestMonteCarloResumeAntithetic(t *testing.T) {
 	ctx := context.Background()
-	cfg := tinyConfig(OrderedNBDaly(), 9)
+	cfg := TinyConfig(OrderedNBDaly(), 9)
 	const runs = 16
 
-	var snaps []MCSnapshot
-	s := NewSession(WithWorkers(2), WithAntithetic(true))
-	full, err := sweepOne(ctx, s, GridPoint{
+	var snaps []driver.MCSnapshot
+	s := driver.NewSession(driver.WithWorkers(2), driver.WithAntithetic(true))
+	full, err := sweepOne(ctx, s, driver.GridPoint{
 		Config:     cfg,
-		OnSnapshot: func(s MCSnapshot) { snaps = append(snaps, s) },
+		OnSnapshot: func(s driver.MCSnapshot) { snaps = append(snaps, s) },
 	}, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, snap := range snaps {
 		snap := snap
-		got, err := sweepOne(ctx, NewSession(WithWorkers(3), WithAntithetic(true)),
-			GridPoint{Config: cfg, Resume: &snap}, runs)
+		got, err := sweepOne(ctx, driver.NewSession(driver.WithWorkers(3), driver.WithAntithetic(true)),
+			driver.GridPoint{Config: cfg, Resume: &snap}, runs)
 		if err != nil {
 			t.Fatalf("resume at %d: %v", snap.Folded, err)
 		}
@@ -179,23 +181,23 @@ func TestMonteCarloResumeAntithetic(t *testing.T) {
 // the same interval as the uninterrupted run.
 func TestMonteCarloResumeSequentialStopping(t *testing.T) {
 	ctx := context.Background()
-	cfg := tinyConfig(OrderedNBDaly(), 2)
+	cfg := TinyConfig(OrderedNBDaly(), 2)
 	const maxRuns = 200
 
-	probe, err := NewSession(WithWorkers(2)).MonteCarlo(ctx, cfg, 16)
+	probe, err := driver.NewSession(driver.WithWorkers(2)).MonteCarlo(ctx, cfg, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A target a bit looser than the 16-run interval stops between
 	// minRuns and maxRuns.
 	target := probe.CIHalfWidth * 1.2
-	mk := func() *Session {
-		return NewSession(WithWorkers(2), WithTargetCI(target, 0.95, 8, maxRuns))
+	mk := func() *driver.Session {
+		return driver.NewSession(driver.WithWorkers(2), driver.WithTargetCI(target, 0.95, 8, maxRuns))
 	}
-	var snaps []MCSnapshot
-	full, err := sweepOne(ctx, mk(), GridPoint{
+	var snaps []driver.MCSnapshot
+	full, err := sweepOne(ctx, mk(), driver.GridPoint{
 		Config:     cfg,
-		OnSnapshot: func(s MCSnapshot) { snaps = append(snaps, s) },
+		OnSnapshot: func(s driver.MCSnapshot) { snaps = append(snaps, s) },
 	}, maxRuns)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +207,7 @@ func TestMonteCarloResumeSequentialStopping(t *testing.T) {
 	}
 	cut := full.RunsUsed / 2
 	snap := snaps[cut-1]
-	got, err := sweepOne(ctx, mk(), GridPoint{Config: cfg, Resume: &snap}, maxRuns)
+	got, err := sweepOne(ctx, mk(), driver.GridPoint{Config: cfg, Resume: &snap}, maxRuns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,20 +221,20 @@ func TestMonteCarloResumeSequentialStopping(t *testing.T) {
 // on the O(1)-memory path.
 func TestResumeRequiresStreamingPath(t *testing.T) {
 	ctx := context.Background()
-	cfg := tinyConfig(OrderedNBDaly(), 1)
-	snap := &MCSnapshot{}
-	_, err := sweepOne(ctx, NewSession(WithKeepWasteRatios(true)), GridPoint{Config: cfg, Resume: snap}, 4)
+	cfg := TinyConfig(OrderedNBDaly(), 1)
+	snap := &driver.MCSnapshot{}
+	_, err := sweepOne(ctx, driver.NewSession(driver.WithKeepWasteRatios(true)), driver.GridPoint{Config: cfg, Resume: snap}, 4)
 	if err == nil || !strings.Contains(err.Error(), "streaming path") {
 		t.Fatalf("materialising resume accepted (err %v)", err)
 	}
-	_, err = sweepOne(ctx, NewSession(WithKeepResults(true)), GridPoint{
+	_, err = sweepOne(ctx, driver.NewSession(driver.WithKeepResults(true)), driver.GridPoint{
 		Config:     cfg,
-		OnSnapshot: func(MCSnapshot) {},
+		OnSnapshot: func(driver.MCSnapshot) {},
 	}, 4)
 	if err == nil || !strings.Contains(err.Error(), "streaming path") {
 		t.Fatalf("materialising snapshots accepted (err %v)", err)
 	}
-	_, err = sweepOne(ctx, NewSession(), GridPoint{Config: cfg, Resume: &MCSnapshot{Folded: 9}}, 4)
+	_, err = sweepOne(ctx, driver.NewSession(), driver.GridPoint{Config: cfg, Resume: &driver.MCSnapshot{Folded: 9}}, 4)
 	if err == nil || !strings.Contains(err.Error(), "folds") {
 		t.Fatalf("overlong snapshot accepted (err %v)", err)
 	}
@@ -242,17 +244,17 @@ func TestResumeRequiresStreamingPath(t *testing.T) {
 // replicate yields the finished result without dispatching any work.
 func TestMonteCarloResumeComplete(t *testing.T) {
 	ctx := context.Background()
-	cfg := tinyConfig(OrderedNBDaly(), 4)
+	cfg := TinyConfig(OrderedNBDaly(), 4)
 	const runs = 8
-	var last MCSnapshot
-	full, err := sweepOne(ctx, NewSession(WithWorkers(2)), GridPoint{
+	var last driver.MCSnapshot
+	full, err := sweepOne(ctx, driver.NewSession(driver.WithWorkers(2)), driver.GridPoint{
 		Config:     cfg,
-		OnSnapshot: func(s MCSnapshot) { last = s },
+		OnSnapshot: func(s driver.MCSnapshot) { last = s },
 	}, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sweepOne(ctx, NewSession(WithWorkers(2)), GridPoint{Config: cfg, Resume: &last}, runs)
+	got, err := sweepOne(ctx, driver.NewSession(driver.WithWorkers(2)), driver.GridPoint{Config: cfg, Resume: &last}, runs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package engine
+package engine_test
 
 import (
 	"context"
@@ -8,6 +8,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/driver"
+	. "repro/internal/engine"
+	"repro/internal/units"
 )
 
 // checkNoGoroutineLeak waits for the goroutine count to settle back to
@@ -38,16 +42,16 @@ func TestSessionCancelMonteCarlo(t *testing.T) {
 
 	const cancelAfter = 5
 	var delivered []int
-	s := NewSession(
-		WithWorkers(4),
-		WithOnResult(func(i int, r Result) {
+	s := driver.NewSession(
+		driver.WithWorkers(4),
+		driver.WithOnResult(func(i int, r Result) {
 			delivered = append(delivered, i)
 			if len(delivered) == cancelAfter {
 				cancel()
 			}
 		}),
 	)
-	_, err := s.MonteCarlo(ctx, tinyConfig(OrderedNBDaly(), 3), 10_000)
+	_, err := s.MonteCarlo(ctx, TinyConfig(OrderedNBDaly(), 3), 10_000)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled MonteCarlo returned %v, want context.Canceled", err)
 	}
@@ -72,8 +76,8 @@ func TestSessionCancelSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	s := NewSession(WithWorkers(2))
-	points, errf := s.Sweep(ctx, tinyConfig(OrderedDaly(), 5), SweepGrid{Strategies: AllStrategies()}, 3)
+	s := driver.NewSession(driver.WithWorkers(2))
+	points, errf := s.Sweep(ctx, TinyConfig(OrderedDaly(), 5), driver.SweepGrid{Strategies: AllStrategies()}, 3)
 	seen := 0
 	for range points {
 		seen++
@@ -101,8 +105,8 @@ func TestSessionDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 
-	s := NewSession(WithWorkers(2))
-	_, err := s.MonteCarlo(ctx, tinyConfig(LeastWaste(), 1), 100_000)
+	s := driver.NewSession(driver.WithWorkers(2))
+	_, err := s.MonteCarlo(ctx, TinyConfig(LeastWaste(), 1), 100_000)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadline MonteCarlo returned %v, want context.DeadlineExceeded", err)
 	}
@@ -113,9 +117,9 @@ func TestSessionDeadline(t *testing.T) {
 // remaining grid without an error — the pull-iterator contract.
 func TestSessionSweepEarlyBreak(t *testing.T) {
 	before := runtime.NumGoroutine()
-	s := NewSession(WithWorkers(2))
-	points, errf := s.Sweep(context.Background(), tinyConfig(OrderedNBDaly(), 9),
-		SweepGrid{Strategies: AllStrategies()}, 2)
+	s := driver.NewSession(driver.WithWorkers(2))
+	points, errf := s.Sweep(context.Background(), TinyConfig(OrderedNBDaly(), 9),
+		driver.SweepGrid{Strategies: AllStrategies()}, 2)
 	seen := 0
 	for range points {
 		seen++
@@ -140,9 +144,9 @@ func TestSessionMonteCarloBitIdentity(t *testing.T) {
 	ctx := context.Background()
 	for _, strat := range AllStrategies() {
 		t.Run(strat.Name(), func(t *testing.T) {
-			cfg := tinyConfig(strat, 23)
+			cfg := TinyConfig(strat, 23)
 			s := batchSession(2)
-			want := referenceSweep(t, cfg, SweepGrid{}, 4, s.opts)[0]
+			want := referenceMonteCarlo(t, cfg, 4, driver.MCOptions{KeepResults: true, KeepWasteRatios: true})
 			got, err := s.MonteCarlo(ctx, cfg, 4)
 			if err != nil {
 				t.Fatal(err)
@@ -166,9 +170,9 @@ func TestSessionMonteCarloBitIdentity(t *testing.T) {
 // been dirtied by a different scenario.
 func TestSessionRunShimBitIdentity(t *testing.T) {
 	ctx := context.Background()
-	s := NewSession()
+	s := driver.NewSession()
 	for _, strat := range AllStrategies() {
-		cfg := tinyConfig(strat, 31)
+		cfg := TinyConfig(strat, 31)
 		fresh, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", strat.Name(), err)
@@ -191,13 +195,13 @@ func TestSessionRunShimBitIdentity(t *testing.T) {
 // fresh evaluation: the warm pool must be reconfigured, never leak state.
 func TestSessionCampaignArenaReuse(t *testing.T) {
 	ctx := context.Background()
-	s := NewSession(WithWorkers(2), WithKeepWasteRatios(true))
+	s := driver.NewSession(driver.WithWorkers(2), driver.WithKeepWasteRatios(true))
 
-	cfgA := tinyConfig(LeastWaste(), 61)
-	cfgB := tinyConfig(OrderedFixed(), 61)
-	cfgB.Platform = tinyPlatform(0.25, 0.5)
+	cfgA := TinyConfig(LeastWaste(), 61)
+	cfgB := TinyConfig(OrderedFixed(), 61)
+	cfgB.Platform = TinyPlatform(0.25, 0.5)
 
-	wantRun := mustRun(t, cfgB)
+	wantRun := MustRun(t, cfgB)
 	gotRun, err := s.Run(ctx, cfgB)
 	if err != nil {
 		t.Fatal(err)
@@ -206,8 +210,8 @@ func TestSessionCampaignArenaReuse(t *testing.T) {
 		t.Fatal("campaign stage 1 (Run) diverged from fresh evaluation")
 	}
 
-	fresh := func(cfg Config, runs int) (MCResult, error) {
-		return NewSession(WithWorkers(2), WithKeepWasteRatios(true)).MonteCarlo(ctx, cfg, runs)
+	fresh := func(cfg Config, runs int) (driver.MCResult, error) {
+		return driver.NewSession(driver.WithWorkers(2), driver.WithKeepWasteRatios(true)).MonteCarlo(ctx, cfg, runs)
 	}
 	wantMC, err := fresh(cfgA, 3)
 	if err != nil {
@@ -221,7 +225,7 @@ func TestSessionCampaignArenaReuse(t *testing.T) {
 		t.Fatal("campaign stage 2 (MonteCarlo) diverged from fresh evaluation")
 	}
 
-	grid := SweepGrid{Strategies: []Strategy{OrderedNBDaly(), RandomDaly()}}
+	grid := driver.SweepGrid{Strategies: []Strategy{OrderedNBDaly(), RandomDaly()}}
 	points, errf := s.Sweep(ctx, cfgB, grid, 2)
 	for pt, mc := range points {
 		cfg := pt.Apply(cfgB)
@@ -252,13 +256,13 @@ func TestSessionCampaignArenaReuse(t *testing.T) {
 func TestSessionProgress(t *testing.T) {
 	var dones []int
 	var lastTotal int
-	s := NewSession(WithWorkers(2), WithProgress(func(done, total int) {
+	s := driver.NewSession(driver.WithWorkers(2), driver.WithProgress(func(done, total int) {
 		dones = append(dones, done)
 		lastTotal = total
 	}))
 	ctx := context.Background()
 
-	if _, err := s.MonteCarlo(ctx, tinyConfig(OrderedNBDaly(), 7), 5); err != nil {
+	if _, err := s.MonteCarlo(ctx, TinyConfig(OrderedNBDaly(), 7), 5); err != nil {
 		t.Fatal(err)
 	}
 	if len(dones) != 5 || dones[len(dones)-1] != 5 || lastTotal != 5 {
@@ -271,8 +275,8 @@ func TestSessionProgress(t *testing.T) {
 	}
 
 	dones = nil
-	grid := SweepGrid{Strategies: []Strategy{OrderedDaly(), LeastWaste(), RandomDaly()}}
-	points, errf := s.Sweep(ctx, tinyConfig(Strategy{}, 7), grid, 2)
+	grid := driver.SweepGrid{Strategies: []Strategy{OrderedDaly(), LeastWaste(), RandomDaly()}}
+	points, errf := s.Sweep(ctx, TinyConfig(Strategy{}, 7), grid, 2)
 	for range points {
 	}
 	if err := errf(); err != nil {
@@ -286,7 +290,7 @@ func TestSessionProgress(t *testing.T) {
 	// strictly increases and never exceeds the total.
 	type report struct{ done, total int }
 	var reports []report
-	record := WithProgress(func(done, total int) { reports = append(reports, report{done, total}) })
+	record := driver.WithProgress(func(done, total int) { reports = append(reports, report{done, total}) })
 	checkReports := func(name string) {
 		t.Helper()
 		if len(reports) == 0 {
@@ -299,7 +303,7 @@ func TestSessionProgress(t *testing.T) {
 		}
 		reports = nil
 	}
-	if _, err := NewSession(WithWorkers(2), record).Compare(ctx, tinyConfig(Strategy{}, 7), grid.Strategies, 3); err != nil {
+	if _, err := driver.NewSession(driver.WithWorkers(2), record).Compare(ctx, TinyConfig(Strategy{}, 7), grid.Strategies, 3); err != nil {
 		t.Fatal(err)
 	}
 	if len(reports) != 9 || reports[8] != (report{9, 9}) {
@@ -307,8 +311,8 @@ func TestSessionProgress(t *testing.T) {
 	}
 	checkReports("Compare")
 
-	stopping := NewSession(WithWorkers(2), WithTargetCI(10, 0, 2, 0), record)
-	points, errf = stopping.Sweep(ctx, tinyConfig(Strategy{}, 7), grid, 6)
+	stopping := driver.NewSession(driver.WithWorkers(2), driver.WithTargetCI(10, 0, 2, 0), record)
+	points, errf = stopping.Sweep(ctx, TinyConfig(Strategy{}, 7), grid, 6)
 	used := 0
 	for _, mc := range points {
 		used += mc.RunsUsed
@@ -327,12 +331,12 @@ func TestSessionProgress(t *testing.T) {
 // replicates reports done = f+1 … total, once per replicate, in order.
 func TestSessionResumeProgress(t *testing.T) {
 	ctx := context.Background()
-	cfg := tinyConfig(OrderedNBDaly(), 5)
+	cfg := TinyConfig(OrderedNBDaly(), 5)
 	const runs, f = 8, 3
-	var snap MCSnapshot
-	if _, err := sweepOne(ctx, NewSession(WithWorkers(2)), GridPoint{
+	var snap driver.MCSnapshot
+	if _, err := sweepOne(ctx, driver.NewSession(driver.WithWorkers(2)), driver.GridPoint{
 		Config: cfg,
-		OnSnapshot: func(s MCSnapshot) {
+		OnSnapshot: func(s driver.MCSnapshot) {
 			if s.Folded == f {
 				snap = s
 			}
@@ -341,13 +345,13 @@ func TestSessionResumeProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	var dones []int
-	s := NewSession(WithWorkers(2), WithProgress(func(done, total int) {
+	s := driver.NewSession(driver.WithWorkers(2), driver.WithProgress(func(done, total int) {
 		if total != runs {
 			t.Errorf("resumed progress total %d, want %d", total, runs)
 		}
 		dones = append(dones, done)
 	}))
-	if _, err := sweepOne(ctx, s, GridPoint{Config: cfg, Resume: &snap}, runs); err != nil {
+	if _, err := sweepOne(ctx, s, driver.GridPoint{Config: cfg, Resume: &snap}, runs); err != nil {
 		t.Fatal(err)
 	}
 	if want := []int{4, 5, 6, 7, 8}; !reflect.DeepEqual(dones, want) {
@@ -360,11 +364,11 @@ func TestSessionResumeProgress(t *testing.T) {
 // not wrapped in worker-attribution context, and with every offending
 // field reported at once.
 func TestSessionInvalidConfigRejectedUpfront(t *testing.T) {
-	bad := tinyConfig(OrderedDaly(), 1)
+	bad := TinyConfig(OrderedDaly(), 1)
 	bad.Platform.Nodes = 0
 	bad.Platform.NodeMTBFSeconds = -1
 	bad.Channels = -2
-	_, err := NewSession(WithWorkers(2)).MonteCarlo(context.Background(), bad, 4)
+	_, err := driver.NewSession(driver.WithWorkers(2)).MonteCarlo(context.Background(), bad, 4)
 	if err == nil {
 		t.Fatal("invalid config accepted")
 	}
@@ -382,15 +386,15 @@ func TestSessionInvalidConfigRejectedUpfront(t *testing.T) {
 // one place and still guards every entry point.
 func TestSessionRunsValidation(t *testing.T) {
 	ctx := context.Background()
-	cfg := tinyConfig(OrderedDaly(), 1)
-	s := NewSession()
+	cfg := TinyConfig(OrderedDaly(), 1)
+	s := driver.NewSession()
 	if _, err := s.MonteCarlo(ctx, cfg, 0); err == nil {
 		t.Fatal("Session.MonteCarlo accepted zero runs")
 	}
-	if _, err := NewSession(WithWorkers(1)).MonteCarlo(ctx, cfg, -3); err == nil {
+	if _, err := driver.NewSession(driver.WithWorkers(1)).MonteCarlo(ctx, cfg, -3); err == nil {
 		t.Fatal("Session.MonteCarlo accepted negative runs")
 	}
-	points, errf := s.Sweep(ctx, cfg, SweepGrid{}, 0)
+	points, errf := s.Sweep(ctx, cfg, driver.SweepGrid{}, 0)
 	for range points {
 		t.Fatal("zero-run sweep yielded a point")
 	}
@@ -404,8 +408,8 @@ func TestSessionRunsValidation(t *testing.T) {
 func TestSessionPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s := NewSession()
-	cfg := tinyConfig(LeastWaste(), 2)
+	s := driver.NewSession()
+	cfg := TinyConfig(LeastWaste(), 2)
 	if _, err := s.Run(ctx, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run on cancelled ctx: %v", err)
 	}
@@ -417,5 +421,87 @@ func TestSessionPreCancelledContext(t *testing.T) {
 	}
 	if _, err := s.MinBandwidth(ctx, cfg, 0.6, 1e9, 1e12, 2, 3); !errors.Is(err, context.Canceled) {
 		t.Fatalf("MinBandwidth on cancelled ctx: %v", err)
+	}
+}
+
+// batchSession is a Session that materialises every run: per-run Results
+// and waste ratios, with the exact sorted Summary.
+func batchSession(workers int) *driver.Session {
+	return driver.NewSession(driver.WithWorkers(workers), driver.WithKeepResults(true), driver.WithKeepWasteRatios(true))
+}
+
+func TestMonteCarlo(t *testing.T) {
+	ctx := context.Background()
+	cfg := TinyConfig(OrderedNBDaly(), 41)
+	mc, err := batchSession(2).MonteCarlo(ctx, cfg, 6)
+	if err != nil {
+		t.Fatalf("MonteCarlo: %v", err)
+	}
+	if mc.Summary.N != 6 || len(mc.WasteRatios) != 6 {
+		t.Fatalf("summary over %d runs, want 6", mc.Summary.N)
+	}
+	if mc.Summary.Mean <= 0 || mc.Summary.Mean >= 1 {
+		t.Fatalf("mean waste %v implausible", mc.Summary.Mean)
+	}
+	// Replication must be deterministic and prefix-stable: run i is the
+	// same regardless of total run count.
+	mc2, err := batchSession(1).MonteCarlo(ctx, cfg, 3)
+	if err != nil {
+		t.Fatalf("MonteCarlo: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		if mc.WasteRatios[i] != mc2.WasteRatios[i] {
+			t.Fatalf("run %d not prefix-stable: %v vs %v", i, mc.WasteRatios[i], mc2.WasteRatios[i])
+		}
+	}
+	if _, err := batchSession(1).MonteCarlo(ctx, cfg, 0); err == nil {
+		t.Error("zero runs accepted")
+	}
+}
+
+func TestCompareStrategies(t *testing.T) {
+	cfg := TinyConfig(OrderedDaly(), 43)
+	strats := []Strategy{ObliviousDaly(), LeastWaste()}
+	out, err := batchSession(2).Compare(context.Background(), cfg, strats, 3)
+	if err != nil {
+		t.Fatalf("Compare: %v", err)
+	}
+	if len(out) != 2 || out[0].Strategy != "Oblivious-Daly" || out[1].Strategy != "Least-Waste" {
+		t.Fatalf("unexpected output: %+v", out)
+	}
+}
+
+func TestMinBandwidthForEfficiency(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bisection search in -short mode")
+	}
+	cfg := TinyConfig(OrderedNBDaly(), 47)
+	cfg.HorizonDays = 4
+	cfg.Gen.MinDays = 4
+	ctx := context.Background()
+	s := driver.NewSession(driver.WithWorkers(2))
+	lo, hi := units.GBps(0.05), units.GBps(50)
+	bw, err := s.MinBandwidth(ctx, cfg, 0.6, lo, hi, 2, 8)
+	if err != nil {
+		t.Fatalf("MinBandwidth: %v", err)
+	}
+	if bw < lo || bw > hi {
+		t.Fatalf("returned bandwidth %v outside bracket", bw)
+	}
+	// The mean waste at the found bandwidth must meet the target.
+	check := cfg
+	check.Platform.BandwidthBps = bw
+	mc, err := batchSession(2).MonteCarlo(ctx, check, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mc.Summary.Mean > 0.4+1e-9 {
+		t.Fatalf("waste %v at returned bandwidth exceeds target 0.4", mc.Summary.Mean)
+	}
+	if _, err := s.MinBandwidth(ctx, cfg, 1.5, lo, hi, 1, 4); err == nil {
+		t.Error("invalid target accepted")
+	}
+	if _, err := s.MinBandwidth(ctx, cfg, 0.8, hi, lo, 1, 4); err == nil {
+		t.Error("inverted bracket accepted")
 	}
 }

@@ -2,8 +2,10 @@
 // paper (§5): workload generation, online first-fit job scheduling,
 // failure injection, the I/O subsystem under a pluggable arbitration
 // discipline, checkpoint policies, and waste accounting over a
-// measurement segment. Monte-Carlo replication with candlestick summaries
-// reproduces the figures of §6.
+// measurement segment. One Run or Arena replicate is one platform, one
+// workload draw and one failure trace. Replicating it over many seeds
+// and strategies to reproduce the figures of §6 is the job of package
+// driver, which imports engine; engine imports nothing of the driver.
 package engine
 
 import (

@@ -1,10 +1,12 @@
-package engine
+package engine_test
 
 import (
 	"context"
 	"reflect"
 	"testing"
 
+	"repro/internal/driver"
+	. "repro/internal/engine"
 	"repro/internal/platform"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -36,7 +38,7 @@ func TestMonteCarloStreamMatchesBatch(t *testing.T) {
 
 	var streamed []float64
 	wantIdx := 0
-	mc, err := NewSession(WithWorkers(3), WithOnResult(func(i int, r Result) {
+	mc, err := driver.NewSession(driver.WithWorkers(3), driver.WithOnResult(func(i int, r Result) {
 		if i != wantIdx {
 			t.Fatalf("OnResult index %d, want %d (strict run order)", i, wantIdx)
 		}
@@ -85,7 +87,7 @@ func TestMonteCarloOptsKeepWasteRatios(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lean, err := NewSession(WithWorkers(4), WithKeepWasteRatios(true)).MonteCarlo(ctx, cfg, runs)
+	lean, err := driver.NewSession(driver.WithWorkers(4), driver.WithKeepWasteRatios(true)).MonteCarlo(ctx, cfg, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,12 +121,12 @@ func TestMonteCarloStreamLargeReplication(t *testing.T) {
 	// exact sorted Summary needs only the waste ratios (8 B/run here in
 	// the test), never the Result structs.
 	ctx := context.Background()
-	exact, err := NewSession(WithKeepWasteRatios(true)).MonteCarlo(ctx, cfg, runs)
+	exact, err := driver.NewSession(driver.WithKeepWasteRatios(true)).MonteCarlo(ctx, cfg, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	collected := make([]float64, 0, runs)
-	stream, err := NewSession(WithOnResult(func(i int, r Result) {
+	stream, err := driver.NewSession(driver.WithOnResult(func(i int, r Result) {
 		collected = append(collected, r.WasteRatio)
 	})).MonteCarlo(ctx, cfg, runs)
 	if err != nil {
@@ -176,7 +178,7 @@ func TestMonteCarloStreamLargeReplication(t *testing.T) {
 func TestMonteCarloStreamErrorPropagation(t *testing.T) {
 	cfg := streamCfg()
 	cfg.Platform.Nodes = 0 // invalid: every run fails
-	if _, err := NewSession(WithWorkers(2)).MonteCarlo(context.Background(), cfg, 4); err == nil {
+	if _, err := driver.NewSession(driver.WithWorkers(2)).MonteCarlo(context.Background(), cfg, 4); err == nil {
 		t.Fatal("streaming Monte-Carlo swallowed the run error")
 	}
 }

@@ -1,4 +1,4 @@
-package engine
+package engine_test
 
 import (
 	"context"
@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/driver"
+	. "repro/internal/engine"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -19,11 +21,11 @@ import (
 // bit-identical to a standalone Session.MonteCarlo of that strategy.
 func TestCompareCRNBitIdentity(t *testing.T) {
 	ctx := context.Background()
-	base := tinyConfig(Strategy{}, 29)
+	base := TinyConfig(Strategy{}, 29)
 	strategies := AllStrategies()
 	const runs = 3
 
-	s := NewSession(WithWorkers(2), WithKeepResults(true), WithKeepWasteRatios(true))
+	s := driver.NewSession(driver.WithWorkers(2), driver.WithKeepResults(true), driver.WithKeepWasteRatios(true))
 	compared, err := s.Compare(ctx, base, strategies, runs)
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +33,7 @@ func TestCompareCRNBitIdentity(t *testing.T) {
 	for k, strat := range strategies {
 		cfg := base
 		cfg.Strategy = strat
-		solo, err := NewSession(WithWorkers(2), WithKeepResults(true), WithKeepWasteRatios(true)).
+		solo, err := driver.NewSession(driver.WithWorkers(2), driver.WithKeepResults(true), driver.WithKeepWasteRatios(true)).
 			MonteCarlo(ctx, cfg, runs)
 		if err != nil {
 			t.Fatalf("%s: %v", strat.Name(), err)
@@ -62,14 +64,14 @@ func TestCompareCRNBitIdentity(t *testing.T) {
 func TestSessionTargetCIStopsEarly(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var streamed []int
-	s := NewSession(
-		WithWorkers(3),
-		WithKeepResults(true),
-		WithKeepWasteRatios(true),
-		WithOnResult(func(i int, r Result) { streamed = append(streamed, i) }),
-		WithTargetCI(10, 0, 0, 0), // waste ratios are O(1): satisfied immediately
+	s := driver.NewSession(
+		driver.WithWorkers(3),
+		driver.WithKeepResults(true),
+		driver.WithKeepWasteRatios(true),
+		driver.WithOnResult(func(i int, r Result) { streamed = append(streamed, i) }),
+		driver.WithTargetCI(10, 0, 0, 0), // waste ratios are O(1): satisfied immediately
 	)
-	mc, err := s.MonteCarlo(context.Background(), tinyConfig(OrderedNBDaly(), 3), 10_000)
+	mc, err := s.MonteCarlo(context.Background(), TinyConfig(OrderedNBDaly(), 3), 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,9 +102,9 @@ func TestSessionTargetCIStopsEarly(t *testing.T) {
 // decision.
 func TestSessionTargetCIBounds(t *testing.T) {
 	ctx := context.Background()
-	cfg := tinyConfig(OrderedNBDaly(), 5)
+	cfg := TinyConfig(OrderedNBDaly(), 5)
 
-	unreachable := NewSession(WithTargetCI(1e-12, 0, 0, 0))
+	unreachable := driver.NewSession(driver.WithTargetCI(1e-12, 0, 0, 0))
 	mc, err := unreachable.MonteCarlo(ctx, cfg, 12)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +113,7 @@ func TestSessionTargetCIBounds(t *testing.T) {
 		t.Fatalf("unreachable target stopped at %d runs, want the full 12", mc.RunsUsed)
 	}
 
-	extended := NewSession(WithTargetCI(1e-12, 0, 0, 17))
+	extended := driver.NewSession(driver.WithTargetCI(1e-12, 0, 0, 17))
 	mc, err = extended.MonteCarlo(ctx, cfg, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +122,7 @@ func TestSessionTargetCIBounds(t *testing.T) {
 		t.Fatalf("MaxRuns=17 ran %d replicates, want 17 (beyond the runs argument)", mc.RunsUsed)
 	}
 
-	minimum := NewSession(WithTargetCI(10, 0, 11, 0))
+	minimum := driver.NewSession(driver.WithTargetCI(10, 0, 11, 0))
 	mc, err = minimum.MonteCarlo(ctx, cfg, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -136,13 +138,13 @@ func TestSessionTargetCIBounds(t *testing.T) {
 // replicate computes.
 func TestSessionTargetCIPrefixBitIdentity(t *testing.T) {
 	ctx := context.Background()
-	cfg := tinyConfig(LeastWaste(), 43)
-	stopped, err := NewSession(WithWorkers(2), WithKeepResults(true), WithKeepWasteRatios(true),
-		WithTargetCI(10, 0, 0, 0)).MonteCarlo(ctx, cfg, 1000)
+	cfg := TinyConfig(LeastWaste(), 43)
+	stopped, err := driver.NewSession(driver.WithWorkers(2), driver.WithKeepResults(true), driver.WithKeepWasteRatios(true),
+		driver.WithTargetCI(10, 0, 0, 0)).MonteCarlo(ctx, cfg, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := NewSession(WithWorkers(2), WithKeepResults(true), WithKeepWasteRatios(true)).
+	fixed, err := driver.NewSession(driver.WithWorkers(2), driver.WithKeepResults(true), driver.WithKeepWasteRatios(true)).
 		MonteCarlo(ctx, cfg, stopped.RunsUsed)
 	if err != nil {
 		t.Fatal(err)
@@ -158,10 +160,10 @@ func TestSessionTargetCIPrefixBitIdentity(t *testing.T) {
 // stays per-replicate.
 func TestSessionAntitheticArenaPairing(t *testing.T) {
 	ctx := context.Background()
-	cfg := tinyConfig(OrderedNBDaly(), 17)
+	cfg := TinyConfig(OrderedNBDaly(), 17)
 	const runs = 6
-	mc, err := NewSession(WithWorkers(2), WithKeepResults(true), WithKeepWasteRatios(true),
-		WithAntithetic(true)).MonteCarlo(ctx, cfg, runs)
+	mc, err := driver.NewSession(driver.WithWorkers(2), driver.WithKeepResults(true), driver.WithKeepWasteRatios(true),
+		driver.WithAntithetic(true)).MonteCarlo(ctx, cfg, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +202,8 @@ func TestSessionAntitheticArenaPairing(t *testing.T) {
 // stopping rule only fires at pair boundaries, so RunsUsed is always
 // even.
 func TestSessionAntitheticTargetCIPairBoundary(t *testing.T) {
-	mc, err := NewSession(WithAntithetic(true), WithTargetCI(10, 0, 9, 0)).
-		MonteCarlo(context.Background(), tinyConfig(OrderedNBDaly(), 11), 100)
+	mc, err := driver.NewSession(driver.WithAntithetic(true), driver.WithTargetCI(10, 0, 9, 0)).
+		MonteCarlo(context.Background(), TinyConfig(OrderedNBDaly(), 11), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,17 +223,17 @@ func TestSessionTargetCICancelDrain(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	delivered := 0
-	s := NewSession(
-		WithWorkers(4),
-		WithTargetCI(1e-12, 0, 0, 0), // unreachable: only cancel can stop it
-		WithOnResult(func(i int, r Result) {
+	s := driver.NewSession(
+		driver.WithWorkers(4),
+		driver.WithTargetCI(1e-12, 0, 0, 0), // unreachable: only cancel can stop it
+		driver.WithOnResult(func(i int, r Result) {
 			delivered++
 			if delivered == 5 {
 				cancel()
 			}
 		}),
 	)
-	_, err := s.MonteCarlo(ctx, tinyConfig(OrderedNBDaly(), 3), 10_000)
+	_, err := s.MonteCarlo(ctx, TinyConfig(OrderedNBDaly(), 3), 10_000)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled sequential experiment returned %v, want context.Canceled", err)
 	}
@@ -244,11 +246,11 @@ func TestSessionTargetCICancelDrain(t *testing.T) {
 // match a PairedAccumulator fed the two materialised series.
 func TestSessionComparePaired(t *testing.T) {
 	ctx := context.Background()
-	base := tinyConfig(Strategy{}, 37)
+	base := TinyConfig(Strategy{}, 37)
 	strategies := []Strategy{OrderedNBDaly(), LeastWaste(), OrderedDaly()}
 	const runs = 8
 
-	s := NewSession(WithWorkers(2), WithKeepWasteRatios(true))
+	s := driver.NewSession(driver.WithWorkers(2), driver.WithKeepWasteRatios(true))
 	mcs, cmps, err := s.ComparePaired(ctx, base, strategies, runs)
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +261,7 @@ func TestSessionComparePaired(t *testing.T) {
 
 	refCfg := base
 	refCfg.Strategy = strategies[0]
-	solo, err := NewSession(WithWorkers(2), WithKeepWasteRatios(true)).MonteCarlo(ctx, refCfg, runs)
+	solo, err := driver.NewSession(driver.WithWorkers(2), driver.WithKeepWasteRatios(true)).MonteCarlo(ctx, refCfg, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,9 +309,9 @@ func TestSessionComparePaired(t *testing.T) {
 // replicate count (pairing needs both series at every index).
 func TestSessionComparePairedTargetCI(t *testing.T) {
 	ctx := context.Background()
-	base := tinyConfig(Strategy{}, 59)
+	base := TinyConfig(Strategy{}, 59)
 	strategies := []Strategy{OrderedNBDaly(), LeastWaste()}
-	s := NewSession(WithWorkers(2), WithTargetCI(0.02, 0, 0, 0))
+	s := driver.NewSession(driver.WithWorkers(2), driver.WithTargetCI(0.02, 0, 0, 0))
 	mcs, cmps, err := s.ComparePaired(ctx, base, strategies, 60)
 	if err != nil {
 		t.Fatal(err)
@@ -332,10 +334,10 @@ func TestSessionMinBandwidthTargetCI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bisection search in -short mode")
 	}
-	cfg := tinyConfig(OrderedNBDaly(), 19)
+	cfg := TinyConfig(OrderedNBDaly(), 19)
 	cfg.HorizonDays = 4
 	cfg.Gen.MinDays = 4
-	s := NewSession(WithWorkers(2), WithTargetCI(10, 0, 2, 0))
+	s := driver.NewSession(driver.WithWorkers(2), driver.WithTargetCI(10, 0, 2, 0))
 	got, err := s.MinBandwidth(context.Background(), cfg, 0.6, 0.05e9, 50e9, 8, 5)
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,9 @@
 // Package resultcache is the content-addressed Monte-Carlo result memo
-// behind engine.WithResultCache and the campaign runner's cache: results
-// keyed by engine.ExperimentKey, an in-memory tier for repeated cells
+// behind driver.WithResultCache and the campaign runner's cache: results
+// keyed by driver.ExperimentKey, an in-memory tier for repeated cells
 // within one process, and an optional disk tier (one JSON file per key,
 // written atomically) for cross-run reuse. Equal keys mean bit-identical
-// experiments under the engine's pinned CRN schedule, so a hit returns
+// experiments under the driver's pinned CRN schedule, so a hit returns
 // exactly what the simulation it replaces would have produced.
 package resultcache
 
@@ -16,6 +16,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/driver"
 	"repro/internal/engine"
 )
 
@@ -39,19 +40,19 @@ type Stats struct {
 	DiskErrors int64
 }
 
-// Cache implements engine.ResultCache with an in-memory tier and an
+// Cache implements driver.ResultCache with an in-memory tier and an
 // optional disk tier. Safe for concurrent use.
 type Cache struct {
 	dir string
 	max int
 
 	mu  sync.RWMutex
-	mem map[string]engine.MCResult
+	mem map[string]driver.MCResult
 
 	hits, misses, puts, diskHits, diskErrs atomic.Int64
 }
 
-var _ engine.ResultCache = (*Cache)(nil)
+var _ driver.ResultCache = (*Cache)(nil)
 
 // New builds a cache; with Options.Dir set the directory is created if
 // missing.
@@ -61,12 +62,12 @@ func New(o Options) (*Cache, error) {
 			return nil, fmt.Errorf("resultcache: %w", err)
 		}
 	}
-	return &Cache{dir: o.Dir, max: o.MaxMemEntries, mem: map[string]engine.MCResult{}}, nil
+	return &Cache{dir: o.Dir, max: o.MaxMemEntries, mem: map[string]driver.MCResult{}}, nil
 }
 
 // Get returns the result stored under key, consulting memory before
 // disk. The returned value is the caller's to keep.
-func (c *Cache) Get(key string) (engine.MCResult, bool) {
+func (c *Cache) Get(key string) (driver.MCResult, bool) {
 	c.mu.RLock()
 	mc, ok := c.mem[key]
 	c.mu.RUnlock()
@@ -85,12 +86,12 @@ func (c *Cache) Get(key string) (engine.MCResult, bool) {
 		}
 	}
 	c.misses.Add(1)
-	return engine.MCResult{}, false
+	return driver.MCResult{}, false
 }
 
 // Put stores the result under key in every enabled tier. The value is
 // cloned on the way in, so the caller may keep mutating its copy.
-func (c *Cache) Put(key string, mc engine.MCResult) {
+func (c *Cache) Put(key string, mc driver.MCResult) {
 	c.puts.Add(1)
 	mc = clone(mc)
 	c.mu.Lock()
@@ -114,7 +115,7 @@ func (c *Cache) Stats() Stats {
 
 // memPut inserts into the memory tier, evicting an arbitrary entry when
 // the bound is hit. Callers hold c.mu.
-func (c *Cache) memPut(key string, mc engine.MCResult) {
+func (c *Cache) memPut(key string, mc driver.MCResult) {
 	if _, ok := c.mem[key]; !ok && c.max > 0 && len(c.mem) >= c.max {
 		for k := range c.mem {
 			delete(c.mem, k)
@@ -128,7 +129,7 @@ func (c *Cache) memPut(key string, mc engine.MCResult) {
 // estimator observations, which JSON cannot carry — the flag round-trips
 // it.
 type diskEntry struct {
-	MC                engine.MCResult
+	MC                driver.MCResult
 	CIHalfWidthPosInf bool `json:",omitempty"`
 }
 
@@ -136,19 +137,19 @@ func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key+".json")
 }
 
-func (c *Cache) readDisk(key string) (engine.MCResult, bool) {
+func (c *Cache) readDisk(key string) (driver.MCResult, bool) {
 	b, err := os.ReadFile(c.path(key))
 	if err != nil {
 		if !os.IsNotExist(err) {
 			c.diskErrs.Add(1)
 		}
-		return engine.MCResult{}, false
+		return driver.MCResult{}, false
 	}
 	var e diskEntry
 	if err := json.Unmarshal(b, &e); err != nil {
 		// A torn or foreign file is a miss, not a failure.
 		c.diskErrs.Add(1)
-		return engine.MCResult{}, false
+		return driver.MCResult{}, false
 	}
 	if e.CIHalfWidthPosInf {
 		e.MC.CIHalfWidth = math.Inf(1)
@@ -158,7 +159,7 @@ func (c *Cache) readDisk(key string) (engine.MCResult, bool) {
 
 // writeDisk lands the entry atomically: temp file in the same directory,
 // then rename — a crash mid-write leaves no torn entry under the key.
-func (c *Cache) writeDisk(key string, mc engine.MCResult) {
+func (c *Cache) writeDisk(key string, mc driver.MCResult) {
 	e := diskEntry{MC: mc}
 	if math.IsInf(mc.CIHalfWidth, 1) {
 		e.CIHalfWidthPosInf = true
@@ -206,7 +207,7 @@ func keyOK(key string) bool {
 	return true
 }
 
-func clone(mc engine.MCResult) engine.MCResult {
+func clone(mc driver.MCResult) driver.MCResult {
 	if mc.WasteRatios != nil {
 		mc.WasteRatios = append([]float64(nil), mc.WasteRatios...)
 	}

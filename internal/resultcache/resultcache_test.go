@@ -10,14 +10,14 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/engine"
+	"repro/internal/driver"
 	"repro/internal/stats"
 )
 
 const key = "00deadbeef00deadbeef00deadbeef00deadbeef00deadbeef00deadbeef0000"
 
-func sample() engine.MCResult {
-	return engine.MCResult{
+func sample() driver.MCResult {
+	return driver.MCResult{
 		Strategy:        "Ordered-Daly",
 		Summary:         stats.Summary{N: 3, Mean: 0.4, Min: 0.3, Max: 0.5, StdDev: 0.1},
 		WasteRatios:     []float64{0.3, 0.4, 0.5},
@@ -207,7 +207,7 @@ func TestConcurrentAccess(t *testing.T) {
 }
 
 func TestEngineIntegration(t *testing.T) {
-	var _ engine.ResultCache = mustNew(t)
+	var _ driver.ResultCache = mustNew(t)
 }
 
 func mustNew(t *testing.T) *Cache {
@@ -234,7 +234,7 @@ func TestConcurrentMixedWithEviction(t *testing.T) {
 	keyOf := func(i int) string {
 		return fmt.Sprintf("%064x", i+1)
 	}
-	valOf := func(i int) engine.MCResult {
+	valOf := func(i int) driver.MCResult {
 		mc := sample()
 		mc.RunsUsed = i + 1
 		mc.Summary.Mean = float64(i + 1)

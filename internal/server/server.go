@@ -24,7 +24,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/campaign"
-	"repro/internal/engine"
+	"repro/internal/driver"
 )
 
 // Options configures a Server.
@@ -43,7 +43,7 @@ type Options struct {
 	// engine default, one per CPU).
 	Workers int
 	// Cache is the shared cross-campaign result cache (nil = none).
-	Cache engine.ResultCache
+	Cache driver.ResultCache
 	// Version is the build identification reported by /healthz.
 	Version string
 }
@@ -250,7 +250,7 @@ func (s *Server) Submit(spec api.CampaignSpec) (string, error) {
 	if s.opts.DataDir != "" {
 		b, err := json.MarshalIndent(storedSpec{ID: id, SubmittedAt: now, Spec: spec}, "", "  ")
 		if err == nil {
-			err = os.WriteFile(s.specPath(id), append(b, '\n'), 0o644)
+			err = s.writeSpec(id, append(b, '\n'))
 		}
 		if err != nil {
 			s.unreserve()
@@ -259,6 +259,38 @@ func (s *Server) Submit(spec api.CampaignSpec) (string, error) {
 	}
 	s.startRun(id, spec.Name, now, res)
 	return id, nil
+}
+
+// specTemp is the os.CreateTemp pattern of campaign id's spec while it
+// is being written. Its names never end in ".spec.json", so resumeAll
+// skips what a crash leaves of it.
+func specTemp(id string) string { return "." + id + ".spec-*.tmp" }
+
+// writeSpec lands a spec file atomically: a synced temp file in DataDir,
+// renamed into place. A crash mid-write leaves at most a stray temp
+// file, never a torn spec that would stop every later boot.
+func (s *Server) writeSpec(id string, b []byte) error {
+	tmp, err := os.CreateTemp(s.opts.DataDir, specTemp(id))
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(b)
+	if err == nil {
+		err = tmp.Chmod(0o644)
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), s.specPath(id))
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // reserve admits one campaign atomically: under s.mu it checks that the

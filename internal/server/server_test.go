@@ -10,12 +10,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/driver"
 	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/platform"
@@ -145,7 +147,7 @@ func TestStreamBitIdentity(t *testing.T) {
 
 // goldenSweep runs the equivalent sweep through a plain streaming
 // session — the reference the HTTP stream must match bit for bit.
-func goldenSweep(t *testing.T, strategies []string, horizonDays float64, runs int) []engine.MCResult {
+func goldenSweep(t *testing.T, strategies []string, horizonDays float64, runs int) []driver.MCResult {
 	t.Helper()
 	base := engine.Config{
 		Platform:    platform.Cielo(40, 2),
@@ -161,10 +163,10 @@ func goldenSweep(t *testing.T, strategies []string, horizonDays float64, runs in
 		}
 		strats = append(strats, s)
 	}
-	grid := engine.SweepGrid{Strategies: strats}
-	session := engine.NewSession()
+	grid := driver.SweepGrid{Strategies: strats}
+	session := driver.NewSession()
 	seq, errf := session.Sweep(context.Background(), base, grid, runs)
-	var out []engine.MCResult
+	var out []driver.MCResult
 	for _, mc := range seq {
 		out = append(out, mc)
 	}
@@ -262,6 +264,53 @@ func TestResumeLegacyJournal(t *testing.T) {
 		if got := p.MC.Engine(); !reflect.DeepEqual(got, want[i]) {
 			t.Errorf("point %d drifted from Session.Sweep:\n got %+v\nwant %+v", i, got, want[i])
 		}
+	}
+}
+
+// TestInterruptedSpecWrite: a submit interrupted mid-write leaves a
+// truncated temp file, not a torn spec, and the next boot skips it; a
+// spec written through Submit lands under its final name and resumes.
+func TestInterruptedSpecWrite(t *testing.T) {
+	dataDir := t.TempDir()
+	tmp, err := os.CreateTemp(dataDir, specTemp("c-0123456789ab"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	leftover := tmp.Name()
+	if _, err := tmp.WriteString(`{"id": "c-01`); err != nil {
+		t.Fatal(err)
+	}
+	tmp.Close()
+	s1, err := New(Options{DataDir: dataDir, MaxConcurrent: 1})
+	if err != nil {
+		t.Fatalf("boot over an interrupted spec write: %v", err)
+	}
+	spec, err := api.DecodeCampaignSpec(bytes.NewReader(mustSpec(t, []string{"Least-Waste"})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := s1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s1.Shutdown(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	names, err := listDir(dataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if strings.HasSuffix(name, ".tmp") && name != filepath.Base(leftover) {
+			t.Errorf("Submit left a temp file behind: %s", name)
+		}
+	}
+
+	s2, _ := newTestServer(t, Options{DataDir: dataDir, MaxConcurrent: 1})
+	if infos := s2.List(); len(infos) != 1 || infos[0].ID != id {
+		t.Fatalf("restart did not resume the submitted campaign: %+v", infos)
 	}
 }
 

@@ -60,6 +60,7 @@ import (
 	"repro/internal/burstbuffer"
 	"repro/internal/campaign"
 	"repro/internal/ckpt"
+	"repro/internal/driver"
 	"repro/internal/engine"
 	"repro/internal/failure"
 	"repro/internal/iomodel"
@@ -70,8 +71,8 @@ import (
 	"repro/internal/workload"
 )
 
-// Core configuration and result types (see the engine package for field
-// documentation).
+// Core configuration and result types (see the engine package for the
+// model's types and the driver package for the experiment driver's).
 type (
 	// Platform describes a machine: nodes, memory, PFS bandwidth, node
 	// MTBF.
@@ -91,46 +92,46 @@ type (
 	// Strategy pairs an I/O discipline with a checkpoint policy.
 	Strategy = engine.Strategy
 	// MCResult aggregates a Monte-Carlo experiment.
-	MCResult = engine.MCResult
+	MCResult = driver.MCResult
 	// MCOptions selects what a Monte-Carlo experiment materialises; the
 	// zero value is the fully streaming O(1)-memory path. Sessions set it
 	// through their options; ExperimentKey hashes it.
-	MCOptions = engine.MCOptions
+	MCOptions = driver.MCOptions
 	// TargetCI configures sequential stopping: halt a Monte-Carlo
 	// experiment once the confidence interval on the estimator mean is no
 	// wider than ±HalfWidth (see Session option WithTargetCI).
-	TargetCI = engine.TargetCI
+	TargetCI = driver.TargetCI
 	// PairedComparison reports one strategy of Session.ComparePaired
 	// against the reference: paired-difference mean and CI plus the
 	// CRN correlation and variance-reduction diagnostics.
-	PairedComparison = engine.PairedComparison
+	PairedComparison = driver.PairedComparison
 	// Session is the context-aware experiment driver: one warm per-worker
 	// arena pool shared by Run, MonteCarlo, Sweep, SweepPoints, Compare,
 	// ComparePaired and MinBandwidth for the session's lifetime. Not safe
 	// for concurrent use.
-	Session = engine.Session
+	Session = driver.Session
 	// GridPoint is one experiment of Session.SweepPoints: a configuration
 	// plus a campaign runner's hooks (replay, resume, snapshots, deadline).
-	GridPoint = engine.GridPoint
+	GridPoint = driver.GridPoint
 	// SessionOption configures a Session at construction (WithWorkers,
 	// WithKeepResults, WithKeepWasteRatios, WithOnResult, WithProgress,
 	// WithTargetCI, WithAntithetic, WithResultCache).
-	SessionOption = engine.SessionOption
+	SessionOption = driver.SessionOption
 	// ResultCache is the content-addressed Monte-Carlo result store a
 	// session consults under WithResultCache; resultcache.New builds the
 	// standard memory+disk implementation.
-	ResultCache = engine.ResultCache
+	ResultCache = driver.ResultCache
 	// Arena is a reusable simulation workspace: built once, re-seeded per
 	// replicate, so steady-state Monte-Carlo replicates allocate near
 	// zero. Replicates are bit-identical to fresh Run calls.
 	Arena = engine.Arena
 	// SweepGrid spans a scenario grid (bandwidth × MTBF × failure model ×
 	// strategy) over a base configuration.
-	SweepGrid = engine.SweepGrid
+	SweepGrid = driver.SweepGrid
 	// SweepPoint is one resolved cell of a sweep grid.
-	SweepPoint = engine.SweepPoint
+	SweepPoint = driver.SweepPoint
 	// FailureSpec is one point of a sweep's failure-model axis.
-	FailureSpec = engine.FailureSpec
+	FailureSpec = driver.FailureSpec
 	// Summary is the candlestick statistic set (mean, deciles,
 	// quartiles).
 	Summary = stats.Summary
@@ -204,10 +205,10 @@ type (
 	// MCSnapshot is a resumable mid-experiment Monte-Carlo state: the
 	// exact accumulator bits after folding replicates [0, Folded), as a
 	// campaign journals it and GridPoint.Resume takes it back.
-	MCSnapshot = engine.MCSnapshot
+	MCSnapshot = driver.MCSnapshot
 	// PanicError wraps a recovered simulation-worker panic with its
 	// stack; campaign quarantines it, bare Session methods return it.
-	PanicError = engine.PanicError
+	PanicError = driver.PanicError
 )
 
 // PointResult dispositions.
@@ -354,28 +355,28 @@ func RegisterStrategy(name string, mk func() Strategy) { engine.RegisterStrategy
 // plus functional options, shared by every experiment the session runs.
 // The zero-argument form is ready to use (GOMAXPROCS workers, fully
 // streaming O(1)-memory aggregation).
-func NewSession(opts ...SessionOption) *Session { return engine.NewSession(opts...) }
+func NewSession(opts ...SessionOption) *Session { return driver.NewSession(opts...) }
 
 // WithWorkers bounds an experiment's parallelism (0 = GOMAXPROCS). The
 // per-run results do not depend on the worker count.
-func WithWorkers(n int) SessionOption { return engine.WithWorkers(n) }
+func WithWorkers(n int) SessionOption { return driver.WithWorkers(n) }
 
 // WithKeepResults retains every per-run Result in MCResult.Results
 // (O(runs) memory).
-func WithKeepResults(keep bool) SessionOption { return engine.WithKeepResults(keep) }
+func WithKeepResults(keep bool) SessionOption { return driver.WithKeepResults(keep) }
 
 // WithKeepWasteRatios retains per-run waste ratios and computes each
 // Summary by the exact sorted path (8 bytes per run).
-func WithKeepWasteRatios(keep bool) SessionOption { return engine.WithKeepWasteRatios(keep) }
+func WithKeepWasteRatios(keep bool) SessionOption { return driver.WithKeepWasteRatios(keep) }
 
 // WithOnResult streams every run's Result to fn in strict run order on
 // the caller's goroutine — the O(1)-memory observation hook.
-func WithOnResult(fn func(i int, r Result)) SessionOption { return engine.WithOnResult(fn) }
+func WithOnResult(fn func(i int, r Result)) SessionOption { return driver.WithOnResult(fn) }
 
 // WithProgress reports campaign progress as (done, total) replicate
 // counts; within Sweep and Compare the total spans the whole grid.
 // MinBandwidth's open-ended bisection probes do not report progress.
-func WithProgress(fn func(done, total int)) SessionOption { return engine.WithProgress(fn) }
+func WithProgress(fn func(done, total int)) SessionOption { return driver.WithProgress(fn) }
 
 // WithTargetCI enables sequential stopping: every experiment of the
 // session halts at the first replicate boundary where the confidence
@@ -384,14 +385,14 @@ func WithProgress(fn func(done, total int)) SessionOption { return engine.WithPr
 // TargetCI defaults). MCResult.RunsUsed and MCResult.CIHalfWidth record
 // each experiment's outcome.
 func WithTargetCI(halfWidth, confidence float64, minRuns, maxRuns int) SessionOption {
-	return engine.WithTargetCI(halfWidth, confidence, minRuns, maxRuns)
+	return driver.WithTargetCI(halfWidth, confidence, minRuns, maxRuns)
 }
 
 // WithAntithetic pairs replicates (2i, 2i+1) on the same replicate seed
 // with the odd member drawing complemented uniform streams; the CI
 // estimator and sequential stopping operate on the pair averages while
 // per-run outputs stay per-replicate.
-func WithAntithetic(on bool) SessionOption { return engine.WithAntithetic(on) }
+func WithAntithetic(on bool) SessionOption { return driver.WithAntithetic(on) }
 
 // WithResultCache attaches a content-addressed Monte-Carlo result cache
 // (see resultcache.New) to the session: every cacheable sweep point
@@ -400,14 +401,14 @@ func WithAntithetic(on bool) SessionOption { return engine.WithAntithetic(on) }
 // carry MCResult.Cached. Within one sweep, grid cells with identical
 // content addresses (e.g. the token-channel axis of a shared-device
 // strategy) deduplicate even without a cache attached.
-func WithResultCache(c ResultCache) SessionOption { return engine.WithResultCache(c) }
+func WithResultCache(c ResultCache) SessionOption { return driver.WithResultCache(c) }
 
 // ExperimentKey returns the content address of a Monte-Carlo experiment —
 // a hash of the resolved configuration, seed schedule, stopping rule and
 // materialisation options — and whether the experiment is cacheable.
 // Equal keys mean bit-identical results under the pinned CRN schedule.
 func ExperimentKey(cfg Config, runs int, opts MCOptions) (string, bool) {
-	return engine.ExperimentKey(cfg, runs, opts)
+	return driver.ExperimentKey(cfg, runs, opts)
 }
 
 // NewArena builds a reusable simulation workspace for the configuration.
