@@ -1,5 +1,5 @@
 // Command coopsimd is the long-running simulation service: the warm,
-// cancellable engine.Session exposed as a multi-tenant daemon. Sweep
+// cancellable driver.Session exposed as a multi-tenant daemon. Sweep
 // campaigns are submitted over HTTP/JSON, stream per-point results as
 // NDJSON while they run, and persist journals under -data-dir so a
 // killed daemon resumes interrupted campaigns at the next boot. See

@@ -174,13 +174,19 @@ type Device interface {
 	Reset()
 }
 
-// InterferenceModel computes per-transfer rates for a shared device.
+// InterferenceModel computes stream rates for a shared device. Every
+// model shares the bandwidth by the number of streams and their weights
+// alone, so streams of one weight (the transfers of jobs of one node
+// count) move at one rate, and SharedDevice asks for one rate per
+// distinct weight instead of one per transfer.
 type InterferenceModel interface {
-	// Rates fills out[i] with the rate (bytes/s) of the transfer whose
-	// weight is weights[i]. len(out) == len(weights) >= 1. The result
-	// must depend on the arguments alone: SharedDevice calls Rates only
-	// when its set of transfers changes.
-	Rates(bandwidth float64, weights []float64, out []float64)
+	// Rates fills out[i] with the rate (bytes/s) of one stream of weight
+	// weights[i] while streams transfers of summed weight total share
+	// the device. weights holds the distinct weights of those streams;
+	// len(out) == len(weights) >= 1. The result must depend on the
+	// arguments alone: SharedDevice calls Rates only when its set of
+	// transfers changes.
+	Rates(bandwidth, total float64, streams int, weights, out []float64)
 	Name() string
 }
 
@@ -191,15 +197,11 @@ type InterferenceModel interface {
 type LinearShare struct{}
 
 // Rates implements InterferenceModel.
-func (LinearShare) Rates(bw float64, weights []float64, out []float64) {
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
+func (LinearShare) Rates(bw, total float64, streams int, weights, out []float64) {
 	if total <= 0 {
 		// Degenerate zero-weight set: split evenly.
 		for i := range out {
-			out[i] = bw / float64(len(out))
+			out[i] = bw / float64(streams)
 		}
 		return
 	}
@@ -216,7 +218,7 @@ func (LinearShare) Name() string { return "linear" }
 type Unlimited struct{}
 
 // Rates implements InterferenceModel.
-func (Unlimited) Rates(bw float64, _ []float64, out []float64) {
+func (Unlimited) Rates(bw, _ float64, _ int, _, out []float64) {
 	for i := range out {
 		out[i] = bw
 	}
@@ -234,9 +236,9 @@ type Degraded struct {
 }
 
 // Rates implements InterferenceModel.
-func (d Degraded) Rates(bw float64, weights []float64, out []float64) {
-	eff := bw * math.Pow(d.Gamma, float64(len(weights)-1))
-	LinearShare{}.Rates(eff, weights, out)
+func (d Degraded) Rates(bw, total float64, streams int, weights, out []float64) {
+	eff := bw * math.Pow(d.Gamma, float64(streams-1))
+	LinearShare{}.Rates(eff, total, streams, weights, out)
 }
 
 func (d Degraded) Name() string { return fmt.Sprintf("degraded(%.2f)", d.Gamma) }
@@ -260,23 +262,40 @@ func minWake(now float64) float64 {
 // progress concurrently at rates set by the interference model. Used for
 // the Oblivious strategies and baseline runs.
 //
-// The per-transfer state lives in slices parallel to active: weights[i]
-// is active[i]'s interference weight, rem[i] its bytes still to move and
-// rates[i] its current rate. Rates depend only on the weight multiset, so
-// they are recomputed only after the active set changes (ratesOK false),
-// not on every wake-up.
+// A transfer's rate depends only on its own weight (its job's node
+// count), the summed weight and the number of transfers, so the device
+// keeps its rate bookkeeping per weight class: the active transfers of
+// one weight. Per class it holds the rate, recomputed only after the
+// active set changes (ratesOK false), and the least remaining volume,
+// from which it finds the next completion without a division per
+// transfer. Per transfer it keeps only rem, the bytes still to move, and
+// its class, in slices parallel to active; a time advance is one
+// subtraction pass over them. A class's transfers all move at one rate,
+// and rounding is monotone, so the least rem after an advance is the
+// least rem before it advanced by the same expression: the minimum
+// advances with the class, and only a removal of the transfer holding it
+// calls for a pass to find it again. Weights are node counts, whole
+// numbers, so the running total is exact and equals the sum of the active
+// weights in any order.
 type SharedDevice struct {
-	eng     *sim.Engine
-	bw      float64
-	model   InterferenceModel
-	active  []*Transfer
-	weights []float64
-	rem     []float64
-	rates   []float64
-	ratesOK bool
-	last    float64 // time active transfers were last advanced
-	wake    *sim.Event
-	seq     uint64
+	eng    *sim.Engine
+	bw     float64
+	model  InterferenceModel
+	active []*Transfer
+	rem    []float64
+	class  []int32 // index of active[i]'s weight class
+	// The weight classes, in no particular order; an emptied class is
+	// dropped, so each has at least one member.
+	weights   []float64 // the class's weight
+	members   []int     // its active transfers
+	rates     []float64 // the rate of each of them
+	mins      []float64 // least rem among them, unless minsStale
+	total     float64   // summed weight of the active transfers
+	ratesOK   bool
+	minsStale bool
+	last      float64 // time active transfers were last advanced
+	wake      *sim.Event
+	seq       uint64
 	// rescheduling guards against re-entrant reschedule calls from
 	// completion callbacks (which may Submit or Abort): nested calls fold
 	// into the outer completion loop.
@@ -316,12 +335,32 @@ func (d *SharedDevice) Submit(t *Transfer) {
 	t.seq = d.seq
 	d.seq++
 	t.state = stateActive
+	w := float64(t.Nodes)
+	c := d.classOf(w)
 	d.active = append(d.active, t)
-	d.weights = append(d.weights, float64(t.Nodes))
 	d.rem = append(d.rem, t.Volume)
+	d.class = append(d.class, int32(c))
+	d.mins[c] = min(d.mins[c], t.Volume)
+	d.total += w
 	d.ratesOK = false
 	t.Sink.TransferStarted(t, now)
 	d.reschedule(now, 0)
+}
+
+// classOf returns the index of the weight class of w, creating it when no
+// active transfer has that weight, and counts one more member in it.
+func (d *SharedDevice) classOf(w float64) int {
+	for c, cw := range d.weights {
+		if cw == w {
+			d.members[c]++
+			return c
+		}
+	}
+	d.weights = append(d.weights, w)
+	d.members = append(d.members, 1)
+	d.rates = append(d.rates, 0)
+	d.mins = append(d.mins, math.Inf(1))
+	return len(d.weights) - 1
 }
 
 // Abort implements Device.
@@ -338,20 +377,43 @@ func (d *SharedDevice) Abort(t *Transfer) {
 	}
 }
 
-// removeActive swap-removes entry i of the parallel slices in O(1).
-// Active order is free to permute: rates depend only on the weight
-// multiset, and the completion scan restarts from scratch after every
-// removal.
+// removeActive swap-removes entry i of the parallel slices in O(1), and
+// drops its class when it empties (re-pointing the members of the class
+// moved into its place). Active order decides which of several finished
+// transfers completes first, so every removal takes this one path.
 func (d *SharedDevice) removeActive(i int) {
+	c, rem := d.class[i], d.rem[i]
 	last := len(d.active) - 1
 	d.active[i] = d.active[last]
 	d.active[last] = nil
 	d.active = d.active[:last]
-	d.weights[i] = d.weights[last]
-	d.weights = d.weights[:last]
 	d.rem[i] = d.rem[last]
 	d.rem = d.rem[:last]
+	d.class[i] = d.class[last]
+	d.class = d.class[:last]
+	d.total -= d.weights[c]
 	d.ratesOK = false
+	if d.members[c]--; d.members[c] > 0 {
+		if rem <= d.mins[c] {
+			d.minsStale = true
+		}
+		return
+	}
+	// Move the last class into the emptied one's place; its rate is
+	// recomputed before it is read again.
+	lc := int32(len(d.weights) - 1)
+	if c != lc {
+		d.weights[c], d.members[c], d.mins[c] = d.weights[lc], d.members[lc], d.mins[lc]
+		for j, cj := range d.class {
+			if cj == lc {
+				d.class[j] = c
+			}
+		}
+	}
+	d.weights = d.weights[:lc]
+	d.members = d.members[:lc]
+	d.rates = d.rates[:lc]
+	d.mins = d.mins[:lc]
 }
 
 // Reset returns the device to its initial idle state, retaining the slice
@@ -365,27 +427,28 @@ func (d *SharedDevice) Reset() {
 		d.active[i] = nil
 	}
 	d.active = d.active[:0]
-	d.weights = d.weights[:0]
 	d.rem = d.rem[:0]
+	d.class = d.class[:0]
+	d.weights = d.weights[:0]
+	d.members = d.members[:0]
+	d.rates = d.rates[:0]
+	d.mins = d.mins[:0]
+	d.total = 0
 	d.ratesOK = false
+	d.minsStale = false
 	d.wake = nil
 	d.last = d.eng.Now()
 	d.seq = 0
 	d.rescheduling = false
 }
 
-// ensureRates brings rates up to date with the active set, which must be
-// non-empty.
+// ensureRates brings the class rates up to date with the active set,
+// which must be non-empty.
 func (d *SharedDevice) ensureRates() {
 	if d.ratesOK {
 		return
 	}
-	n := len(d.active)
-	if cap(d.rates) < n {
-		d.rates = make([]float64, n, cap(d.weights))
-	}
-	d.rates = d.rates[:n]
-	d.model.Rates(d.bw, d.weights, d.rates)
+	d.model.Rates(d.bw, d.total, len(d.active), d.weights, d.rates)
 	d.ratesOK = true
 }
 
@@ -395,38 +458,90 @@ func (d *SharedDevice) advance(now float64) {
 	dt := now - d.last
 	d.last = now
 	if dt > 0 && len(d.active) > 0 {
-		d.progress(now, dt)
+		d.drain(dt)
 	}
 }
 
-// progress moves every transfer dt seconds forward at the current rates
-// (none when dt is 0) in one pass that also returns the index of the
-// first finished transfer — drained, or within the minimum schedulable
-// interval of draining — or -1, and the time until the earliest projected
-// completion. The active set must be non-empty.
-func (d *SharedDevice) progress(now, dt float64) (done int, next float64) {
+// drain moves every transfer, and each class minimum, dt seconds forward
+// at the current rates. The minimum takes the expression its transfer
+// takes, so it stays bit-equal to that transfer's rem.
+func (d *SharedDevice) drain(dt float64) {
 	d.ensureRates()
-	floor := minWake(now)
-	done, next = -1, math.Inf(1)
-	for i, r := range d.rates {
-		rem := d.rem[i]
-		if dt > 0 {
-			rem -= r * dt
-			if rem < 0 {
-				rem = 0
-			}
-			d.rem[i] = rem
+	rates := d.rates
+	rems := d.rem[:len(d.class)]
+	for i, c := range d.class {
+		rem := rems[i]
+		rem -= rates[c] * dt
+		if rem < 0 {
+			rem = 0
 		}
-		if done < 0 && (rem <= volumeEpsilon || (r > 0 && rem <= r*floor)) {
-			done = i
+		rems[i] = rem
+	}
+	mins := d.mins[:len(rates)]
+	for c, m := range mins {
+		m -= rates[c] * dt
+		if m < 0 {
+			m = 0
+		}
+		mins[c] = m
+	}
+}
+
+// findMins recomputes the class minima after a removal took one away.
+func (d *SharedDevice) findMins() {
+	mins := d.mins
+	for c := range mins {
+		mins[c] = math.Inf(1)
+	}
+	rems := d.rem[:len(d.class)]
+	for i, c := range d.class {
+		mins[c] = min(mins[c], rems[i])
+	}
+	d.minsStale = false
+}
+
+// progress moves every transfer dt seconds forward at the current rates
+// (none when dt is 0) and returns the index of the first finished
+// transfer in active order — drained, or within the minimum schedulable
+// interval of draining — or -1, and the time until the earliest projected
+// completion. Both come from each class's least rem: a transfer is
+// finished when its rem is within its class's threshold, and the earliest
+// completion is the least class minimum over its rate (division by a
+// positive rate is monotone, so this equals the least rem/rate over the
+// transfers). Only when some class holds a finished transfer does
+// progress scan the transfers for the first one. The active set must be
+// non-empty.
+func (d *SharedDevice) progress(now, dt float64) (done int, next float64) {
+	if dt > 0 {
+		d.drain(dt)
+	} else {
+		d.ensureRates()
+	}
+	if d.minsStale {
+		d.findMins()
+	}
+	floor := minWake(now)
+	next = math.Inf(1)
+	due := false
+	for c, r := range d.rates {
+		m := d.mins[c]
+		if m <= max(volumeEpsilon, r*floor) {
+			due = true
 		}
 		if r > 0 {
-			if eta := rem / r; eta < next {
+			if eta := m / r; eta < next {
 				next = eta
 			}
 		}
 	}
-	return done, next
+	if due {
+		for i, c := range d.class {
+			if d.rem[i] <= max(volumeEpsilon, d.rates[c]*floor) {
+				return i, next
+			}
+		}
+	}
+	return -1, next
 }
 
 // reschedule applies dt seconds of progress, completes any finished
@@ -613,14 +728,19 @@ func (s *RandomSelector) ResetSelector(seed uint64) {
 // every transfer is admitted immediately, degenerating to a SharedDevice
 // under the Unlimited interference model.
 type TokenDevice struct {
-	eng     *sim.Engine
-	bw      float64
-	sel     Selector
-	k       int // channel count; <= 0 means unbounded
+	eng *sim.Engine
+	bw  float64
+	sel Selector
+	k   int // channel count; <= 0 means unbounded
+	// pending[head:] are the waiting transfers in arrival order; a grant
+	// or abort at the front only advances head.
 	pending []*Transfer
+	head    int
 	// slots are the channel slots, grown on demand up to k (or without
-	// bound when unbounded) and retained across Reset.
+	// bound when unbounded) and retained across Reset; free stacks the
+	// idle ones, the most recently freed on top.
 	slots []*tokenSlot
+	free  []*tokenSlot
 	busy  int
 	seq   uint64
 }
@@ -666,7 +786,7 @@ func (d *TokenDevice) Channels() int { return d.k }
 func (d *TokenDevice) Busy() int { return d.busy }
 
 // Waiting implements Device.
-func (d *TokenDevice) Waiting() int { return len(d.pending) }
+func (d *TokenDevice) Waiting() int { return len(d.pending) - d.head }
 
 // Current returns the transfer holding the first busy channel, if any (the
 // token holder of a k=1 device).
@@ -681,7 +801,7 @@ func (d *TokenDevice) Current() *Transfer {
 
 // Pending returns the waiting transfers in arrival order. The caller must
 // not mutate the slice.
-func (d *TokenDevice) Pending() []*Transfer { return d.pending }
+func (d *TokenDevice) Pending() []*Transfer { return d.pending[d.head:] }
 
 // Submit implements Device: the transfer queues for the token and is
 // granted immediately if the device is idle.
@@ -693,8 +813,38 @@ func (d *TokenDevice) Submit(t *Transfer) {
 	t.seq = d.seq
 	d.seq++
 	t.state = statePending
+	if n := len(d.pending); n == cap(d.pending) && d.head*2 >= n {
+		// At least half the array is spent front: reclaim it instead of
+		// growing, which keeps the copy amortised O(1) per grant.
+		live := copy(d.pending, d.pending[d.head:])
+		clear(d.pending[live:])
+		d.pending = d.pending[:live]
+		d.head = 0
+	}
 	d.pending = append(d.pending, t)
 	d.grant()
+}
+
+// unqueue removes and returns the waiting transfer at index i of
+// Pending(), shifting the shorter side of the queue over it: an FCFS
+// grant or an abort at the front costs O(1).
+func (d *TokenDevice) unqueue(i int) *Transfer {
+	p := d.pending
+	at := d.head + i
+	t := p[at]
+	if i < len(p)-at-1 {
+		copy(p[d.head+1:at+1], p[d.head:at])
+		p[d.head] = nil
+		d.head++
+	} else {
+		copy(p[at:], p[at+1:])
+		p[len(p)-1] = nil
+		d.pending = p[:len(p)-1]
+	}
+	if d.head == len(d.pending) {
+		d.pending, d.head = d.pending[:0], 0
+	}
+	return t
 }
 
 // Abort implements Device.
@@ -705,16 +855,15 @@ func (d *TokenDevice) Abort(t *Transfer) {
 				sl.wake.Cancel()
 				sl.wake = nil
 			}
-			sl.t = nil
-			d.busy--
+			d.release(sl)
 			t.state = stateAborted
 			d.grant()
 			return
 		}
 	}
-	for i, p := range d.pending {
+	for i, p := range d.Pending() {
 		if p == t {
-			d.pending = append(d.pending[:i], d.pending[i+1:]...)
+			d.unqueue(i)
 			t.state = stateAborted
 			return
 		}
@@ -728,33 +877,48 @@ func (d *TokenDevice) Abort(t *Transfer) {
 // the wake events are dropped, not cancelled.
 func (d *TokenDevice) Reset() {
 	for i := range d.pending {
-		d.pending[i].state = stateAborted
+		if t := d.pending[i]; t != nil {
+			t.state = stateAborted
+		}
 		d.pending[i] = nil
 	}
-	d.pending = d.pending[:0]
+	d.pending, d.head = d.pending[:0], 0
+	d.free = d.free[:0]
 	for _, sl := range d.slots {
 		if sl.t != nil {
 			sl.t.state = stateAborted
 			sl.t = nil
 		}
 		sl.wake = nil
+		d.free = append(d.free, sl)
 	}
 	d.busy = 0
 	d.seq = 0
 }
 
-// freeSlot returns an idle channel slot, growing the slot set on demand
-// (slots are retained for the device's lifetime, so steady-state grants
-// allocate nothing).
+// freeSlot returns the most recently freed channel slot, growing the slot
+// set on demand (slots are retained for the device's lifetime, so
+// steady-state grants allocate nothing). Which idle slot takes a grant
+// does not change the dispatch order, since every grant re-keys its wake
+// at a fresh (time, sequence) position; taking the last freed one lets a
+// slot granted again inside its own completion re-arm its firing wake in
+// place.
 func (d *TokenDevice) freeSlot() *tokenSlot {
-	for _, sl := range d.slots {
-		if sl.t == nil {
-			return sl
-		}
+	if n := len(d.free); n > 0 {
+		sl := d.free[n-1]
+		d.free = d.free[:n-1]
+		return sl
 	}
 	sl := &tokenSlot{dev: d}
 	d.slots = append(d.slots, sl)
 	return sl
+}
+
+// release empties a granted slot and stacks it as free.
+func (d *TokenDevice) release(sl *tokenSlot) {
+	sl.t = nil
+	d.busy--
+	d.free = append(d.free, sl)
 }
 
 // grant hands free channels to the selector's choices until every channel
@@ -762,14 +926,13 @@ func (d *TokenDevice) freeSlot() *tokenSlot {
 // re-entrantly; the loop re-reads the queue and channel state each
 // iteration, so nested grants fold in safely.
 func (d *TokenDevice) grant() {
-	for len(d.pending) > 0 && (d.k <= 0 || d.busy < d.k) {
+	for d.Waiting() > 0 && (d.k <= 0 || d.busy < d.k) {
 		now := d.eng.Now()
-		idx := d.sel.Pick(now, d.pending)
-		if idx < 0 || idx >= len(d.pending) {
-			panic(fmt.Sprintf("iomodel: selector %s picked %d of %d", d.sel.Name(), idx, len(d.pending)))
+		idx := d.sel.Pick(now, d.Pending())
+		if idx < 0 || idx >= d.Waiting() {
+			panic(fmt.Sprintf("iomodel: selector %s picked %d of %d", d.sel.Name(), idx, d.Waiting()))
 		}
-		t := d.pending[idx]
-		d.pending = append(d.pending[:idx], d.pending[idx+1:]...)
+		t := d.unqueue(idx)
 		sl := d.freeSlot()
 		sl.t = t
 		d.busy++
@@ -792,8 +955,7 @@ func (d *TokenDevice) grant() {
 // and a slot left idle drops it for the engine to recycle.
 func (d *TokenDevice) complete(sl *tokenSlot) {
 	t := sl.t
-	sl.t = nil
-	d.busy--
+	d.release(sl)
 	t.state = stateDone
 	t.Sink.TransferCompleted(t, d.eng.Now())
 	d.grant()

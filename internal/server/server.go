@@ -188,7 +188,8 @@ func (s *Server) journalPath(id string) string {
 // resumeAll scans the data directory for persisted specs and resubmits
 // each campaign with journal resume enabled: completed campaigns
 // replay instantly from their sealed journals, interrupted ones pick
-// up where the crash left them.
+// up where the crash left them. It removes the temp files of spec
+// writes a crash interrupted.
 func (s *Server) resumeAll() error {
 	if s.opts.DataDir == "" {
 		return nil
@@ -199,8 +200,18 @@ func (s *Server) resumeAll() error {
 	}
 	var ids []string
 	for _, e := range ents {
-		if name, ok := strings.CutSuffix(e.Name(), ".spec.json"); ok && !e.IsDir() {
+		if e.IsDir() {
+			continue
+		}
+		if name, ok := strings.CutSuffix(e.Name(), ".spec.json"); ok {
 			ids = append(ids, name)
+		} else if stray, _ := filepath.Match(specTemp("*"), e.Name()); stray {
+			// What a crash left of a spec write: the submission was
+			// never acknowledged, so nothing resumes from it. (Match
+			// fails only on a malformed pattern, and specTemp's is not.)
+			if err := os.Remove(filepath.Join(s.opts.DataDir, e.Name())); err != nil {
+				return fmt.Errorf("server: remove interrupted spec write: %w", err)
+			}
 		}
 	}
 	sort.Strings(ids)
@@ -263,7 +274,7 @@ func (s *Server) Submit(spec api.CampaignSpec) (string, error) {
 
 // specTemp is the os.CreateTemp pattern of campaign id's spec while it
 // is being written. Its names never end in ".spec.json", so resumeAll
-// skips what a crash leaves of it.
+// never resumes what a crash leaves of it, and removes it instead.
 func specTemp(id string) string { return "." + id + ".spec-*.tmp" }
 
 // writeSpec lands a spec file atomically: a synced temp file in DataDir,

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -268,8 +269,9 @@ func TestResumeLegacyJournal(t *testing.T) {
 }
 
 // TestInterruptedSpecWrite: a submit interrupted mid-write leaves a
-// truncated temp file, not a torn spec, and the next boot skips it; a
-// spec written through Submit lands under its final name and resumes.
+// truncated temp file, not a torn spec, and the next boot removes it
+// without resuming it, leaving other files alone; a spec written
+// through Submit lands under its final name and resumes.
 func TestInterruptedSpecWrite(t *testing.T) {
 	dataDir := t.TempDir()
 	tmp, err := os.CreateTemp(dataDir, specTemp("c-0123456789ab"))
@@ -281,9 +283,19 @@ func TestInterruptedSpecWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	tmp.Close()
+	unrelated := filepath.Join(dataDir, "notes.spec.tmp")
+	if err := os.WriteFile(unrelated, []byte("keep"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	s1, err := New(Options{DataDir: dataDir, MaxConcurrent: 1})
 	if err != nil {
 		t.Fatalf("boot over an interrupted spec write: %v", err)
+	}
+	if _, err := os.Stat(leftover); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("boot left the interrupted spec write in place (stat: %v)", err)
+	}
+	if _, err := os.Stat(unrelated); err != nil {
+		t.Errorf("boot removed a file that is no spec temp: %v", err)
 	}
 	spec, err := api.DecodeCampaignSpec(bytes.NewReader(mustSpec(t, []string{"Least-Waste"})))
 	if err != nil {
@@ -303,7 +315,7 @@ func TestInterruptedSpecWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range names {
-		if strings.HasSuffix(name, ".tmp") && name != filepath.Base(leftover) {
+		if strings.HasSuffix(name, ".tmp") && name != filepath.Base(unrelated) {
 			t.Errorf("Submit left a temp file behind: %s", name)
 		}
 	}
