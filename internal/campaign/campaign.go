@@ -499,7 +499,7 @@ func (c *Campaign) conclude(j *Journal, pt driver.SweepPoint, gp driver.GridPoin
 		pr.Restored = gp.Resume != nil && gp.Resume.Folded > 0 && mc.RunsUsed <= gp.Resume.Folded
 	}
 	if gp.Done == nil {
-		if err := j.append(recPointDone, doneRecord{Point: pt.Index, MC: toRecord(mc)}, true); err != nil {
+		if err := j.append(recPointDone, doneRecord{Point: pt.Index, MC: mc}, true); err != nil {
 			return PointResult{}, err
 		}
 	}

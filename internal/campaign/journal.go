@@ -22,12 +22,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 
 	"repro/internal/driver"
 	"repro/internal/faultinject"
-	"repro/internal/stats"
 )
 
 // Journal format: one record per line, framed as
@@ -74,87 +72,14 @@ type Header struct {
 	Seed uint64 `json:"seed"`
 }
 
-// extFloat is a float64 whose JSON form survives IEEE specials: +Inf
-// (the CI half-width below two observations) round-trips as the string
-// "inf" instead of failing to encode.
-type extFloat float64
-
-// MarshalJSON implements json.Marshaler.
-func (f extFloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	switch {
-	case math.IsNaN(v):
-		return []byte(`"nan"`), nil
-	case math.IsInf(v, 1):
-		return []byte(`"inf"`), nil
-	case math.IsInf(v, -1):
-		return []byte(`"-inf"`), nil
-	}
-	return json.Marshal(v)
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (f *extFloat) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		var s string
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
-		}
-		switch s {
-		case "nan":
-			*f = extFloat(math.NaN())
-		case "inf":
-			*f = extFloat(math.Inf(1))
-		case "-inf":
-			*f = extFloat(math.Inf(-1))
-		default:
-			return fmt.Errorf("campaign: bad extFloat %q", s)
-		}
-		return nil
-	}
-	var v float64
-	if err := json.Unmarshal(b, &v); err != nil {
-		return err
-	}
-	*f = extFloat(v)
-	return nil
-}
-
-// mcRecord is the serializable aggregate of a completed point — the
-// subset of driver.MCResult a streaming campaign materialises.
-type mcRecord struct {
-	Strategy        string        `json:"strategy"`
-	Summary         summaryRecord `json:"summary"`
-	MeanUtilization float64       `json:"mean_utilization"`
-	MeanFailures    float64       `json:"mean_failures"`
-	RunsUsed        int           `json:"runs_used"`
-	CIHalfWidth     extFloat      `json:"ci_half_width"`
-	Confidence      float64       `json:"confidence"`
-	Cached          bool          `json:"cached,omitempty"`
-}
-
-// summaryRecord mirrors stats.Summary with special-safe floats.
-type summaryRecord struct {
-	N      int      `json:"n"`
-	Mean   extFloat `json:"mean"`
-	Min    extFloat `json:"min"`
-	Max    extFloat `json:"max"`
-	P10    extFloat `json:"p10"`
-	P25    extFloat `json:"p25"`
-	P50    extFloat `json:"p50"`
-	P75    extFloat `json:"p75"`
-	P90    extFloat `json:"p90"`
-	StdDev extFloat `json:"stddev"`
-}
-
 type snapRecord struct {
 	Point int               `json:"point"`
 	Snap  driver.MCSnapshot `json:"snap"`
 }
 
 type doneRecord struct {
-	Point int      `json:"point"`
-	MC    mcRecord `json:"mc"`
+	Point int             `json:"point"`
+	MC    driver.MCResult `json:"mc"`
 }
 
 type failRecord struct {
@@ -504,9 +429,8 @@ func (st *ReplayState) apply(rec envelope) error {
 		if err := json.Unmarshal(rec.D, &r); err != nil {
 			return fmt.Errorf("campaign: journal point_done: %w", err)
 		}
-		mc := r.MC.toMCResult()
 		p := point(r.Point)
-		p.Done = &mc
+		p.Done = &r.MC
 		p.Failed = false
 	case recAttemptFail:
 		var r failRecord
@@ -535,42 +459,4 @@ func (st *ReplayState) apply(rec envelope) error {
 		// fatal; the version gate catches incompatible layouts.
 	}
 	return nil
-}
-
-// toRecord converts a streaming-path MCResult to its journal form.
-func toRecord(mc driver.MCResult) mcRecord {
-	s := mc.Summary
-	return mcRecord{
-		Strategy: mc.Strategy,
-		Summary: summaryRecord{
-			N: s.N, Mean: extFloat(s.Mean), Min: extFloat(s.Min), Max: extFloat(s.Max),
-			P10: extFloat(s.P10), P25: extFloat(s.P25), P50: extFloat(s.P50),
-			P75: extFloat(s.P75), P90: extFloat(s.P90), StdDev: extFloat(s.StdDev),
-		},
-		MeanUtilization: mc.MeanUtilization,
-		MeanFailures:    mc.MeanFailures,
-		RunsUsed:        mc.RunsUsed,
-		CIHalfWidth:     extFloat(mc.CIHalfWidth),
-		Confidence:      mc.Confidence,
-		Cached:          mc.Cached,
-	}
-}
-
-// toMCResult reverses toRecord.
-func (r mcRecord) toMCResult() driver.MCResult {
-	s := r.Summary
-	return driver.MCResult{
-		Strategy: r.Strategy,
-		Summary: stats.Summary{
-			N: s.N, Mean: float64(s.Mean), Min: float64(s.Min), Max: float64(s.Max),
-			P10: float64(s.P10), P25: float64(s.P25), P50: float64(s.P50),
-			P75: float64(s.P75), P90: float64(s.P90), StdDev: float64(s.StdDev),
-		},
-		MeanUtilization: r.MeanUtilization,
-		MeanFailures:    r.MeanFailures,
-		RunsUsed:        r.RunsUsed,
-		CIHalfWidth:     float64(r.CIHalfWidth),
-		Confidence:      r.Confidence,
-		Cached:          r.Cached,
-	}
 }

@@ -10,7 +10,6 @@ package resultcache
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -125,12 +124,17 @@ func (c *Cache) memPut(key string, mc driver.MCResult) {
 	c.mem[key] = mc
 }
 
-// diskEntry is the on-disk image. CIHalfWidth is +Inf below two
-// estimator observations, which JSON cannot carry — the flag round-trips
-// it.
-type diskEntry struct {
-	MC                driver.MCResult
-	CIHalfWidthPosInf bool `json:",omitempty"`
+// entryVersion is the disk entry format. An entry is
+// {"v":1,"key":K,"mc":R}, where R is the result's durable image
+// (driver.MCResult.MarshalJSON, the record the campaign journal writes),
+// and is believed only when v and key match the file it was read for
+// and R folds at least one run.
+const entryVersion = 1
+
+type entry struct {
+	V   int             `json:"v"`
+	Key string          `json:"key"`
+	MC  driver.MCResult `json:"mc"`
 }
 
 func (c *Cache) path(key string) string {
@@ -145,14 +149,12 @@ func (c *Cache) readDisk(key string) (driver.MCResult, bool) {
 		}
 		return driver.MCResult{}, false
 	}
-	var e diskEntry
-	if err := json.Unmarshal(b, &e); err != nil {
-		// A torn or foreign file is a miss, not a failure.
+	var e entry
+	if err := json.Unmarshal(b, &e); err != nil || e.V != entryVersion || e.Key != key || e.MC.RunsUsed < 1 {
+		// A torn or foreign file, an entry of another format or key, or
+		// one without a result is a miss, not a failure.
 		c.diskErrs.Add(1)
 		return driver.MCResult{}, false
-	}
-	if e.CIHalfWidthPosInf {
-		e.MC.CIHalfWidth = math.Inf(1)
 	}
 	return e.MC, true
 }
@@ -160,12 +162,7 @@ func (c *Cache) readDisk(key string) (driver.MCResult, bool) {
 // writeDisk lands the entry atomically: temp file in the same directory,
 // then rename — a crash mid-write leaves no torn entry under the key.
 func (c *Cache) writeDisk(key string, mc driver.MCResult) {
-	e := diskEntry{MC: mc}
-	if math.IsInf(mc.CIHalfWidth, 1) {
-		e.CIHalfWidthPosInf = true
-		e.MC.CIHalfWidth = 0
-	}
-	b, err := json.Marshal(e)
+	b, err := json.Marshal(entry{V: entryVersion, Key: key, MC: mc})
 	if err != nil {
 		c.diskErrs.Add(1)
 		return

@@ -1,6 +1,7 @@
 package resultcache
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -138,6 +139,58 @@ func TestDiskTierTornEntry(t *testing.T) {
 		if strings.HasPrefix(e.Name(), ".put-") {
 			t.Errorf("temp file %s left behind", e.Name())
 		}
+	}
+}
+
+// TestDiskTierForeignEntries: a cache file is believed only when it
+// names the entry format and the key it is stored under. Valid JSON of
+// any other shape — an empty object, null, the unversioned format older
+// builds wrote, another key's entry, another format version — is a miss
+// plus a counted disk error, never a zero-valued hit.
+func TestDiskTierForeignEntries(t *testing.T) {
+	valid := func(v int, k string) string {
+		mc := sample()
+		b, err := json.Marshal(entry{V: v, Key: k, MC: mc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	other := strings.Repeat("ab", 32)
+	for name, body := range map[string]string{
+		"empty object": `{}`,
+		"null":         `null`,
+		"null MC":      `{"MC":null}`,
+		"foreign":      `{"Hello":1}`,
+		"pre-versioned": `{"MC":{"Strategy":"Ordered-Daly","WasteRatios":null,"Summary":{"N":3,"Mean":0.4,` +
+			`"Min":0.3,"Max":0.5,"P10":0,"P25":0,"P50":0,"P75":0,"P90":0,"StdDev":0.1},"MeanUtilization":0.9,` +
+			`"MeanFailures":0,"Results":null,"RunsUsed":3,"CIHalfWidth":0,"Confidence":0.95,"Cached":false},` +
+			`"CIHalfWidthPosInf":true}`,
+		"other key":    valid(entryVersion, other),
+		"version 0":    valid(0, key),
+		"version 2":    valid(2, key),
+		"no result":    fmt.Sprintf(`{"v":1,"key":%q}`, key),
+		"empty result": fmt.Sprintf(`{"v":1,"key":%q,"mc":{}}`, key),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, key+".json"), []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c, _ := New(Options{Dir: dir})
+			if mc, ok := c.Get(key); ok {
+				t.Fatalf("served as a hit: %+v", mc)
+			}
+			if st := c.Stats(); st.DiskErrors != 1 || st.Misses != 1 {
+				t.Fatalf("stats = %+v, want 1 miss and 1 disk error", st)
+			}
+			// The next Put replaces the foreign file with a valid entry.
+			c.Put(key, sample())
+			c2, _ := New(Options{Dir: dir})
+			if _, ok := c2.Get(key); !ok {
+				t.Fatal("entry rewritten by Put missed")
+			}
+		})
 	}
 }
 
