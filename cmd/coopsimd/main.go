@@ -14,19 +14,20 @@ package main
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
-	"os"
 	"time"
 
 	"repro/internal/cliutil"
 	"repro/internal/server"
 )
 
-func main() {
-	fs := flag.NewFlagSet("coopsimd", flag.ExitOnError)
+func main() { cliutil.Main("coopsimd", run) }
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cliutil.NewFlagSet("coopsimd", stderr)
 	addr := fs.String("addr", "127.0.0.1:8080",
 		"listen address; use :0 for an ephemeral port (the actual address is printed on stdout)")
 	dataDir := fs.String("data-dir", "",
@@ -40,27 +41,20 @@ func main() {
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second,
 		"how long a SIGTERM waits for campaigns to seal journals and flush streams before exiting anyway")
 	cacheFlags := cliutil.AddCacheFlags(fs)
-	version := cliutil.AddVersionFlag(fs)
-	fs.Parse(os.Args[1:])
-	cliutil.HandleVersion("coopsimd", *version)
-
-	if err := run(*addr, *dataDir, *maxCampaigns, *queueDepth, *workers, *drainTimeout, cacheFlags); err != nil {
-		fmt.Fprintf(os.Stderr, "coopsimd: %v\n", err)
-		os.Exit(1)
+	if stop, err := cliutil.ParseFlags(fs, args, stdout); stop {
+		return err
 	}
-}
 
-func run(addr, dataDir string, maxCampaigns, queueDepth, workers int, drainTimeout time.Duration, cacheFlags *cliutil.CacheFlags) error {
 	cache, err := cacheFlags.Open()
 	if err != nil {
 		return err
 	}
 
 	opts := server.Options{
-		DataDir:       dataDir,
-		MaxConcurrent: maxCampaigns,
-		MaxQueue:      queueDepth,
-		Workers:       workers,
+		DataDir:       *dataDir,
+		MaxConcurrent: *maxCampaigns,
+		MaxQueue:      *queueDepth,
+		Workers:       *workers,
 		Version:       cliutil.Version(),
 	}
 	if cache != nil {
@@ -71,12 +65,12 @@ func run(addr, dataDir string, maxCampaigns, queueDepth, workers int, drainTimeo
 		return err
 	}
 
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
 	// Print the bound address so scripts using -addr :0 can find us.
-	fmt.Printf("coopsimd: listening on http://%s\n", ln.Addr())
+	fmt.Fprintf(stdout, "coopsimd: listening on http://%s\n", ln.Addr())
 
 	// Slow or idle clients must not pin connections forever. There is no
 	// read or write timeout on whole requests: result streams are
@@ -92,24 +86,22 @@ func run(addr, dataDir string, maxCampaigns, queueDepth, workers int, drainTimeo
 
 	// SIGTERM/SIGINT drains: refuse new work, cancel campaigns (their
 	// journals stay for resume at next boot), flush streams, exit 0.
-	ctx, stop := cliutil.InterruptContext()
-	defer stop()
 	select {
 	case <-ctx.Done():
 	case err := <-serveErr:
 		return err
 	}
-	fmt.Fprintln(os.Stderr, "coopsimd: draining...")
-	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	fmt.Fprintln(stderr, "coopsimd: draining...")
+	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	drained := srv.Shutdown(drainCtx)
 	if err := httpSrv.Shutdown(drainCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		fmt.Fprintf(os.Stderr, "coopsimd: http shutdown: %v\n", err)
+		fmt.Fprintf(stderr, "coopsimd: http shutdown: %v\n", err)
 	}
-	cliutil.ReportCacheStats("coopsimd", cache)
+	cliutil.ReportCacheStats(stderr, "coopsimd", cache)
 	if drained != nil {
 		return drained
 	}
-	fmt.Fprintln(os.Stderr, "coopsimd: drained cleanly")
+	fmt.Fprintln(stderr, "coopsimd: drained cleanly")
 	return nil
 }

@@ -15,100 +15,97 @@ package main
 
 import (
 	"context"
-	"errors"
-	"flag"
 	"fmt"
-	"os"
+	"io"
 
 	"repro"
 	"repro/internal/cliutil"
 	"repro/internal/units"
 )
 
-func main() {
-	var (
-		platformName = flag.String("platform", "cielo", "platform: cielo or prospective")
-		bw           = flag.Float64("bw", 40, "aggregated PFS bandwidth in GB/s")
-		mtbf         = flag.Float64("mtbf", 2, "node MTBF in years")
-		sweepBW      = flag.String("sweep-bw", "", "sweep bandwidth lo:hi:step (GB/s)")
-		sweepMTBF    = flag.String("sweep-mtbf", "", "sweep node MTBF lo:hi:step (years)")
-		simulate     = flag.String("simulate", "", "cross-check the bound against a streaming Monte-Carlo run of this strategy")
-		runs         = flag.Int("runs", 100, "Monte-Carlo replications for -simulate")
-		days         = flag.Float64("days", 60, "simulated segment length for -simulate")
-		seed         = flag.Uint64("seed", 1, "master random seed for -simulate")
-	)
-	version := cliutil.AddVersionFlag(flag.CommandLine)
-	flag.Parse()
-	cliutil.HandleVersion("lowerbound", *version)
+func main() { cliutil.Main("lowerbound", run) }
 
-	mk := func(bwGBps, mtbfYears float64) repro.Platform {
-		p, err := cliutil.Platform(*platformName, bwGBps, mtbfYears)
-		if err != nil {
-			fatal(err)
-		}
-		return p
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cliutil.NewFlagSet("lowerbound", stderr)
+	var (
+		platformName = fs.String("platform", "cielo", "platform: cielo or prospective")
+		bw           = fs.Float64("bw", 40, "aggregated PFS bandwidth in GB/s")
+		mtbf         = fs.Float64("mtbf", 2, "node MTBF in years")
+		sweepBW      = fs.String("sweep-bw", "", "sweep bandwidth lo:hi:step (GB/s)")
+		sweepMTBF    = fs.String("sweep-mtbf", "", "sweep node MTBF lo:hi:step (years)")
+		simulate     = fs.String("simulate", "", "cross-check the bound against a streaming Monte-Carlo run of this strategy")
+		runs         = fs.Int("runs", 100, "Monte-Carlo replications for -simulate")
+		days         = fs.Float64("days", 60, "simulated segment length for -simulate")
+		seed         = fs.Uint64("seed", 1, "master random seed for -simulate")
+	)
+	if stop, err := cliutil.ParseFlags(fs, args, stdout); stop {
+		return err
 	}
 
 	classes := repro.APEXClasses()
+	// bound solves Theorem 1 on the -platform at the given bandwidth
+	// (GB/s) and node MTBF (years).
+	bound := func(bwGBps, mtbfYears float64) (repro.Platform, repro.LowerBoundSolution, error) {
+		p, err := cliutil.Platform(*platformName, bwGBps, mtbfYears)
+		if err != nil {
+			return p, repro.LowerBoundSolution{}, err
+		}
+		sol, err := repro.LowerBound(p, classes)
+		return p, sol, err
+	}
+	// sweep prints the bound at each value of a lo:hi:step range; at
+	// maps a value to its (bandwidth, MTBF) pair.
+	sweep := func(spec, column string, at func(v float64) (float64, float64)) error {
+		vals, err := cliutil.SweepValues(spec)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "%s\tlambda\tio_fraction\twaste\n", column)
+		for _, v := range vals {
+			_, sol, err := bound(at(v))
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "%g\t%.6g\t%.4f\t%.4f\n", v, sol.Lambda, sol.IOFraction, sol.Waste)
+		}
+		return nil
+	}
 	switch {
 	case *sweepBW != "":
-		vals, err := cliutil.SweepValues(*sweepBW)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("bandwidth_gbps\tlambda\tio_fraction\twaste")
-		for _, b := range vals {
-			sol, err := repro.LowerBound(mk(b, *mtbf), classes)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("%g\t%.6g\t%.4f\t%.4f\n", b, sol.Lambda, sol.IOFraction, sol.Waste)
-		}
+		return sweep(*sweepBW, "bandwidth_gbps", func(b float64) (float64, float64) { return b, *mtbf })
 	case *sweepMTBF != "":
-		vals, err := cliutil.SweepValues(*sweepMTBF)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("mtbf_years\tlambda\tio_fraction\twaste")
-		for _, y := range vals {
-			sol, err := repro.LowerBound(mk(*bw, y), classes)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("%g\t%.6g\t%.4f\t%.4f\n", y, sol.Lambda, sol.IOFraction, sol.Waste)
-		}
-	default:
-		p := mk(*bw, *mtbf)
-		sol, err := repro.LowerBound(p, classes)
-		if err != nil {
-			fatal(err)
-		}
-		params, err := repro.InstantiateClasses(p, classes)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("platform=%s bandwidth=%s nodeMTBF=%gy systemMTBF=%s\n",
-			p.Name, units.FormatBandwidth(p.BandwidthBps), *mtbf, units.FormatDuration(p.SystemMTBF()))
-		fmt.Printf("lambda=%.6g ioFraction=%.4f constrained=%v\n", sol.Lambda, sol.IOFraction, sol.Constrained)
-		fmt.Printf("platform waste lower bound = %.4f (efficiency %.1f%%)\n\n", sol.Waste, 100*(1-sol.Waste))
-		fmt.Printf("%-12s %10s %12s %12s %10s\n", "class", "C (s)", "P_Daly (s)", "P_opt (s)", "W_i")
-		for i, cp := range params {
-			fmt.Printf("%-12s %10.1f %12.1f %12.1f %10.4f\n",
-				cp.Name, cp.CkptSeconds(p.BandwidthBps), sol.DalyPeriods[i], sol.Periods[i], sol.PerClassWaste[i])
-		}
-		if *simulate != "" {
-			simulateCheck(p, *simulate, sol.Waste, *runs, *days, *seed)
-		}
+		return sweep(*sweepMTBF, "mtbf_years", func(y float64) (float64, float64) { return *bw, y })
 	}
+	p, sol, err := bound(*bw, *mtbf)
+	if err != nil {
+		return err
+	}
+	params, err := repro.InstantiateClasses(p, classes)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "platform=%s bandwidth=%s nodeMTBF=%gy systemMTBF=%s\n",
+		p.Name, units.FormatBandwidth(p.BandwidthBps), *mtbf, units.FormatDuration(p.SystemMTBF()))
+	fmt.Fprintf(stdout, "lambda=%.6g ioFraction=%.4f constrained=%v\n", sol.Lambda, sol.IOFraction, sol.Constrained)
+	fmt.Fprintf(stdout, "platform waste lower bound = %.4f (efficiency %.1f%%)\n\n", sol.Waste, 100*(1-sol.Waste))
+	fmt.Fprintf(stdout, "%-12s %10s %12s %12s %10s\n", "class", "C (s)", "P_Daly (s)", "P_opt (s)", "W_i")
+	for i, cp := range params {
+		fmt.Fprintf(stdout, "%-12s %10.1f %12.1f %12.1f %10.4f\n",
+			cp.Name, cp.CkptSeconds(p.BandwidthBps), sol.DalyPeriods[i], sol.Periods[i], sol.PerClassWaste[i])
+	}
+	if *simulate == "" {
+		return nil
+	}
+	return simulateCheck(ctx, stdout, p, *simulate, sol.Waste, *runs, *days, *seed)
 }
 
 // simulateCheck measures the named strategy's waste with a streaming
 // session experiment (cancellable with SIGINT) and prints it next to the
 // theoretical bound.
-func simulateCheck(p repro.Platform, name string, bound float64, runs int, days float64, seed uint64) {
+func simulateCheck(ctx context.Context, stdout io.Writer, p repro.Platform, name string, bound float64, runs int, days float64, seed uint64) error {
 	strat, ok := repro.StrategyByName(name)
 	if !ok {
-		fatal(fmt.Errorf("unknown strategy %q", name))
+		return fmt.Errorf("unknown strategy %q", name)
 	}
 	cfg := repro.Config{
 		Platform:    p,
@@ -117,21 +114,12 @@ func simulateCheck(p repro.Platform, name string, bound float64, runs int, days 
 		Seed:        seed,
 		HorizonDays: days,
 	}
-	ctx, cancel := cliutil.InterruptContext()
-	defer cancel()
 	mc, err := repro.NewSession().MonteCarlo(ctx, cfg, runs)
 	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			cliutil.ExitInterrupted("lowerbound", err)
-		}
-		fatal(err)
+		return err
 	}
 	s := mc.Summary
-	fmt.Printf("\nmeasured %s over %d runs: mean=%.4f box=[%.4f %.4f] (bound %.4f, gap %+.4f)\n",
+	fmt.Fprintf(stdout, "\nmeasured %s over %d runs: mean=%.4f box=[%.4f %.4f] (bound %.4f, gap %+.4f)\n",
 		strat.Name(), runs, s.Mean, s.P25, s.P75, bound, s.Mean-bound)
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "lowerbound: %v\n", err)
-	os.Exit(1)
+	return nil
 }

@@ -11,7 +11,7 @@
 // fig3 share a single warm set of per-worker simulation arenas instead of
 // rebuilding them per figure, and SIGINT cancels gracefully: in-flight
 // workers drain, rows already printed stay flushed, and the command exits
-// non-zero.
+// 130.
 //
 // Candlesticks (mean, first/last decile, first/last quartile) follow the
 // paper's statistics; the theoretical lower bound of §4 accompanies each
@@ -20,11 +20,11 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
-	"flag"
 	"fmt"
-	"os"
+	"io"
 	"time"
 
 	"repro"
@@ -34,140 +34,131 @@ import (
 	"repro/internal/units"
 )
 
-type options struct {
-	runs       int
-	workers    int
-	seed       uint64
-	days       float64
-	channels   int
-	quick      bool
-	tsv        bool
-	strategies []repro.Strategy
-	antithetic bool
-	targetCI   repro.TargetCI
-	campaign   *cliutil.CampaignFlags
-	cache      *resultcache.Cache
+// paper renders the tables and figures of one paperfigs run through one
+// session.
+type paper struct {
+	runs, workers, channels int
+	seed                    uint64
+	days                    float64
+	quick, tsv, antithetic  bool
+	strategies              []repro.Strategy
+	targetCI                repro.TargetCI
+	campaign                *cliutil.CampaignFlags
+	cache                   *resultcache.Cache
+	session                 *repro.Session
+	stdout, stderr          io.Writer
+	// degraded counts quarantined campaign points across all figures;
+	// the run exits 3 when any figure is incomplete.
+	degraded int
 }
 
-func main() {
-	opts := options{}
+func main() { cliutil.Main("paperfigs", run) }
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cliutil.NewFlagSet("paperfigs", stderr)
+	f := &paper{stdout: stdout, stderr: stderr}
 	var strategySpec, targetCISpec string
 	var cpuprofile, memprofile string
-	var antithetic bool
-	flag.IntVar(&opts.runs, "runs", 50, "Monte-Carlo replications per point (paper: 1000)")
-	flag.IntVar(&opts.workers, "workers", 0, "parallel workers (0 = GOMAXPROCS)")
-	flag.Uint64Var(&opts.seed, "seed", 1, "master random seed")
-	flag.Float64Var(&opts.days, "days", 60, "simulated segment length in days")
-	flag.IntVar(&opts.channels, "channels", 1, "token-channel count k (paper: 1)")
-	flag.BoolVar(&opts.quick, "quick", false, "reduced sweeps and runs (smoke test)")
-	flag.BoolVar(&opts.tsv, "tsv", false, "emit tab-separated values")
-	flag.StringVar(&strategySpec, "strategies", "legend",
+	fs.IntVar(&f.runs, "runs", 50, "Monte-Carlo replications per point (paper: 1000)")
+	fs.IntVar(&f.workers, "workers", 0, "parallel workers (0 = GOMAXPROCS)")
+	fs.Uint64Var(&f.seed, "seed", 1, "master random seed")
+	fs.Float64Var(&f.days, "days", 60, "simulated segment length in days")
+	fs.IntVar(&f.channels, "channels", 1, "token-channel count k (paper: 1)")
+	fs.BoolVar(&f.quick, "quick", false, "reduced sweeps and runs (smoke test)")
+	fs.BoolVar(&f.tsv, "tsv", false, "emit tab-separated values")
+	fs.StringVar(&strategySpec, "strategies", "legend",
 		"strategy set per point: 'legend' (the §6 seven), 'all', or comma-separated names")
-	flag.StringVar(&targetCISpec, "target-ci", "",
+	fs.StringVar(&targetCISpec, "target-ci", "",
 		"sequential stopping per sweep point and fig3 probe: halfWidth[:confidence[:minRuns[:maxRuns]]]; -runs becomes the cap")
-	flag.BoolVar(&antithetic, "antithetic", false,
+	fs.BoolVar(&f.antithetic, "antithetic", false,
 		"antithetic variates: replicate pairs share a seed, the odd member draws complemented streams")
-	flag.StringVar(&cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
-	flag.StringVar(&memprofile, "memprofile", "", "write a heap (allocs) profile to this file on exit")
-	opts.campaign = cliutil.AddCampaignFlags(flag.CommandLine)
-	cacheFlags := cliutil.AddCacheFlags(flag.CommandLine)
-	version := cliutil.AddVersionFlag(flag.CommandLine)
-	flag.Parse()
-	cliutil.HandleVersion("paperfigs", *version)
+	fs.StringVar(&cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&memprofile, "memprofile", "", "write a heap (allocs) profile to this file on exit")
+	f.campaign = cliutil.AddCampaignFlags(fs)
+	cacheFlags := cliutil.AddCacheFlags(fs)
+	if stop, err := cliutil.ParseFlags(fs, args, stdout); stop {
+		return err
+	}
 
-	if opts.quick {
-		if opts.runs > 5 {
-			opts.runs = 5
-		}
-		if opts.days > 20 {
-			opts.days = 20
-		}
+	if f.quick {
+		f.runs = min(f.runs, 5)
+		f.days = min(f.days, 20)
 	}
 	var err error
-	opts.strategies, err = cliutil.Strategies(strategySpec)
+	f.strategies, err = cliutil.Strategies(strategySpec)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	tci, err := cliutil.TargetCI(targetCISpec)
+	f.targetCI, err = cliutil.TargetCI(targetCISpec)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	opts.antithetic = antithetic
-	opts.targetCI = tci
-	stopProfiles, err := cliutil.StartProfiles(cpuprofile, memprofile)
+	stopProfiles, err := cliutil.StartProfiles(cpuprofile, memprofile, stderr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer stopProfiles()
-	opts.cache, err = cacheFlags.Open()
+	f.cache, err = cacheFlags.Open()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	ctx, cancel := cliutil.InterruptContext()
-	defer cancel()
 	// One session serves the whole campaign: every figure's grid
 	// reconfigures the same warm per-worker arenas. Exact candlesticks
 	// need only the waste ratios; paper-scale -runs never materialises
 	// per-run Result structs. A -target-ci lets each sweep point (and
 	// each fig3 bisection probe) stop as soon as its mean is resolved.
+	tci := f.targetCI
 	sopts := []repro.SessionOption{
-		repro.WithWorkers(opts.workers),
+		repro.WithWorkers(f.workers),
 		repro.WithKeepWasteRatios(true),
-		repro.WithAntithetic(antithetic),
+		repro.WithAntithetic(f.antithetic),
 		repro.WithTargetCI(tci.HalfWidth, tci.Confidence, tci.MinRuns, tci.MaxRuns),
 	}
-	if opts.cache != nil {
-		sopts = append(sopts, repro.WithResultCache(opts.cache))
+	if f.cache != nil {
+		sopts = append(sopts, repro.WithResultCache(f.cache))
 	}
-	session := repro.NewSession(sopts...)
+	f.session = repro.NewSession(sopts...)
 
-	cmd := flag.Arg(0)
-	if cmd == "" {
-		cmd = "all"
+	parts, ok := map[string][]func(context.Context) error{
+		"table1": {f.table1},
+		"fig1":   {f.fig1},
+		"fig2":   {f.fig2},
+		"fig3":   {f.fig3},
+		"all":    {f.table1, f.fig1, f.fig2, f.fig3},
+	}[cmp.Or(fs.Arg(0), "all")]
+	if !ok {
+		return cliutil.UsageError(fmt.Errorf("unknown command %q (table1|fig1|fig2|fig3|all)", fs.Arg(0)))
 	}
-	switch cmd {
-	case "table1":
-		table1(opts)
-	case "fig1":
-		fig1(ctx, session, opts)
-	case "fig2":
-		fig2(ctx, session, opts)
-	case "fig3":
-		fig3(ctx, session, opts)
-	case "all":
-		table1(opts)
-		fig1(ctx, session, opts)
-		fig2(ctx, session, opts)
-		fig3(ctx, session, opts)
-	default:
-		fmt.Fprintf(os.Stderr, "paperfigs: unknown command %q (table1|fig1|fig2|fig3|all)\n", cmd)
-		os.Exit(2)
+	for _, part := range parts {
+		if err := part(ctx); err != nil {
+			return err
+		}
 	}
-	cliutil.ReportCacheStats("paperfigs", opts.cache)
-	if degradedPoints > 0 {
-		stopProfiles()
-		fmt.Fprintf(os.Stderr, "paperfigs: campaign degraded: %d quarantined point(s); rerun with -resume to retry them\n", degradedPoints)
-		os.Exit(3)
+	cliutil.ReportCacheStats(stderr, "paperfigs", f.cache)
+	if f.degraded > 0 {
+		return cliutil.DegradedError(fmt.Errorf("campaign degraded: %d quarantined point(s); rerun with -resume to retry them", f.degraded))
 	}
+	return nil
 }
 
 // table1 prints the APEX workload table plus the derived per-class
 // simulation parameters on Cielo.
-func table1(opts options) {
-	fmt.Println("== Table 1: LANL Workflow Workload (APEX Workflows report) ==")
+func (f *paper) table1(context.Context) error {
+	out := f.stdout
+	fmt.Fprintln(out, "== Table 1: LANL Workflow Workload (APEX Workflows report) ==")
 	classes := repro.APEXClasses()
-	fmt.Printf("%-22s", "Workflow")
+	fmt.Fprintf(out, "%-22s", "Workflow")
 	for _, c := range classes {
-		fmt.Printf("%12s", c.Name)
+		fmt.Fprintf(out, "%12s", c.Name)
 	}
-	fmt.Println()
-	row := func(label string, f func(repro.Class) string) {
-		fmt.Printf("%-22s", label)
+	fmt.Fprintln(out)
+	row := func(label string, fn func(repro.Class) string) {
+		fmt.Fprintf(out, "%-22s", label)
 		for _, c := range classes {
-			fmt.Printf("%12s", f(c))
+			fmt.Fprintf(out, "%12s", fn(c))
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
 	row("Workload percentage", func(c repro.Class) string { return fmt.Sprintf("%g", c.Share*100) })
 	row("Work time (h)", func(c repro.Class) string { return fmt.Sprintf("%g", c.WorkHours) })
@@ -178,39 +169,46 @@ func table1(opts options) {
 	row("Final Output (%mem)", func(c repro.Class) string { return fmt.Sprintf("%g", c.OutputPctMem) })
 	row("Checkpoint (%mem)", func(c repro.Class) string { return fmt.Sprintf("%g", c.CkptPctMem) })
 
-	fmt.Println("\n-- Derived on Cielo (17888 nodes, 286 TB): --")
+	fmt.Fprintln(out, "\n-- Derived on Cielo (17888 nodes, 286 TB): --")
 	p := repro.Cielo(160, 2)
 	params, err := repro.InstantiateClasses(p, classes)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("%-22s%12s%12s%12s%12s%12s\n", "class", "nodes", "memory", "ckpt size", "C@160GB/s", "Daly@160")
+	fmt.Fprintf(out, "%-22s%12s%12s%12s%12s%12s\n", "class", "nodes", "memory", "ckpt size", "C@160GB/s", "Daly@160")
 	sol, err := repro.LowerBound(p, classes)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	for i, cp := range params {
-		fmt.Printf("%-22s%12d%12s%12s%11.0fs%11.0fs\n",
+		fmt.Fprintf(out, "%-22s%12d%12s%12s%11.0fs%11.0fs\n",
 			cp.Name, cp.Nodes, units.FormatBytes(cp.MemoryBytes),
 			units.FormatBytes(cp.CkptBytes), cp.CkptSeconds(p.BandwidthBps), sol.DalyPeriods[i])
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
+	return nil
 }
 
-// degradedPoints counts quarantined campaign points
-// across all figures; main exits non-zero when any figure is incomplete.
-var degradedPoints int
-
-// runSweep pulls a scenario grid through the shared session — one warm
-// set of per-worker simulation arenas serves every (scenario × strategy)
-// cell — printing one row per strategy and the §4 theory bound after each
-// scenario's block. axisValue maps a sweep point to the printed x-axis
-// figure. With any campaign flag set the grid routes through the durable
-// campaign layer instead: progress journals to "<-journal>.<fig>" (each
-// figure is its own campaign with its own fingerprint), -resume replays
-// completed points and restarts the partial one mid-replication, and
-// failed points are quarantined on stderr while the figure completes.
-func runSweep(ctx context.Context, session *repro.Session, opts options, base repro.Config, grid repro.SweepGrid, fig, axis string, axisValue func(repro.SweepPoint) float64) {
+// runSweep prints a figure: its title, then the scenario grid on plat
+// pulled through the shared session — one warm set of per-worker
+// simulation arenas serves every (scenario × strategy) cell — with one
+// row per strategy and the §4 theory bound after each scenario's block.
+// axisValue maps a sweep point to the printed x-axis figure. With any
+// campaign flag set the grid routes through the durable campaign layer
+// instead: progress journals to "<-journal>.<fig>" (each figure is its
+// own campaign with its own fingerprint), -resume replays completed
+// points and restarts the partial one mid-replication, and failed points
+// are quarantined on stderr while the figure completes.
+func (f *paper) runSweep(ctx context.Context, fig, title string, plat repro.Platform, grid repro.SweepGrid, axis string, axisValue func(repro.SweepPoint) float64) error {
+	fmt.Fprintln(f.stdout, title)
+	start := time.Now()
+	base := repro.Config{
+		Platform:    plat,
+		Classes:     repro.APEXClasses(),
+		Seed:        f.seed,
+		HorizonDays: f.days,
+		Channels:    f.channels,
+	}
 	nStrats := len(grid.Strategies)
 	printPoint := func(pt repro.SweepPoint, mc repro.MCResult) {
 		v := axisValue(pt)
@@ -220,191 +218,166 @@ func runSweep(ctx context.Context, session *repro.Session, opts options, base re
 		if mc.Cached {
 			cached, mark = 1, "  (cached)"
 		}
-		if opts.tsv {
-			fmt.Printf("%s\t%g\t%s\t%s\t%d\n", axis, v, mc.Strategy, s.TSVRow(), cached)
+		if f.tsv {
+			fmt.Fprintf(f.stdout, "%s\t%g\t%s\t%s\t%d\n", axis, v, mc.Strategy, s.TSVRow(), cached)
 		} else {
-			fmt.Printf("%s=%-8g %-18s mean=%.4f box=[%.4f %.4f] whiskers=[%.4f %.4f]%s\n",
+			fmt.Fprintf(f.stdout, "%s=%-8g %-18s mean=%.4f box=[%.4f %.4f] whiskers=[%.4f %.4f]%s\n",
 				axis, v, mc.Strategy, s.Mean, s.P25, s.P75, s.P10, s.P90, mark)
 		}
 	}
-	theoryAt := func(pt repro.SweepPoint) {
-		if (pt.Index+1)%nStrats == 0 {
-			p := base.Platform
-			p.BandwidthBps = pt.BandwidthBps
-			p.NodeMTBFSeconds = pt.NodeMTBFSeconds
-			theoryRow(opts, p, axis, axisValue(pt))
+	theoryAt := func(pt repro.SweepPoint) error {
+		if (pt.Index+1)%nStrats != 0 {
+			return nil
 		}
+		return f.theoryRow(pt.Apply(base).Platform, axis, axisValue(pt))
 	}
 
-	if opts.campaign.Enabled() {
-		copts, err := opts.campaign.CampaignOptions("."+fig, opts.workers, opts.antithetic, opts.targetCI, nil)
+	if f.campaign.Enabled() {
+		copts, err := f.campaign.CampaignOptions("."+fig, f.workers, f.antithetic, f.targetCI)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		if opts.cache != nil {
-			copts.Cache = opts.cache
+		if f.cache != nil {
+			copts.Cache = f.cache
 		}
-		seq, errf := campaign.New(copts).RunSweep(ctx, base, grid, opts.runs)
+		seq, errf := campaign.New(copts).RunSweep(ctx, base, grid, f.runs)
 		for pr := range seq {
 			if pr.Status == campaign.StatusDone {
 				printPoint(pr.Point, pr.MC)
 			} else {
-				degradedPoints++
-				fmt.Fprintf(os.Stderr, "paperfigs: %v\n", pr.Err)
+				f.degraded++
+				fmt.Fprintf(f.stderr, "paperfigs: %v\n", pr.Err)
 			}
-			theoryAt(pr.Point)
-		}
-		if err := errf(); err != nil {
-			if errors.Is(err, context.Canceled) {
-				cliutil.ExitInterrupted("paperfigs", err)
+			if err := theoryAt(pr.Point); err != nil {
+				return err
 			}
-			fatal(err)
 		}
-		return
+		return f.done(fig, start, errf())
 	}
 
-	points, errf := session.Sweep(ctx, base, grid, opts.runs)
+	points, errf := f.session.Sweep(ctx, base, grid, f.runs)
 	for pt, mc := range points {
 		printPoint(pt, mc)
-		theoryAt(pt)
-	}
-	if err := errf(); err != nil {
-		if errors.Is(err, context.Canceled) {
-			cliutil.ExitInterrupted("paperfigs", err)
+		if err := theoryAt(pt); err != nil {
+			return err
 		}
-		fatal(err)
 	}
+	return f.done(fig, start, errf())
+}
+
+// done closes a figure that ran to completion (err == nil) with its
+// wall-clock time.
+func (f *paper) done(fig string, start time.Time, err error) error {
+	if err == nil {
+		fmt.Fprintf(f.stdout, "-- %s done in %v --\n\n", fig, time.Since(start).Round(time.Second))
+	}
+	return err
 }
 
 // theoryRow prints the §4 lower bound for one scenario.
-func theoryRow(opts options, p repro.Platform, axis string, axisValue float64) {
+func (f *paper) theoryRow(p repro.Platform, axis string, axisValue float64) error {
 	sol, err := repro.LowerBound(p, repro.APEXClasses())
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if opts.tsv {
-		fmt.Printf("%s\t%g\tTheoretical-Model\t1\t%.6f\t0\t%.6f\t%.6f\t%.6f\t%.6f\t%.6f\t%.6f\t%.6f\t0\n",
+	if f.tsv {
+		fmt.Fprintf(f.stdout, "%s\t%g\tTheoretical-Model\t1\t%.6f\t0\t%.6f\t%.6f\t%.6f\t%.6f\t%.6f\t%.6f\t%.6f\t0\n",
 			axis, axisValue, sol.Waste, sol.Waste, sol.Waste, sol.Waste, sol.Waste, sol.Waste, sol.Waste, sol.Waste)
 	} else {
-		fmt.Printf("%s=%-8g %-18s mean=%.4f (λ=%.4g constrained=%v)\n",
+		fmt.Fprintf(f.stdout, "%s=%-8g %-18s mean=%.4f (λ=%.4g constrained=%v)\n",
 			axis, axisValue, "Theoretical-Model", sol.Waste, sol.Lambda, sol.Constrained)
 	}
+	return nil
 }
 
 // fig1 reproduces Figure 1: waste ratio vs aggregated bandwidth on Cielo
 // with a 2-year node MTBF.
-func fig1(ctx context.Context, session *repro.Session, opts options) {
-	fmt.Println("== Figure 1: waste ratio vs system bandwidth (Cielo, node MTBF 2y) ==")
+func (f *paper) fig1(ctx context.Context) error {
 	bws := []float64{40, 60, 80, 100, 120, 140, 160}
-	if opts.quick {
+	if f.quick {
 		bws = []float64{40, 100, 160}
 	}
-	start := time.Now()
-	base := repro.Config{
-		Platform:    repro.Cielo(bws[0], 2),
-		Classes:     repro.APEXClasses(),
-		Seed:        opts.seed,
-		HorizonDays: opts.days,
-		Channels:    opts.channels,
-	}
-	grid := repro.SweepGrid{Strategies: opts.strategies}
+	grid := repro.SweepGrid{Strategies: f.strategies}
 	for _, bw := range bws {
 		grid.BandwidthsBps = append(grid.BandwidthsBps, units.GBps(bw))
 	}
-	runSweep(ctx, session, opts, base, grid, "fig1", "bandwidth_gbps",
+	return f.runSweep(ctx, "fig1", "== Figure 1: waste ratio vs system bandwidth (Cielo, node MTBF 2y) ==",
+		repro.Cielo(bws[0], 2), grid, "bandwidth_gbps",
 		func(pt repro.SweepPoint) float64 { return pt.BandwidthBps / units.GB })
-	fmt.Printf("-- fig1 done in %v --\n\n", time.Since(start).Round(time.Second))
 }
 
 // fig2 reproduces Figure 2: waste ratio vs node MTBF on Cielo at 40 GB/s.
-func fig2(ctx context.Context, session *repro.Session, opts options) {
-	fmt.Println("== Figure 2: waste ratio vs node MTBF (Cielo, 40 GB/s) ==")
+func (f *paper) fig2(ctx context.Context) error {
 	years := []float64{2, 5, 10, 20, 35, 50}
-	if opts.quick {
+	if f.quick {
 		years = []float64{2, 10, 50}
 	}
-	start := time.Now()
-	base := repro.Config{
-		Platform:    repro.Cielo(40, years[0]),
-		Classes:     repro.APEXClasses(),
-		Seed:        opts.seed,
-		HorizonDays: opts.days,
-		Channels:    opts.channels,
-	}
-	grid := repro.SweepGrid{Strategies: opts.strategies}
+	grid := repro.SweepGrid{Strategies: f.strategies}
 	for _, y := range years {
 		grid.NodeMTBFSeconds = append(grid.NodeMTBFSeconds, units.Years(y))
 	}
-	runSweep(ctx, session, opts, base, grid, "fig2", "mtbf_years",
+	return f.runSweep(ctx, "fig2", "== Figure 2: waste ratio vs node MTBF (Cielo, 40 GB/s) ==",
+		repro.Cielo(40, years[0]), grid, "mtbf_years",
 		func(pt repro.SweepPoint) float64 { return pt.NodeMTBFSeconds / units.Year })
-	fmt.Printf("-- fig2 done in %v --\n\n", time.Since(start).Round(time.Second))
 }
 
 // fig3 reproduces Figure 3: the minimum aggregated bandwidth needed to
 // sustain 80% efficiency on the prospective system, per strategy and node
 // MTBF. Every bisection probe reconfigures the shared session's arenas.
-func fig3(ctx context.Context, session *repro.Session, opts options) {
-	fmt.Println("== Figure 3: min bandwidth for 80% efficiency (prospective system) ==")
-	if opts.campaign.Enabled() {
+func (f *paper) fig3(ctx context.Context) error {
+	fmt.Fprintln(f.stdout, "== Figure 3: min bandwidth for 80% efficiency (prospective system) ==")
+	if f.campaign.Enabled() {
 		// Each fig3 cell is an adaptive bisection — the probe sequence
 		// depends on earlier probe results, so there is no static grid to
 		// journal point-by-point. The figure reruns from scratch on resume.
-		fmt.Fprintln(os.Stderr, "paperfigs: note: fig3's bisection probes are not journaled; fig3 reruns in full")
+		fmt.Fprintln(f.stderr, "paperfigs: note: fig3's bisection probes are not journaled; fig3 reruns in full")
 	}
 	years := []float64{5, 10, 15, 20, 25}
-	if opts.quick {
+	if f.quick {
 		years = []float64{5, 15, 25}
 	}
-	runs := opts.runs
-	if runs > 8 {
-		// Each sweep point is a full bisection; cap the per-evaluation
-		// replication to keep fig3 tractable.
-		runs = 8
-	}
+	// Each sweep point is a full bisection; cap the per-evaluation
+	// replication to keep fig3 tractable.
+	runs := min(f.runs, 8)
 	steps := 10
-	if opts.quick {
+	if f.quick {
 		steps = 6
 	}
 	loBps, hiBps := units.GBps(50), units.TBps(400)
 	start := time.Now()
 	for _, y := range years {
-		for _, strat := range opts.strategies {
+		for _, strat := range f.strategies {
 			cfg := repro.Config{
 				Platform:    repro.Prospective(1000, y),
 				Classes:     repro.APEXClasses(),
 				Strategy:    strat,
-				Seed:        opts.seed,
-				HorizonDays: opts.days,
-				Channels:    opts.channels,
+				Seed:        f.seed,
+				HorizonDays: f.days,
+				Channels:    f.channels,
 			}
-			bw, err := session.MinBandwidth(ctx, cfg, 0.8, loBps, hiBps, runs, steps)
+			bw, err := f.session.MinBandwidth(ctx, cfg, 0.8, loBps, hiBps, runs, steps)
 			if err != nil {
 				if errors.Is(err, context.Canceled) {
-					cliutil.ExitInterrupted("paperfigs", err)
+					return err
 				}
-				fmt.Printf("mtbf_years=%-4g %-18s unreachable (%v)\n", y, strat.Name(), err)
+				fmt.Fprintf(f.stdout, "mtbf_years=%-4g %-18s unreachable (%v)\n", y, strat.Name(), err)
 				continue
 			}
-			if opts.tsv {
-				fmt.Printf("mtbf_years\t%g\t%s\t%.4f\n", y, strat.Name(), bw/units.TB)
+			if f.tsv {
+				fmt.Fprintf(f.stdout, "mtbf_years\t%g\t%s\t%.4f\n", y, strat.Name(), bw/units.TB)
 			} else {
-				fmt.Printf("mtbf_years=%-4g %-18s min bandwidth = %8.3f TB/s\n", y, strat.Name(), bw/units.TB)
+				fmt.Fprintf(f.stdout, "mtbf_years=%-4g %-18s min bandwidth = %8.3f TB/s\n", y, strat.Name(), bw/units.TB)
 			}
 		}
 		theory, err := repro.LowerBoundMinBandwidth(repro.Prospective(1000, y), repro.APEXClasses(), 0.2, loBps, hiBps)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		if opts.tsv {
-			fmt.Printf("mtbf_years\t%g\tTheoretical-Model\t%.4f\n", y, theory/units.TB)
+		if f.tsv {
+			fmt.Fprintf(f.stdout, "mtbf_years\t%g\tTheoretical-Model\t%.4f\n", y, theory/units.TB)
 		} else {
-			fmt.Printf("mtbf_years=%-4g %-18s min bandwidth = %8.3f TB/s\n", y, "Theoretical-Model", theory/units.TB)
+			fmt.Fprintf(f.stdout, "mtbf_years=%-4g %-18s min bandwidth = %8.3f TB/s\n", y, "Theoretical-Model", theory/units.TB)
 		}
 	}
-	fmt.Printf("-- fig3 done in %v --\n\n", time.Since(start).Round(time.Second))
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "paperfigs: %v\n", err)
-	os.Exit(1)
+	return f.done("fig3", start, nil)
 }

@@ -12,46 +12,42 @@ package main
 import (
 	"bufio"
 	"context"
-	"flag"
 	"fmt"
-	"os"
+	"io"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro"
 	"repro/internal/cliutil"
 )
 
-func main() {
-	var (
-		platformName = flag.String("platform", "cielo", "platform: cielo or prospective")
-		bw           = flag.Float64("bw", 40, "aggregated PFS bandwidth in GB/s")
-		mtbf         = flag.Float64("mtbf", 2, "node MTBF in years")
-		strategyName = flag.String("strategy", "Least-Waste", "strategy name")
-		seed         = flag.Uint64("seed", 1, "random seed")
-		days         = flag.Float64("days", 2, "simulated days")
-		kinds        = flag.String("kinds", "", "comma-separated event kinds to keep (default all)")
-		summary      = flag.Bool("summary", false, "print per-kind counts instead of the trace")
-		limit        = flag.Int("limit", 0, "stop after this many trace rows (0 = unlimited)")
-	)
-	version := cliutil.AddVersionFlag(flag.CommandLine)
-	flag.Parse()
-	cliutil.HandleVersion("traceview", *version)
+func main() { cliutil.Main("traceview", run) }
 
-	var p repro.Platform
-	switch *platformName {
-	case "cielo":
-		p = repro.Cielo(*bw, *mtbf)
-	case "prospective":
-		p = repro.Prospective(*bw, *mtbf)
-	default:
-		fmt.Fprintf(os.Stderr, "traceview: unknown platform %q\n", *platformName)
-		os.Exit(2)
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cliutil.NewFlagSet("traceview", stderr)
+	var (
+		platformName = fs.String("platform", "cielo", "platform: cielo or prospective")
+		bw           = fs.Float64("bw", 40, "aggregated PFS bandwidth in GB/s")
+		mtbf         = fs.Float64("mtbf", 2, "node MTBF in years")
+		strategyName = fs.String("strategy", "Least-Waste", "strategy name")
+		seed         = fs.Uint64("seed", 1, "random seed")
+		days         = fs.Float64("days", 2, "simulated days")
+		kinds        = fs.String("kinds", "", "comma-separated event kinds to keep (default all)")
+		summary      = fs.Bool("summary", false, "print per-kind counts instead of the trace")
+		limit        = fs.Int("limit", 0, "stop after this many trace rows (0 = unlimited)")
+	)
+	if stop, err := cliutil.ParseFlags(fs, args, stdout); stop {
+		return err
+	}
+
+	p, err := cliutil.Platform(*platformName, *bw, *mtbf)
+	if err != nil {
+		return cliutil.UsageError(err)
 	}
 	strat, ok := repro.StrategyByName(*strategyName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "traceview: unknown strategy %q\n", *strategyName)
-		os.Exit(2)
+		return cliutil.UsageError(fmt.Errorf("unknown strategy %q", *strategyName))
 	}
 
 	keep := map[string]bool{}
@@ -61,9 +57,15 @@ func main() {
 		}
 	}
 
-	out := bufio.NewWriter(os.Stdout)
+	out := bufio.NewWriter(stdout)
 	defer out.Flush()
 
+	// The simulation runs on its own goroutine, and run returns at the
+	// first ^C without waiting for it: a single replicate does not
+	// observe ctx once it has started. Rows are written under mu and only
+	// before the ^C, so the abandoned simulation writes nothing past the
+	// final flush.
+	var mu sync.Mutex
 	counts := map[string]int{}
 	rows := 0
 	cfg := repro.Config{
@@ -76,17 +78,15 @@ func main() {
 		Gen: repro.GenConfig{MinDays: *days, Buffer: 1.15, ShareTol: 0.05},
 		Trace: func(ev repro.TraceEvent) {
 			counts[ev.Kind]++
-			if *summary {
-				return
-			}
-			if len(keep) > 0 && !keep[ev.Kind] {
-				return
-			}
-			if *limit > 0 && rows >= *limit {
+			if *summary || len(keep) > 0 && !keep[ev.Kind] || *limit > 0 && rows >= *limit {
 				return
 			}
 			rows++
-			fmt.Fprintf(out, "%.3f,%s,%d,%s,%q\n", ev.Time, ev.Kind, ev.Job, ev.Class, ev.Note)
+			mu.Lock()
+			defer mu.Unlock()
+			if ctx.Err() == nil {
+				fmt.Fprintf(out, "%.3f,%s,%d,%s,%q\n", ev.Time, ev.Kind, ev.Job, ev.Class, ev.Note)
+			}
 		},
 	}
 	if *days <= 2 {
@@ -96,10 +96,23 @@ func main() {
 	if !*summary {
 		fmt.Fprintln(out, "time_s,kind,job,class,note")
 	}
-	res, err := repro.NewSession(repro.WithWorkers(1)).Run(context.Background(), cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "traceview: %v\n", err)
-		os.Exit(1)
+	var res repro.Result
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		res, err = repro.NewSession(repro.WithWorkers(1)).Run(ctx, cfg)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			return err
+		}
+	case <-ctx.Done():
+		// Wait out a row being written; no later one is.
+		mu.Lock()
+		defer mu.Unlock()
+		return ctx.Err()
 	}
 	if *summary {
 		kindNames := make([]string, 0, len(counts))
@@ -112,4 +125,5 @@ func main() {
 		}
 		fmt.Fprintf(out, "%-16s %8.3f\n", "waste-ratio", res.WasteRatio)
 	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -85,20 +86,6 @@ type Options struct {
 	// continuing it. Without Resume an existing journal file is an
 	// error — refusing to guess is safer than silently merging.
 	Resume bool
-	// SnapshotEvery journals an in-point accumulator snapshot every this
-	// many folded replicates (0 selects 8). Snapshot cadence trades
-	// journal I/O against re-simulated replicates on resume — a resumed
-	// point restarts from the last snapshot and re-folds the short tail
-	// bit-identically, so the setting never affects results. 1 is the
-	// zero-loss setting: a snapshot record at every replicate boundary
-	// (fsync bandwidth then bounds replicate throughput — ~2.5 KB of
-	// journal per replicate).
-	SnapshotEvery int
-	// SyncEvery batches journal fsyncs (0 selects 16; point completions
-	// always sync). At most SyncEvery-1 snapshot records can be lost to
-	// a crash — each costing SnapshotEvery re-simulated replicates on
-	// resume, never correctness.
-	SyncEvery int
 	// PointTimeout is the per-point deadline (0: none), counted from
 	// the dispatch of the point's first replicate; a point past it is
 	// quarantined. A replicate is not interrupted mid-simulation: the
@@ -111,9 +98,6 @@ type Options struct {
 	// and sequential-stopping behaviour, as the Session options.
 	Antithetic bool
 	TargetCI   driver.TargetCI
-	// Progress, when set, receives campaign-wide replicate progress
-	// (done, total) across all points, monotone within a run.
-	Progress func(done, total int)
 	// Cache, when non-nil, is the session's result cache
 	// (driver.WithResultCache); every completed point, journal replays
 	// included, is stored in it. A hit — like a repeated cell, with or
@@ -121,7 +105,25 @@ type Options struct {
 	// point's aggregates, so a resume needs no cache. Results are
 	// bit-identical either way.
 	Cache driver.ResultCache
+
+	// Tests tune what the constants below fix: the snapshot cadence
+	// (0: defaultSnapshotEvery), the fsync batch (0: defaultSyncEvery),
+	// and a hook that receives campaign-wide replicate progress (done,
+	// total), monotone within a run.
+	snapshotEvery, syncEvery int
+	progress                 func(done, total int)
 }
+
+const (
+	// defaultSnapshotEvery journals a point's accumulator snapshot every
+	// this many folded replicates: a snapshot is ~2.5 KB, and a resume
+	// re-folds the short tail bit-identically, so the cadence trades
+	// journal I/O against re-simulation, never results.
+	defaultSnapshotEvery = 8
+	// defaultSyncEvery batches journal fsyncs (point completions always
+	// sync): a crash loses at most defaultSyncEvery-1 snapshots.
+	defaultSyncEvery = 16
+)
 
 // Progress is a point-in-time snapshot of campaign advancement — the
 // lightweight observation the management plane polls without consuming
@@ -193,9 +195,8 @@ func New(opts Options) *Campaign {
 	if opts.Cache != nil {
 		sopts = append(sopts, driver.WithResultCache(opts.Cache))
 	}
-	// The session progress hook always feeds the Snapshot counters —
-	// replicate-level progress inside the in-flight points — and
-	// forwards to the caller's Progress callback when one is set.
+	// The session progress hook feeds the Snapshot counters —
+	// replicate-level progress inside the in-flight points.
 	sopts = append(sopts, driver.WithProgress(func(done, _ int) {
 		c.folded = done
 		c.reportFolded()
@@ -208,8 +209,8 @@ func New(opts Options) *Campaign {
 func (c *Campaign) reportFolded() {
 	n := c.folded + c.served
 	c.note(func(p *Progress) { p.ReplicatesFolded = n })
-	if c.opts.Progress != nil {
-		c.opts.Progress(n, c.progressTotal)
+	if c.opts.progress != nil {
+		c.opts.progress(n, c.progressTotal)
 	}
 }
 
@@ -317,10 +318,7 @@ func (c *Campaign) openOrCreate(fp string, points, runs int, seed uint64) (*Jour
 	if c.opts.JournalPath == "" {
 		return nil, nil, nil
 	}
-	syncEvery := c.opts.SyncEvery
-	if syncEvery == 0 {
-		syncEvery = 16
-	}
+	syncEvery := cmp.Or(c.opts.syncEvery, defaultSyncEvery)
 	if c.opts.Resume {
 		j, st, err := OpenJournal(c.opts.JournalPath, syncEvery)
 		if err == nil {
@@ -402,14 +400,7 @@ func (c *Campaign) runSweep(ctx context.Context, base engine.Config, grid driver
 		*p = Progress{PointsTotal: len(pts), ReplicatesTotal: c.progressTotal}
 	})
 
-	// ~2.5 KB of journal per snapshot and fsync cost scales with dirty
-	// bytes, so per-replicate records would bound replicate throughput by
-	// disk bandwidth; every 8th boundary keeps the overhead a fraction of
-	// a percent and a crash re-simulates at most the short tail.
-	every := c.opts.SnapshotEvery
-	if every == 0 {
-		every = 8
-	}
+	every := cmp.Or(c.opts.snapshotEvery, defaultSnapshotEvery)
 	// attempts: each point's journaled failures plus this run's attempt.
 	attempts := make([]int, len(pts))
 	gps := make([]driver.GridPoint, len(pts))

@@ -179,8 +179,8 @@ func TestCampaignResumeMidPointBitIdentity(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var seen atomic.Int64
 		c := New(Options{
-			JournalPath: path, Workers: 2, SyncEvery: 1,
-			Progress: func(done, total int) {
+			JournalPath: path, Workers: 2, syncEvery: 1,
+			progress: func(done, total int) {
 				if seen.Add(1) == int64(cutAt) {
 					cancel()
 				}
@@ -230,7 +230,7 @@ func TestCampaignTornTailRecovery(t *testing.T) {
 	// SnapshotEvery 1 keeps the record volume high enough that the torn
 	// write lands mid-point.
 	restore := faultinject.Set(faultinject.SiteJournalWrite, faultinject.ShortWriteOnce(5, 7))
-	seq, errf := New(Options{JournalPath: path, Workers: 2, SyncEvery: 1, SnapshotEvery: 1}).
+	seq, errf := New(Options{JournalPath: path, Workers: 2, syncEvery: 1, snapshotEvery: 1}).
 		RunSweep(context.Background(), base, grid, runs)
 	for range seq {
 	}
@@ -333,7 +333,7 @@ func TestCampaignPoisonedPointAcrossWorkers(t *testing.T) {
 			faultinject.PanicOn("poisoned point", func(detail any) bool {
 				return detail == faultinject.WorkerReplicate{Point: poisoned, Run: 3}
 			}))
-		seq, errf := New(Options{JournalPath: path, Workers: workers, SnapshotEvery: 1}).
+		seq, errf := New(Options{JournalPath: path, Workers: workers, snapshotEvery: 1}).
 			RunSweep(context.Background(), base, grid, runs)
 		var got []PointResult
 		for pr := range seq {
@@ -551,7 +551,7 @@ func TestCampaignFailedPointResumesFromSnapshot(t *testing.T) {
 		return nil
 	})
 	path := filepath.Join(t.TempDir(), "campaign.journal")
-	pr, err := New(Options{JournalPath: path, Workers: 1, SnapshotEvery: every}).
+	pr, err := New(Options{JournalPath: path, Workers: 1, snapshotEvery: every}).
 		Run(context.Background(), base, runs)
 	restore()
 	if err != nil {
@@ -574,7 +574,7 @@ func TestCampaignFailedPointResumesFromSnapshot(t *testing.T) {
 		simulated.Add(1)
 		return nil
 	})()
-	pr, err = New(Options{JournalPath: path, Resume: true, Workers: 1, SnapshotEvery: every}).
+	pr, err = New(Options{JournalPath: path, Resume: true, Workers: 1, snapshotEvery: every}).
 		Run(context.Background(), base, runs)
 	if err != nil {
 		t.Fatal(err)
@@ -747,7 +747,7 @@ func TestCampaignChildProcess(t *testing.T) {
 	// SyncEvery 1: every snapshot durable, so the parent's kill point is
 	// always recoverable. Slow on purpose-built hardware is fine here —
 	// the grid is tiny.
-	seq, errf := New(Options{JournalPath: path, Resume: true, Workers: 2, SyncEvery: 1}).
+	seq, errf := New(Options{JournalPath: path, Resume: true, Workers: 2, syncEvery: 1}).
 		RunSweep(context.Background(), base, killGrid(), killRuns)
 	for range seq {
 	}

@@ -112,10 +112,10 @@ type Journal struct {
 	buf      *bufio.Writer
 	path     string
 	unsynced int // records appended since the last fsync
-	// SyncEvery batches fsyncs: at most SyncEvery-1 records are ever at
+	// syncEvery batches fsyncs: at most syncEvery-1 records are ever at
 	// risk in the OS page cache. Point completions and seals always
 	// force a sync. <= 1 syncs every record.
-	SyncEvery int
+	syncEvery int
 	// failed latches the first write/sync error: once the journal can
 	// no longer guarantee durability, every later append reports it.
 	failed error
@@ -151,7 +151,7 @@ func (j *Journal) append(typ string, payload any, barrier bool) error {
 		return j.fail(err)
 	}
 	j.unsynced++
-	if barrier || (j.SyncEvery > 1 && j.unsynced >= j.SyncEvery) || j.SyncEvery <= 1 {
+	if barrier || j.unsynced >= j.syncEvery {
 		if err := j.sync(); err != nil {
 			return j.fail(err)
 		}
@@ -280,7 +280,7 @@ func CreateJournal(path string, hdr Header, syncEvery int) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: create journal: %w", err)
 	}
-	j := &Journal{f: f, buf: bufio.NewWriter(f), path: path, SyncEvery: syncEvery}
+	j := &Journal{f: f, buf: bufio.NewWriter(f), path: path, syncEvery: syncEvery}
 	hdr.Version = journalVersion
 	if err := j.append(recHeader, hdr, true); err != nil {
 		f.Close()
@@ -315,7 +315,7 @@ func OpenJournal(path string, syncEvery int) (*Journal, *ReplayState, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	j := &Journal{f: f, buf: bufio.NewWriter(f), path: path, SyncEvery: syncEvery}
+	j := &Journal{f: f, buf: bufio.NewWriter(f), path: path, syncEvery: syncEvery}
 	return j, st, nil
 }
 

@@ -3,7 +3,7 @@ package cliutil
 import (
 	"flag"
 	"fmt"
-	"os"
+	"io"
 
 	"repro/internal/resultcache"
 )
@@ -41,14 +41,14 @@ func (cf *CacheFlags) Open() (*resultcache.Cache, error) {
 
 // ReportCacheStats prints the cache's traffic summary to stderr (prog
 // names the command); a nil cache prints nothing.
-func ReportCacheStats(prog string, c *resultcache.Cache) {
+func ReportCacheStats(stderr io.Writer, prog string, c *resultcache.Cache) {
 	if c == nil {
 		return
 	}
 	st := c.Stats()
-	fmt.Fprintf(os.Stderr, "%s: result cache: %d hit(s) (%d from disk), %d miss(es), %d stored\n",
+	fmt.Fprintf(stderr, "%s: result cache: %d hit(s) (%d from disk), %d miss(es), %d stored\n",
 		prog, st.Hits, st.DiskHits, st.Misses, st.Puts)
 	if st.DiskErrors > 0 {
-		fmt.Fprintf(os.Stderr, "%s: result cache: %d disk error(s) (degraded to memory tier)\n", prog, st.DiskErrors)
+		fmt.Fprintf(stderr, "%s: result cache: %d disk error(s) (degraded to memory tier)\n", prog, st.DiskErrors)
 	}
 }

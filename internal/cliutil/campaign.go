@@ -46,7 +46,7 @@ func (cf *CampaignFlags) Enabled() bool {
 // journalSuffix distinguishes multiple campaigns sharing one -journal
 // flag value (paperfigs appends ".fig1"/".fig2" — each figure is its own
 // campaign with its own fingerprint).
-func (cf *CampaignFlags) CampaignOptions(journalSuffix string, workers int, antithetic bool, tci driver.TargetCI, progress func(done, total int)) (campaign.Options, error) {
+func (cf *CampaignFlags) CampaignOptions(journalSuffix string, workers int, antithetic bool, tci driver.TargetCI) (campaign.Options, error) {
 	journal := cf.Journal
 	if journal != "" && journalSuffix != "" {
 		journal += journalSuffix
@@ -61,6 +61,5 @@ func (cf *CampaignFlags) CampaignOptions(journalSuffix string, workers int, anti
 		Workers:      workers,
 		Antithetic:   antithetic,
 		TargetCI:     tci,
-		Progress:     progress,
 	}, nil
 }

@@ -1,7 +1,9 @@
 // Package cliutil holds the flag-resolution helpers shared by the command
-// line front ends (coopsim, paperfigs, lowerbound): strategy-list and
-// platform resolution, sweep-range and channel-list parsing, and the
-// SIGINT-driven cancellation context every long experiment runs under.
+// line front ends (coopsim, paperfigs, lowerbound, traceview, coopsimd):
+// strategy-list and platform resolution, sweep-range and channel-list
+// parsing, and Main, the one way out of every command: the
+// SIGINT-driven cancellation context each runs under and the mapping
+// from its error to an exit status.
 package cliutil
 
 import (
@@ -147,7 +149,8 @@ func SweepValues(spec string) ([]float64, error) {
 // session (workers drain, partial output stays flushed, the command exits
 // non-zero), a second signal kills the process through the restored
 // default handler — cancellation is only observed at replicate
-// boundaries, so a long in-flight drain must stay escapable.
+// boundaries, so a long in-flight drain must stay escapable. Main runs
+// every command under it.
 func InterruptContext() (context.Context, context.CancelFunc) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	go func() {
@@ -157,15 +160,4 @@ func InterruptContext() (context.Context, context.CancelFunc) {
 		stop()
 	}()
 	return ctx, stop
-}
-
-// ExitInterrupted reports a cancelled campaign on stderr and exits with
-// the conventional SIGINT status. prog names the command, err is the
-// campaign error (typically wrapping context.Canceled). Any profiles
-// started with StartProfiles are flushed first, so an interrupted
-// campaign still yields a usable CPU/heap profile.
-func ExitInterrupted(prog string, err error) {
-	flushProfiles()
-	fmt.Fprintf(os.Stderr, "%s: interrupted (%v); partial output flushed\n", prog, err)
-	os.Exit(130)
 }

@@ -1,9 +1,7 @@
 package cliutil
 
 import (
-	"flag"
 	"fmt"
-	"os"
 	"runtime/debug"
 )
 
@@ -40,20 +38,4 @@ func Version() string {
 		}
 	}
 	return fmt.Sprintf("%s (%s)", v, info.GoVersion)
-}
-
-// AddVersionFlag registers -version on the flag set and returns the
-// bound bool; call HandleVersion(prog, *v) right after fs.Parse.
-func AddVersionFlag(fs *flag.FlagSet) *bool {
-	return fs.Bool("version", false, "print build information and exit")
-}
-
-// HandleVersion prints the build information and exits 0 when the
-// -version flag was set.
-func HandleVersion(prog string, set bool) {
-	if !set {
-		return
-	}
-	fmt.Printf("%s %s\n", prog, Version())
-	os.Exit(0)
 }

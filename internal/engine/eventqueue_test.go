@@ -65,12 +65,11 @@ func TestSchedulerBitIdentity(t *testing.T) {
 	}
 }
 
-// TestArenaZeroAllocsBothSchedulers: once an arena is warm, a replicate
-// allocates nothing — also with regular I/O phases, whose trigger points
-// derive from a phase index instead of a per-instance slice. The name and
-// the heap4 level of the subtests are kept from when the test also ran a
-// calendar queue; the 4-ary heap is now the only event queue.
-func TestArenaZeroAllocsBothSchedulers(t *testing.T) {
+// TestArenaZeroAllocs: once an arena is warm, a replicate allocates
+// nothing — also with regular I/O phases, whose trigger points derive
+// from a phase index instead of a per-instance slice. The heap4 subtest
+// level names the event queue under test, sim's 4-ary heap.
+func TestArenaZeroAllocs(t *testing.T) {
 	regularIO := tinyClasses()
 	for i := range regularIO {
 		regularIO[i].RegularIOPctMem = 20
