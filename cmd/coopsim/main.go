@@ -154,13 +154,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// cachedRows counts grid cells served without simulating — in-grid
 	// k-axis deduplication plus -cache-dir hits — for the closing summary.
 	cachedRows, totalRows := 0, 0
-	// printRow renders one grid cell; printTheory the §4 bound closing
-	// each scenario block. Shared by the plain-session and campaign
-	// paths.
+	// printRow counts one grid cell and renders it (under -ndjson its
+	// wire frame is the row); printTheory the §4 bound closing each
+	// scenario block. Shared by the plain-session and campaign paths.
 	printRow := func(pt repro.SweepPoint, mc repro.MCResult) {
 		totalRows++
 		if mc.Cached {
 			cachedRows++
+		}
+		if *ndjson {
+			return
 		}
 		bwGBps := pt.BandwidthBps / units.GB
 		mtbfYears := pt.NodeMTBFSeconds / units.Year
@@ -348,10 +351,11 @@ func startProgressReporter(camp *campaign.Campaign, stderr io.Writer) (stop func
 }
 
 // runCampaign drives the grid through the durable campaign layer:
-// journaled progress and per-point quarantine. Rows print as on the
-// plain path (or as wire frames when emit is set); failed points go to
-// stderr and make the command exit 3 after the whole grid has been
-// given its chance — one poisoned point does not abort a sweep.
+// journaled progress and per-point quarantine. Rows are counted and
+// print as on the plain path (emit, when set, writes their wire frames);
+// failed points go to stderr and make the command exit 3 after the whole
+// grid has been given its chance — one poisoned point does not abort a
+// sweep.
 func runCampaign(ctx context.Context, camp *campaign.Campaign, base repro.Config, grid repro.SweepGrid, runs int, stderr io.Writer, printRow func(repro.SweepPoint, repro.MCResult), printTheory func(repro.SweepPoint) error, emit func(campaign.PointResult) error) error {
 	seq, errf := camp.RunSweep(ctx, base, grid, runs)
 	restored, failed := 0, 0
@@ -366,9 +370,7 @@ func runCampaign(ctx context.Context, camp *campaign.Campaign, base repro.Config
 			if pr.Restored {
 				restored++
 			}
-			if emit == nil {
-				printRow(pr.Point, pr.MC)
-			}
+			printRow(pr.Point, pr.MC)
 		case campaign.StatusFailed:
 			failed++
 			fmt.Fprintf(stderr, "coopsim: %v\n", pr.Err)

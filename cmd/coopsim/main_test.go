@@ -67,6 +67,12 @@ func TestGoldens(t *testing.T) {
 		// changes a byte.
 		{"sweep", args("-workers", "2")},
 		{"sweep_tsv", args("-workers", "1", "-tsv")},
+		// Sequential stopping: which replicates the grid speculates
+		// past a stopping decision never changes a byte either.
+		{"target_ci", args("-target-ci", "0.05:0.95:2:8", "-runs", "8", "-workers", "1")},
+		{"target_ci", args("-target-ci", "0.05:0.95:2:8", "-runs", "8", "-workers", "2")},
+		{"target_ci_antithetic", args("-target-ci", "0.05:0.95:2:8", "-runs", "8", "-antithetic", "-workers", "1")},
+		{"target_ci_antithetic", args("-target-ci", "0.05:0.95:2:8", "-runs", "8", "-antithetic", "-workers", "2")},
 		{"paired", []string{"-channels", "1", "-strategy", "Oblivious-Daly,Least-Waste", "-runs", "4", "-days", "5", "-workers", "1", "-paired"}},
 		{"list", []string{"-list"}},
 	} {
@@ -169,6 +175,7 @@ func TestExitCodes(t *testing.T) {
 		last string
 	}{
 		{nil, args("-workers", "1"), 0, "coopsim: 1 of 4 grid cell(s) served from cache/dedup"},
+		{nil, args("-workers", "1", "-ndjson"), 0, "coopsim: 1 of 4 grid cell(s) served from cache/dedup"},
 		{nil, []string{"-h"}, 0, usage},
 		{nil, []string{"-version"}, 0, ""},
 		{nil, []string{"-list"}, 0, ""},

@@ -3,6 +3,7 @@ package driver
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"sync"
@@ -22,6 +23,19 @@ import (
 // coordinator (the caller's goroutine) folds each point's replicates in
 // strict run order through mcFold and releases concluded points in point
 // order through a bounded reorder window.
+//
+// Workers claim sure work before speculative work. A run is sure when its
+// point folds it whatever the stopping rule decides: every run of a
+// fixed-runs point, and under sequential stopping every run below the
+// next fold count where the rule can fire. A run past that count is
+// speculative — the rule may stop the point first and the run is then
+// dropped — so a worker takes one only when no point in the dispatch
+// horizon has a sure run, and only after yielding its processor once to
+// let the coordinator publish pending folds. A fixed-runs grid thus
+// dispatches exactly as plain work stealing would, and a one-worker
+// target-CI sweep simulates essentially only the replicates it folds,
+// while a lone point still keeps its workers busy one decision ahead
+// rather than idle.
 //
 // Results do not depend on the schedule: replicate i of a point is a pure
 // function of (cfg.Seed, i) under the CRN schedule regardless of which
@@ -71,7 +85,9 @@ type gridItem struct {
 // gridPointState tracks one grid point. The scheduling counters (cursor,
 // foldedPub, active) and the point context are shared with workers under
 // gridSweep.mu; the fold state (fold, pending, nextFold, mc, err, done)
-// belongs to the coordinator alone.
+// belongs to the coordinator alone, except the fold's stopping-rule
+// configuration (seqOn, minRuns), fixed at setup, which workers read to
+// tell sure runs from speculative ones.
 type gridPointState struct {
 	key string
 	// ctx is set at the point's first dispatch: the grid context, or a
@@ -81,7 +97,9 @@ type gridPointState struct {
 	cancel context.CancelFunc
 	// chunk is the work-item length: a few runs under fixed
 	// replication, single runs (pairs under antithetic) under sequential
-	// stopping so speculation past a stopping decision stays bounded.
+	// stopping — the step between two stopping decisions — so that a
+	// worker chooses sure over speculative work (see eligibleLocked)
+	// claim by claim.
 	chunk int
 
 	// Coordinator-private fold state.
@@ -427,28 +445,36 @@ func fireGridDispatch(ctx context.Context, p, i, n int) (err error) {
 		faultinject.GridDispatch{Point: p, Run: i, Len: n})
 }
 
-// next claims the next work item for a worker: its current point while
-// that point has dispatchable work (keeping the arena configured), else
-// the lowest-index point in the dispatch horizon — work stealing across
-// point boundaries. The point's first claim starts its deadline. Blocks
-// while no work is eligible; returns p = -1 once the run halts.
+// next claims the next work item for a worker, sure work first: the next
+// sure run of its current point (keeping the arena configured), else of
+// the lowest-index point in the dispatch horizon that has one — work
+// stealing across point boundaries. Only when no sure run is eligible
+// anywhere does it speculate, on its current point if it can, else on
+// the lowest eligible point, after yielding the processor once; it never
+// waits for a fold while any run is eligible. The point's first claim
+// starts its deadline. Blocks while no work is eligible; returns p = -1
+// once the run halts.
 func (g *gridSweep) next(lastP int) (p, i, n int, ctx context.Context) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	yielded := false
 	for {
 		if g.halted {
 			return -1, 0, 0, nil
 		}
-		p = -1
-		if lastP >= 0 && g.eligibleLocked(lastP) {
-			p = lastP
-		} else {
-			hi := min(len(g.states), g.nextYield+g.lookahead)
-			for q := g.nextYield; q < hi; q++ {
-				if g.eligibleLocked(q) {
-					p = q
-					break
-				}
+		p = g.pickLocked(lastP, true)
+		if p < 0 {
+			p = g.pickLocked(lastP, false)
+			if p >= 0 && !yielded {
+				// Only speculation is left. The coordinator, woken by this
+				// worker's last send, may be queued behind it on the same
+				// processor: yield once so that it can publish its folds,
+				// which often makes a run sure, then claim.
+				yielded = true
+				g.mu.Unlock()
+				runtime.Gosched()
+				g.mu.Lock()
+				continue
 			}
 		}
 		if p >= 0 {
@@ -468,14 +494,46 @@ func (g *gridSweep) next(lastP int) (p, i, n int, ctx context.Context) {
 	}
 }
 
-// eligibleLocked reports whether point p has dispatchable work. Callers
-// hold g.mu.
-func (g *gridSweep) eligibleLocked(p int) bool {
+// pickLocked returns the point a worker last on lastP claims from — lastP
+// itself while it has eligible work, else the lowest eligible point in
+// the dispatch horizon — or -1. With sure set, only points whose next run
+// is sure are eligible. Callers hold g.mu.
+func (g *gridSweep) pickLocked(lastP int, sure bool) int {
+	if lastP >= 0 && g.eligibleLocked(lastP, sure) {
+		return lastP
+	}
+	hi := min(len(g.states), g.nextYield+g.lookahead)
+	for q := g.nextYield; q < hi; q++ {
+		if g.eligibleLocked(q, sure) {
+			return q
+		}
+	}
+	return -1
+}
+
+// eligibleLocked reports whether point p has dispatchable work and, with
+// sure set, whether its next run is sure: one the point folds whatever
+// its stopping rule decides. Every run of a fixed-runs point is sure.
+// Under sequential stopping the rule can next fire at fold count
+// foldedPub+1 (rounded up to a pair boundary under antithetic, where it
+// decides only at even counts) and never below its floor, so every run
+// below that count is sure. Callers hold g.mu.
+func (g *gridSweep) eligibleLocked(p int, sure bool) bool {
 	if p >= g.nextYield+g.lookahead {
 		return false
 	}
 	st := g.states[p]
-	return st.active && st.cursor < st.total && st.cursor-st.foldedPub < g.window
+	if !st.active || st.cursor >= st.total || st.cursor-st.foldedPub >= g.window {
+		return false
+	}
+	if !sure || !st.fold.seqOn {
+		return true
+	}
+	decide := st.foldedPub + 1
+	if g.pts[p].opts.Antithetic {
+		decide += decide % 2
+	}
+	return st.cursor < max(decide, st.fold.minRuns)
 }
 
 // process folds one delivered item on the coordinator: buffer it, fold

@@ -94,7 +94,10 @@ func WithOnResult(fn func(i int, r engine.Result)) SessionOption {
 // above by maxRuns. Zeros select the documented TargetCI defaults
 // (confidence 0.95, minRuns 8, maxRuns = the experiment's runs argument).
 // A non-positive halfWidth disables sequential stopping. MCResult.RunsUsed
-// and MCResult.CIHalfWidth record each experiment's outcome.
+// and MCResult.CIHalfWidth record each experiment's outcome. Workers
+// simulate a replicate past a pending stopping decision only when no
+// experiment of the grid has a replicate it is sure to keep, so at one
+// worker a sweep simulates essentially only the replicates it folds.
 func WithTargetCI(halfWidth, confidence float64, minRuns, maxRuns int) SessionOption {
 	return func(s *Session) {
 		s.opts.TargetCI = TargetCI{

@@ -383,7 +383,10 @@ func WithProgress(fn func(done, total int)) SessionOption { return driver.WithPr
 // interval on its estimator mean is no wider than ±halfWidth at the given
 // confidence level, bounded by minRuns and maxRuns (zeros select the
 // TargetCI defaults). MCResult.RunsUsed and MCResult.CIHalfWidth record
-// each experiment's outcome.
+// each experiment's outcome. A replicate past a pending stopping decision
+// is simulated only when no experiment of the grid has a replicate it is
+// sure to keep, so at one worker a sweep simulates essentially only the
+// replicates it folds.
 func WithTargetCI(halfWidth, confidence float64, minRuns, maxRuns int) SessionOption {
 	return driver.WithTargetCI(halfWidth, confidence, minRuns, maxRuns)
 }
