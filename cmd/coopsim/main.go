@@ -39,6 +39,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/cliutil"
 	"repro/internal/resultcache"
+	"repro/internal/stats"
 	"repro/internal/units"
 )
 
@@ -117,7 +118,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *tsv {
-		fmt.Fprintln(stdout, "strategy\tbandwidth_gbps\tmtbf_years\tchannels\t"+tsvHeader()+"\truns_used\tci_half_width\tcached")
+		fmt.Fprintln(stdout, "strategy\tbandwidth_gbps\tmtbf_years\tchannels\t"+stats.TSVHeader()+"\truns_used\tci_half_width\tcached")
 	}
 
 	// The whole experiment — one point or a -sweep-* series, times the
@@ -204,7 +205,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("lower bound: %w", err)
 		}
 		if *tsv {
-			// Columns match tsvHeader: n=1, stddev=0, every order
+			// Columns match stats.TSVHeader: n=1, stddev=0, every order
 			// statistic collapses to the deterministic bound, and the
 			// trailing runs_used/ci_half_width/cached triple is 1/0/0 —
 			// the bound costs one evaluation, carries no Monte-Carlo
@@ -460,10 +461,6 @@ func printRegistry(stdout io.Writer) {
 		}
 		fmt.Fprintf(stdout, "%s\t%s\t%s\t%s\t%s\n", s.Name(), d.Name(), s.Policy.Label(), wait, device)
 	}
-}
-
-func tsvHeader() string {
-	return "n\tmean\tstddev\tmin\tp10\tp25\tp50\tp75\tp90\tmax"
 }
 
 func printBreakdown(stdout io.Writer, mc repro.MCResult) {

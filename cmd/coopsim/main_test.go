@@ -5,14 +5,20 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/api"
 	"repro/internal/cliutil"
 	"repro/internal/faultinject"
+	"repro/internal/server"
 )
 
 var update = flag.Bool("update", false, "rewrite the testdata goldens from this build")
@@ -125,6 +131,61 @@ func TestGoldenNDJSONJournal(t *testing.T) {
 	}
 	if got, want := byPoint(t, journal), byPoint(t, want); !slices.Equal(got, want) {
 		t.Errorf("journal differs:\n--- got\n%s\n--- want\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestNDJSONMatchesDaemon pins what -ndjson promises: coopsim prints
+// the point frames the daemon streams for the same campaign, byte for
+// byte (the daemon's closing end frame is service framing).
+func TestNDJSONMatchesDaemon(t *testing.T) {
+	stdout, stderr, code := invoke(context.Background(), args("-workers", "1", "-ndjson")...)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	if n := strings.Count(stdout, "\n"); n != 4 {
+		t.Fatalf("coopsim -ndjson printed %d frames, want 4", n)
+	}
+
+	srv, err := server.New(server.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	}()
+	const spec = `{"config":{"platform":{"name":"cielo","bandwidth_gbps":40,"node_mtbf_years":2},"seed":1,"horizon_days":5},
+		"grid":{"strategies":["Oblivious-Daly","Least-Waste"],"channels":[1,2]},"runs":4}`
+	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sub api.SubmitResponse
+	err = json.NewDecoder(resp.Body).Decode(&sub)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d, %v", resp.StatusCode, err)
+	}
+	resp, err = http.Get(ts.URL + "/v1/campaigns/" + sub.ID + "/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var points strings.Builder
+	for _, line := range strings.SplitAfter(string(body), "\n") {
+		if strings.HasPrefix(line, `{"point":`) {
+			points.WriteString(line)
+		}
+	}
+	if points.String() != stdout {
+		t.Errorf("daemon frames differ from coopsim -ndjson:\n--- daemon\n%s--- coopsim\n%s", points.String(), stdout)
 	}
 }
 

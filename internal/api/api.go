@@ -461,126 +461,6 @@ func (b *BurstBuffer) resolve() (*burstbuffer.Config, error) {
 	return out, nil
 }
 
-// FromConfig encodes an engine configuration onto the wire, erroring on
-// anything the wire cannot carry faithfully: an unregistered strategy, a
-// user interference model, or a trace hook. The encoding is canonical in
-// the sense the round-trip tests pin: decoding it and resolving yields a
-// configuration with the same driver.ExperimentKey.
-func FromConfig(cfg engine.Config) (Config, error) {
-	var errs []error
-	out := Config{
-		Platform: Platform{
-			Name:            cfg.Platform.Name,
-			Nodes:           cfg.Platform.Nodes,
-			MemoryBytes:     cfg.Platform.MemoryBytes,
-			BandwidthBps:    cfg.Platform.BandwidthBps,
-			NodeMTBFSeconds: cfg.Platform.NodeMTBFSeconds,
-		},
-		Seed:               cfg.Seed,
-		HorizonDays:        cfg.HorizonDays,
-		WarmupDays:         cfg.WarmupDays,
-		CooldownDays:       cfg.CooldownDays,
-		Channels:           cfg.Channels,
-		WeibullShape:       cfg.WeibullShape,
-		DisableFailures:    cfg.DisableFailures,
-		DisableCheckpoints: cfg.DisableCheckpoints,
-		BaselineIO:         cfg.BaselineIO,
-		PairedBaseline:     cfg.PairedBaseline,
-	}
-	if cfg.Trace != nil {
-		errs = append(errs, errors.New("api: a trace hook cannot be encoded"))
-	}
-	if cfg.Strategy.Discipline != nil {
-		name := cfg.Strategy.Name()
-		if _, ok := engine.StrategyByName(name); !ok {
-			errs = append(errs, fmt.Errorf("api: strategy %q is not in the registry", name))
-		}
-		out.Strategy = name
-	}
-	for _, cl := range cfg.Classes {
-		out.Classes = append(out.Classes, Class(cl))
-	}
-	if name, err := failureModelName(cfg.FailureModel); err != nil {
-		errs = append(errs, err)
-	} else if cfg.FailureModel != failure.Exponential {
-		out.FailureModel = name
-	}
-	if zero := (workload.GenConfig{}); cfg.Gen != zero {
-		g := Gen{
-			MinDays:  cfg.Gen.MinDays,
-			Buffer:   cfg.Gen.Buffer,
-			ShareTol: cfg.Gen.ShareTol,
-			MaxJobs:  cfg.Gen.MaxJobs,
-		}
-		switch cfg.Gen.Law {
-		case workload.LawUniform20:
-			g.Law = "uniform20"
-		case workload.LawNormal20:
-			g.Law = "normal20"
-		default:
-			errs = append(errs, fmt.Errorf("api: duration law %d has no wire name", int(cfg.Gen.Law)))
-		}
-		out.Gen = &g
-	}
-	if cfg.Interference != nil {
-		switch m := cfg.Interference.(type) {
-		case iomodel.LinearShare:
-			// The default: omit.
-		case iomodel.Unlimited:
-			out.Interference = &Interference{Model: "unlimited"}
-		case iomodel.Degraded:
-			out.Interference = &Interference{Model: "degraded", Gamma: m.Gamma}
-		default:
-			errs = append(errs, fmt.Errorf("api: interference model %T has no wire encoding", cfg.Interference))
-		}
-	}
-	if cfg.BurstBuffer != nil {
-		bb := BurstBuffer{
-			PerNodeBandwidthBps: cfg.BurstBuffer.PerNodeBandwidthBps,
-			Resilient:           cfg.BurstBuffer.Resilient,
-			DrainToPFS:          cfg.BurstBuffer.DrainToPFS,
-		}
-		switch cfg.BurstBuffer.Period {
-		case burstbuffer.PeriodCooperative:
-			bb.Period = "cooperative"
-		case burstbuffer.PeriodNaive:
-			bb.Period = "naive"
-		default:
-			errs = append(errs, fmt.Errorf("api: burst-buffer period model %d has no wire name", int(cfg.BurstBuffer.Period)))
-		}
-		out.BurstBuffer = &bb
-	}
-	return out, errors.Join(errs...)
-}
-
-// FromGrid encodes a driver sweep grid onto the wire, erroring on
-// unregistered strategies.
-func FromGrid(g driver.SweepGrid) (SweepGrid, error) {
-	var errs []error
-	out := SweepGrid{
-		BandwidthsBps:   g.BandwidthsBps,
-		NodeMTBFSeconds: g.NodeMTBFSeconds,
-		Channels:        g.Channels,
-	}
-	for _, fs := range g.FailureSpecs {
-		name, err := failureModelName(fs.Model)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		out.FailureSpecs = append(out.FailureSpecs, FailureSpec{Model: name, WeibullShape: fs.WeibullShape})
-	}
-	for _, s := range g.Strategies {
-		name := s.Name()
-		if _, ok := engine.StrategyByName(name); !ok {
-			errs = append(errs, fmt.Errorf("api: strategy %q is not in the registry", name))
-			continue
-		}
-		out.Strategies = append(out.Strategies, name)
-	}
-	return out, errors.Join(errs...)
-}
-
 // MCResult is the wire image of a streamed driver.MCResult: the scalar
 // aggregates and the candlestick summary. The per-run materialisations
 // (WasteRatios, Results) never cross the wire — the service always runs

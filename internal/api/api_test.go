@@ -16,9 +16,9 @@ import (
 	"repro/internal/workload"
 )
 
-// TestConfigRoundTripKeyStable pins the core wire contract: encoding an
-// engine config to the wire, decoding it strictly, and resolving it
-// back must land on the same driver.ExperimentKey — for every
+// TestConfigRoundTripKeyStable pins the core wire contract: a wire
+// config, encoded, decoded strictly and resolved, lands on the same
+// driver.ExperimentKey as the engine config it names — for every
 // registered strategy. A drift here means an HTTP submission silently
 // simulates a different experiment than the in-process call.
 func TestConfigRoundTripKeyStable(t *testing.T) {
@@ -36,23 +36,14 @@ func TestConfigRoundTripKeyStable(t *testing.T) {
 			t.Fatalf("%s: base config not cacheable", strat.Name())
 		}
 
-		wire, err := FromConfig(cfg)
-		if err != nil {
-			t.Fatalf("%s: encode: %v", strat.Name(), err)
+		wire := Config{
+			Platform:    Platform{Name: "cielo", BandwidthGBps: 40, NodeMTBFYears: 2},
+			Strategy:    strat.Name(),
+			Seed:        7,
+			HorizonDays: 3,
+			Channels:    2,
 		}
-		spec := CampaignSpec{Config: wire, Runs: 5}
-		blob, err := json.Marshal(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		decoded, err := DecodeCampaignSpec(bytes.NewReader(blob))
-		if err != nil {
-			t.Fatalf("%s: strict decode of own encoding: %v", strat.Name(), err)
-		}
-		res, err := decoded.Resolve()
-		if err != nil {
-			t.Fatalf("%s: resolve: %v", strat.Name(), err)
-		}
+		res := roundTrip(t, CampaignSpec{Config: wire, Runs: 5})
 		gotKey, ok := driver.ExperimentKey(res.Base, res.Runs, driver.MCOptions{})
 		if !ok {
 			t.Fatalf("%s: resolved config not cacheable", strat.Name())
@@ -62,6 +53,24 @@ func TestConfigRoundTripKeyStable(t *testing.T) {
 				strat.Name(), gotKey, wantKey)
 		}
 	}
+}
+
+// roundTrip encodes a spec, decodes it strictly and resolves it.
+func roundTrip(t *testing.T, spec CampaignSpec) Resolved {
+	t.Helper()
+	blob, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodeCampaignSpec(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatalf("strict decode of own encoding: %v", err)
+	}
+	res, err := decoded.Resolve()
+	if err != nil {
+		t.Fatalf("resolve: %v", err)
+	}
+	return res
 }
 
 // TestDecodeLegacyScheduler: specs written while Config had an
@@ -111,8 +120,10 @@ func mustPlatform(t *testing.T, name string, bwGBps, mtbfYears float64) platform
 }
 
 // TestGridRoundTrip pins that a full sweep grid survives the wire with
-// all five axes intact.
+// all five axes intact: the decoded, resolved wire grid enumerates the
+// points of the driver grid it names.
 func TestGridRoundTrip(t *testing.T) {
+	strats := engine.AllStrategies()[:3]
 	grid := driver.SweepGrid{
 		BandwidthsBps:   []float64{units.GBps(40), units.GBps(80)},
 		NodeMTBFSeconds: []float64{units.Years(2)},
@@ -121,23 +132,30 @@ func TestGridRoundTrip(t *testing.T) {
 			{Model: mustFailure(t, "weibull"), WeibullShape: 0.7},
 		},
 		Channels:   []int{1, 2},
-		Strategies: engine.AllStrategies()[:3],
+		Strategies: strats,
 	}
-	wire, err := FromGrid(grid)
-	if err != nil {
-		t.Fatal(err)
+	wire := SweepGrid{
+		BandwidthsBps:   grid.BandwidthsBps,
+		NodeMTBFSeconds: grid.NodeMTBFSeconds,
+		FailureSpecs: []FailureSpec{
+			{Model: "exponential"},
+			{Model: "weibull", WeibullShape: 0.7},
+		},
+		Channels:   []int{1, 2},
+		Strategies: []string{strats[0].Name(), strats[1].Name(), strats[2].Name()},
 	}
-	back, err := wire.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := roundTrip(t, CampaignSpec{
+		Config: Config{Platform: Platform{Name: "cielo", BandwidthGBps: 40, NodeMTBFYears: 2}, HorizonDays: 3},
+		Grid:   wire,
+		Runs:   1,
+	})
 	base := engine.Config{
 		Platform:    mustPlatform(t, "cielo", 40, 2),
 		Classes:     workload.APEXClasses(),
 		HorizonDays: 3,
 	}
 	want := grid.Points(base)
-	got := back.Points(base)
+	got := res.Grid.Points(res.Base)
 	if len(want) != len(got) {
 		t.Fatalf("grid came back with %d points, want %d", len(got), len(want))
 	}
@@ -146,7 +164,7 @@ func TestGridRoundTrip(t *testing.T) {
 			want[i].NodeMTBFSeconds != got[i].NodeMTBFSeconds ||
 			want[i].Channels != got[i].Channels ||
 			want[i].Strategy.Name() != got[i].Strategy.Name() ||
-			want[i].Failure.WeibullShape != got[i].Failure.WeibullShape {
+			want[i].Failure != got[i].Failure {
 			t.Fatalf("point %d drifted: got %+v want %+v", i, got[i], want[i])
 		}
 	}

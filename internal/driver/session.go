@@ -170,8 +170,8 @@ func (s *Session) arenasFor(runs int) []*engine.Arena {
 
 // Run executes one simulation of the configuration through the session
 // pool (worker 0's arena, built or reconfigured in place) and returns its
-// measurements. The result is bit-identical to engine.Run. A
-// done context returns ctx.Err() before the simulation starts; a
+// measurements. The result is bit-identical to a fresh arena's run of
+// cfg.Seed. A done context returns ctx.Err() before the simulation starts; a
 // single simulation is not interrupted mid-run.
 func (s *Session) Run(ctx context.Context, cfg engine.Config) (engine.Result, error) {
 	if err := ctx.Err(); err != nil {

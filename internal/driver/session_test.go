@@ -1,4 +1,4 @@
-package engine_test
+package driver
 
 import (
 	"context"
@@ -9,10 +9,23 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/driver"
-	. "repro/internal/engine"
+	"repro/internal/engine"
 	"repro/internal/units"
 )
+
+// freshRun is the fresh-build reference: one single-use arena, run once.
+func freshRun(t *testing.T, cfg engine.Config) engine.Result {
+	t.Helper()
+	a, err := engine.NewArena(cfg)
+	if err != nil {
+		t.Fatalf("NewArena(%s): %v", cfg.Strategy.Name(), err)
+	}
+	res, err := a.Run(cfg.Seed)
+	if err != nil {
+		t.Fatalf("Run(%s): %v", cfg.Strategy.Name(), err)
+	}
+	return res
+}
 
 // checkNoGoroutineLeak waits for the goroutine count to settle back to
 // the pre-experiment level: a cancelled campaign must drain its workers
@@ -42,16 +55,16 @@ func TestSessionCancelMonteCarlo(t *testing.T) {
 
 	const cancelAfter = 5
 	var delivered []int
-	s := driver.NewSession(
-		driver.WithWorkers(4),
-		driver.WithOnResult(func(i int, r Result) {
+	s := NewSession(
+		WithWorkers(4),
+		WithOnResult(func(i int, r engine.Result) {
 			delivered = append(delivered, i)
 			if len(delivered) == cancelAfter {
 				cancel()
 			}
 		}),
 	)
-	_, err := s.MonteCarlo(ctx, TinyConfig(OrderedNBDaly(), 3), 10_000)
+	_, err := s.MonteCarlo(ctx, tinyConfig(engine.OrderedNBDaly(), 3), 10_000)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled MonteCarlo returned %v, want context.Canceled", err)
 	}
@@ -76,8 +89,8 @@ func TestSessionCancelSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	s := driver.NewSession(driver.WithWorkers(2))
-	points, errf := s.Sweep(ctx, TinyConfig(OrderedDaly(), 5), driver.SweepGrid{Strategies: AllStrategies()}, 3)
+	s := NewSession(WithWorkers(2))
+	points, errf := s.Sweep(ctx, tinyConfig(engine.OrderedDaly(), 5), SweepGrid{Strategies: engine.AllStrategies()}, 3)
 	seen := 0
 	for range points {
 		seen++
@@ -105,8 +118,8 @@ func TestSessionDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 
-	s := driver.NewSession(driver.WithWorkers(2))
-	_, err := s.MonteCarlo(ctx, TinyConfig(LeastWaste(), 1), 100_000)
+	s := NewSession(WithWorkers(2))
+	_, err := s.MonteCarlo(ctx, tinyConfig(engine.LeastWaste(), 1), 100_000)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadline MonteCarlo returned %v, want context.DeadlineExceeded", err)
 	}
@@ -117,9 +130,9 @@ func TestSessionDeadline(t *testing.T) {
 // remaining grid without an error — the pull-iterator contract.
 func TestSessionSweepEarlyBreak(t *testing.T) {
 	before := runtime.NumGoroutine()
-	s := driver.NewSession(driver.WithWorkers(2))
-	points, errf := s.Sweep(context.Background(), TinyConfig(OrderedNBDaly(), 9),
-		driver.SweepGrid{Strategies: AllStrategies()}, 2)
+	s := NewSession(WithWorkers(2))
+	points, errf := s.Sweep(context.Background(), tinyConfig(engine.OrderedNBDaly(), 9),
+		SweepGrid{Strategies: engine.AllStrategies()}, 2)
 	seen := 0
 	for range points {
 		seen++
@@ -142,11 +155,11 @@ func TestSessionSweepEarlyBreak(t *testing.T) {
 // the same warm session (reusing the arenas) stays identical.
 func TestSessionMonteCarloBitIdentity(t *testing.T) {
 	ctx := context.Background()
-	for _, strat := range AllStrategies() {
+	for _, strat := range engine.AllStrategies() {
 		t.Run(strat.Name(), func(t *testing.T) {
-			cfg := TinyConfig(strat, 23)
+			cfg := tinyConfig(strat, 23)
 			s := batchSession(2)
-			want := referenceMonteCarlo(t, cfg, 4, driver.MCOptions{KeepResults: true, KeepWasteRatios: true})
+			want := referenceMonteCarlo(t, cfg, 4, MCOptions{KeepResults: true, KeepWasteRatios: true})
 			got, err := s.MonteCarlo(ctx, cfg, 4)
 			if err != nil {
 				t.Fatal(err)
@@ -165,18 +178,15 @@ func TestSessionMonteCarloBitIdentity(t *testing.T) {
 	}
 }
 
-// TestSessionRunShimBitIdentity: Session.Run equals the fresh-build Run
+// TestSessionRunShimBitIdentity: Session.Run equals a fresh-build run
 // for every registered strategy, including after the session arena has
 // been dirtied by a different scenario.
 func TestSessionRunShimBitIdentity(t *testing.T) {
 	ctx := context.Background()
-	s := driver.NewSession()
-	for _, strat := range AllStrategies() {
-		cfg := TinyConfig(strat, 31)
-		fresh, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", strat.Name(), err)
-		}
+	s := NewSession()
+	for _, strat := range engine.AllStrategies() {
+		cfg := tinyConfig(strat, 31)
+		fresh := freshRun(t, cfg)
 		// The session arena carries the previous strategy's scenario;
 		// Run must reconfigure it and still match a fresh build.
 		got, err := s.Run(ctx, cfg)
@@ -195,13 +205,14 @@ func TestSessionRunShimBitIdentity(t *testing.T) {
 // fresh evaluation: the warm pool must be reconfigured, never leak state.
 func TestSessionCampaignArenaReuse(t *testing.T) {
 	ctx := context.Background()
-	s := driver.NewSession(driver.WithWorkers(2), driver.WithKeepWasteRatios(true))
+	s := NewSession(WithWorkers(2), WithKeepWasteRatios(true))
 
-	cfgA := TinyConfig(LeastWaste(), 61)
-	cfgB := TinyConfig(OrderedFixed(), 61)
-	cfgB.Platform = TinyPlatform(0.25, 0.5)
+	cfgA := tinyConfig(engine.LeastWaste(), 61)
+	cfgB := tinyConfig(engine.OrderedFixed(), 61)
+	cfgB.Platform.BandwidthBps = units.GBps(0.25)
+	cfgB.Platform.NodeMTBFSeconds = units.Years(0.5)
 
-	wantRun := MustRun(t, cfgB)
+	wantRun := freshRun(t, cfgB)
 	gotRun, err := s.Run(ctx, cfgB)
 	if err != nil {
 		t.Fatal(err)
@@ -210,8 +221,8 @@ func TestSessionCampaignArenaReuse(t *testing.T) {
 		t.Fatal("campaign stage 1 (Run) diverged from fresh evaluation")
 	}
 
-	fresh := func(cfg Config, runs int) (driver.MCResult, error) {
-		return driver.NewSession(driver.WithWorkers(2), driver.WithKeepWasteRatios(true)).MonteCarlo(ctx, cfg, runs)
+	fresh := func(cfg engine.Config, runs int) (MCResult, error) {
+		return NewSession(WithWorkers(2), WithKeepWasteRatios(true)).MonteCarlo(ctx, cfg, runs)
 	}
 	wantMC, err := fresh(cfgA, 3)
 	if err != nil {
@@ -225,7 +236,7 @@ func TestSessionCampaignArenaReuse(t *testing.T) {
 		t.Fatal("campaign stage 2 (MonteCarlo) diverged from fresh evaluation")
 	}
 
-	grid := driver.SweepGrid{Strategies: []Strategy{OrderedNBDaly(), RandomDaly()}}
+	grid := SweepGrid{Strategies: []engine.Strategy{engine.OrderedNBDaly(), engine.RandomDaly()}}
 	points, errf := s.Sweep(ctx, cfgB, grid, 2)
 	for pt, mc := range points {
 		cfg := pt.Apply(cfgB)
@@ -256,13 +267,13 @@ func TestSessionCampaignArenaReuse(t *testing.T) {
 func TestSessionProgress(t *testing.T) {
 	var dones []int
 	var lastTotal int
-	s := driver.NewSession(driver.WithWorkers(2), driver.WithProgress(func(done, total int) {
+	s := NewSession(WithWorkers(2), WithProgress(func(done, total int) {
 		dones = append(dones, done)
 		lastTotal = total
 	}))
 	ctx := context.Background()
 
-	if _, err := s.MonteCarlo(ctx, TinyConfig(OrderedNBDaly(), 7), 5); err != nil {
+	if _, err := s.MonteCarlo(ctx, tinyConfig(engine.OrderedNBDaly(), 7), 5); err != nil {
 		t.Fatal(err)
 	}
 	if len(dones) != 5 || dones[len(dones)-1] != 5 || lastTotal != 5 {
@@ -275,8 +286,8 @@ func TestSessionProgress(t *testing.T) {
 	}
 
 	dones = nil
-	grid := driver.SweepGrid{Strategies: []Strategy{OrderedDaly(), LeastWaste(), RandomDaly()}}
-	points, errf := s.Sweep(ctx, TinyConfig(Strategy{}, 7), grid, 2)
+	grid := SweepGrid{Strategies: []engine.Strategy{engine.OrderedDaly(), engine.LeastWaste(), engine.RandomDaly()}}
+	points, errf := s.Sweep(ctx, tinyConfig(engine.Strategy{}, 7), grid, 2)
 	for range points {
 	}
 	if err := errf(); err != nil {
@@ -290,7 +301,7 @@ func TestSessionProgress(t *testing.T) {
 	// strictly increases and never exceeds the total.
 	type report struct{ done, total int }
 	var reports []report
-	record := driver.WithProgress(func(done, total int) { reports = append(reports, report{done, total}) })
+	record := WithProgress(func(done, total int) { reports = append(reports, report{done, total}) })
 	checkReports := func(name string) {
 		t.Helper()
 		if len(reports) == 0 {
@@ -303,7 +314,7 @@ func TestSessionProgress(t *testing.T) {
 		}
 		reports = nil
 	}
-	if _, err := driver.NewSession(driver.WithWorkers(2), record).Compare(ctx, TinyConfig(Strategy{}, 7), grid.Strategies, 3); err != nil {
+	if _, err := NewSession(WithWorkers(2), record).Compare(ctx, tinyConfig(engine.Strategy{}, 7), grid.Strategies, 3); err != nil {
 		t.Fatal(err)
 	}
 	if len(reports) != 9 || reports[8] != (report{9, 9}) {
@@ -311,8 +322,8 @@ func TestSessionProgress(t *testing.T) {
 	}
 	checkReports("Compare")
 
-	stopping := driver.NewSession(driver.WithWorkers(2), driver.WithTargetCI(10, 0, 2, 0), record)
-	points, errf = stopping.Sweep(ctx, TinyConfig(Strategy{}, 7), grid, 6)
+	stopping := NewSession(WithWorkers(2), WithTargetCI(10, 0, 2, 0), record)
+	points, errf = stopping.Sweep(ctx, tinyConfig(engine.Strategy{}, 7), grid, 6)
 	used := 0
 	for _, mc := range points {
 		used += mc.RunsUsed
@@ -331,12 +342,12 @@ func TestSessionProgress(t *testing.T) {
 // replicates reports done = f+1 … total, once per replicate, in order.
 func TestSessionResumeProgress(t *testing.T) {
 	ctx := context.Background()
-	cfg := TinyConfig(OrderedNBDaly(), 5)
+	cfg := tinyConfig(engine.OrderedNBDaly(), 5)
 	const runs, f = 8, 3
-	var snap driver.MCSnapshot
-	if _, err := sweepOne(ctx, driver.NewSession(driver.WithWorkers(2)), driver.GridPoint{
+	var snap MCSnapshot
+	if _, err := sweepOne(ctx, NewSession(WithWorkers(2)), GridPoint{
 		Config: cfg,
-		OnSnapshot: func(s driver.MCSnapshot) {
+		OnSnapshot: func(s MCSnapshot) {
 			if s.Folded == f {
 				snap = s
 			}
@@ -345,13 +356,13 @@ func TestSessionResumeProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	var dones []int
-	s := driver.NewSession(driver.WithWorkers(2), driver.WithProgress(func(done, total int) {
+	s := NewSession(WithWorkers(2), WithProgress(func(done, total int) {
 		if total != runs {
 			t.Errorf("resumed progress total %d, want %d", total, runs)
 		}
 		dones = append(dones, done)
 	}))
-	if _, err := sweepOne(ctx, s, driver.GridPoint{Config: cfg, Resume: &snap}, runs); err != nil {
+	if _, err := sweepOne(ctx, s, GridPoint{Config: cfg, Resume: &snap}, runs); err != nil {
 		t.Fatal(err)
 	}
 	if want := []int{4, 5, 6, 7, 8}; !reflect.DeepEqual(dones, want) {
@@ -364,11 +375,11 @@ func TestSessionResumeProgress(t *testing.T) {
 // not wrapped in worker-attribution context, and with every offending
 // field reported at once.
 func TestSessionInvalidConfigRejectedUpfront(t *testing.T) {
-	bad := TinyConfig(OrderedDaly(), 1)
+	bad := tinyConfig(engine.OrderedDaly(), 1)
 	bad.Platform.Nodes = 0
 	bad.Platform.NodeMTBFSeconds = -1
 	bad.Channels = -2
-	_, err := driver.NewSession(driver.WithWorkers(2)).MonteCarlo(context.Background(), bad, 4)
+	_, err := NewSession(WithWorkers(2)).MonteCarlo(context.Background(), bad, 4)
 	if err == nil {
 		t.Fatal("invalid config accepted")
 	}
@@ -386,15 +397,15 @@ func TestSessionInvalidConfigRejectedUpfront(t *testing.T) {
 // one place and still guards every entry point.
 func TestSessionRunsValidation(t *testing.T) {
 	ctx := context.Background()
-	cfg := TinyConfig(OrderedDaly(), 1)
-	s := driver.NewSession()
+	cfg := tinyConfig(engine.OrderedDaly(), 1)
+	s := NewSession()
 	if _, err := s.MonteCarlo(ctx, cfg, 0); err == nil {
 		t.Fatal("Session.MonteCarlo accepted zero runs")
 	}
-	if _, err := driver.NewSession(driver.WithWorkers(1)).MonteCarlo(ctx, cfg, -3); err == nil {
+	if _, err := NewSession(WithWorkers(1)).MonteCarlo(ctx, cfg, -3); err == nil {
 		t.Fatal("Session.MonteCarlo accepted negative runs")
 	}
-	points, errf := s.Sweep(ctx, cfg, driver.SweepGrid{}, 0)
+	points, errf := s.Sweep(ctx, cfg, SweepGrid{}, 0)
 	for range points {
 		t.Fatal("zero-run sweep yielded a point")
 	}
@@ -408,15 +419,15 @@ func TestSessionRunsValidation(t *testing.T) {
 func TestSessionPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s := driver.NewSession()
-	cfg := TinyConfig(LeastWaste(), 2)
+	s := NewSession()
+	cfg := tinyConfig(engine.LeastWaste(), 2)
 	if _, err := s.Run(ctx, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run on cancelled ctx: %v", err)
 	}
 	if _, err := s.MonteCarlo(ctx, cfg, 3); !errors.Is(err, context.Canceled) {
 		t.Fatalf("MonteCarlo on cancelled ctx: %v", err)
 	}
-	if _, err := s.Compare(ctx, cfg, AllStrategies()[:2], 3); !errors.Is(err, context.Canceled) {
+	if _, err := s.Compare(ctx, cfg, engine.AllStrategies()[:2], 3); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Compare on cancelled ctx: %v", err)
 	}
 	if _, err := s.MinBandwidth(ctx, cfg, 0.6, 1e9, 1e12, 2, 3); !errors.Is(err, context.Canceled) {
@@ -426,13 +437,13 @@ func TestSessionPreCancelledContext(t *testing.T) {
 
 // batchSession is a Session that materialises every run: per-run Results
 // and waste ratios, with the exact sorted Summary.
-func batchSession(workers int) *driver.Session {
-	return driver.NewSession(driver.WithWorkers(workers), driver.WithKeepResults(true), driver.WithKeepWasteRatios(true))
+func batchSession(workers int) *Session {
+	return NewSession(WithWorkers(workers), WithKeepResults(true), WithKeepWasteRatios(true))
 }
 
 func TestMonteCarlo(t *testing.T) {
 	ctx := context.Background()
-	cfg := TinyConfig(OrderedNBDaly(), 41)
+	cfg := tinyConfig(engine.OrderedNBDaly(), 41)
 	mc, err := batchSession(2).MonteCarlo(ctx, cfg, 6)
 	if err != nil {
 		t.Fatalf("MonteCarlo: %v", err)
@@ -460,8 +471,8 @@ func TestMonteCarlo(t *testing.T) {
 }
 
 func TestCompareStrategies(t *testing.T) {
-	cfg := TinyConfig(OrderedDaly(), 43)
-	strats := []Strategy{ObliviousDaly(), LeastWaste()}
+	cfg := tinyConfig(engine.OrderedDaly(), 43)
+	strats := []engine.Strategy{engine.ObliviousDaly(), engine.LeastWaste()}
 	out, err := batchSession(2).Compare(context.Background(), cfg, strats, 3)
 	if err != nil {
 		t.Fatalf("Compare: %v", err)
@@ -475,11 +486,11 @@ func TestMinBandwidthForEfficiency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bisection search in -short mode")
 	}
-	cfg := TinyConfig(OrderedNBDaly(), 47)
+	cfg := tinyConfig(engine.OrderedNBDaly(), 47)
 	cfg.HorizonDays = 4
 	cfg.Gen.MinDays = 4
 	ctx := context.Background()
-	s := driver.NewSession(driver.WithWorkers(2))
+	s := NewSession(WithWorkers(2))
 	lo, hi := units.GBps(0.05), units.GBps(50)
 	bw, err := s.MinBandwidth(ctx, cfg, 0.6, lo, hi, 2, 8)
 	if err != nil {

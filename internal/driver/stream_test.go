@@ -1,23 +1,22 @@
-package engine_test
+package driver
 
 import (
 	"context"
 	"reflect"
 	"testing"
 
-	"repro/internal/driver"
-	. "repro/internal/engine"
+	"repro/internal/engine"
 	"repro/internal/platform"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
 // streamCfg is a small but non-trivial Monte-Carlo configuration.
-func streamCfg() Config {
-	return Config{
+func streamCfg() engine.Config {
+	return engine.Config{
 		Platform:    platform.Cielo(40, 2),
 		Classes:     workload.APEXClasses(),
-		Strategy:    LeastWaste(),
+		Strategy:    engine.LeastWaste(),
 		Seed:        42,
 		HorizonDays: 20,
 	}
@@ -38,7 +37,7 @@ func TestMonteCarloStreamMatchesBatch(t *testing.T) {
 
 	var streamed []float64
 	wantIdx := 0
-	mc, err := driver.NewSession(driver.WithWorkers(3), driver.WithOnResult(func(i int, r Result) {
+	mc, err := NewSession(WithWorkers(3), WithOnResult(func(i int, r engine.Result) {
 		if i != wantIdx {
 			t.Fatalf("OnResult index %d, want %d (strict run order)", i, wantIdx)
 		}
@@ -80,14 +79,14 @@ func TestMonteCarloStreamMatchesBatch(t *testing.T) {
 func TestMonteCarloOptsKeepWasteRatios(t *testing.T) {
 	const runs = 10
 	cfg := streamCfg()
-	cfg.Strategy = OrderedNBDaly()
+	cfg.Strategy = engine.OrderedNBDaly()
 
 	ctx := context.Background()
 	batch, err := batchSession(4).MonteCarlo(ctx, cfg, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lean, err := driver.NewSession(driver.WithWorkers(4), driver.WithKeepWasteRatios(true)).MonteCarlo(ctx, cfg, runs)
+	lean, err := NewSession(WithWorkers(4), WithKeepWasteRatios(true)).MonteCarlo(ctx, cfg, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,18 +114,18 @@ func TestMonteCarloStreamLargeReplication(t *testing.T) {
 	}
 	cfg := streamCfg()
 	cfg.HorizonDays = 3
-	cfg.Strategy = OrderedDaly()
+	cfg.Strategy = engine.OrderedDaly()
 
 	// Batch-path reference statistics without batch-path memory: the
 	// exact sorted Summary needs only the waste ratios (8 B/run here in
 	// the test), never the Result structs.
 	ctx := context.Background()
-	exact, err := driver.NewSession(driver.WithKeepWasteRatios(true)).MonteCarlo(ctx, cfg, runs)
+	exact, err := NewSession(WithKeepWasteRatios(true)).MonteCarlo(ctx, cfg, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	collected := make([]float64, 0, runs)
-	stream, err := driver.NewSession(driver.WithOnResult(func(i int, r Result) {
+	stream, err := NewSession(WithOnResult(func(i int, r engine.Result) {
 		collected = append(collected, r.WasteRatio)
 	})).MonteCarlo(ctx, cfg, runs)
 	if err != nil {
@@ -178,7 +177,7 @@ func TestMonteCarloStreamLargeReplication(t *testing.T) {
 func TestMonteCarloStreamErrorPropagation(t *testing.T) {
 	cfg := streamCfg()
 	cfg.Platform.Nodes = 0 // invalid: every run fails
-	if _, err := driver.NewSession(driver.WithWorkers(2)).MonteCarlo(context.Background(), cfg, 4); err == nil {
+	if _, err := NewSession(WithWorkers(2)).MonteCarlo(context.Background(), cfg, 4); err == nil {
 		t.Fatal("streaming Monte-Carlo swallowed the run error")
 	}
 }

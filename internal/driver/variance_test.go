@@ -1,4 +1,4 @@
-package engine_test
+package driver
 
 import (
 	"context"
@@ -8,8 +8,7 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/driver"
-	. "repro/internal/engine"
+	"repro/internal/engine"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -21,11 +20,11 @@ import (
 // bit-identical to a standalone Session.MonteCarlo of that strategy.
 func TestCompareCRNBitIdentity(t *testing.T) {
 	ctx := context.Background()
-	base := TinyConfig(Strategy{}, 29)
-	strategies := AllStrategies()
+	base := tinyConfig(engine.Strategy{}, 29)
+	strategies := engine.AllStrategies()
 	const runs = 3
 
-	s := driver.NewSession(driver.WithWorkers(2), driver.WithKeepResults(true), driver.WithKeepWasteRatios(true))
+	s := NewSession(WithWorkers(2), WithKeepResults(true), WithKeepWasteRatios(true))
 	compared, err := s.Compare(ctx, base, strategies, runs)
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +32,7 @@ func TestCompareCRNBitIdentity(t *testing.T) {
 	for k, strat := range strategies {
 		cfg := base
 		cfg.Strategy = strat
-		solo, err := driver.NewSession(driver.WithWorkers(2), driver.WithKeepResults(true), driver.WithKeepWasteRatios(true)).
+		solo, err := NewSession(WithWorkers(2), WithKeepResults(true), WithKeepWasteRatios(true)).
 			MonteCarlo(ctx, cfg, runs)
 		if err != nil {
 			t.Fatalf("%s: %v", strat.Name(), err)
@@ -41,7 +40,7 @@ func TestCompareCRNBitIdentity(t *testing.T) {
 		if !reflect.DeepEqual(compared[k], solo) {
 			t.Fatalf("%s: Compare entry diverged from standalone MonteCarlo", strat.Name())
 		}
-		arena, err := NewArena(cfg)
+		arena, err := engine.NewArena(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", strat.Name(), err)
 		}
@@ -64,14 +63,14 @@ func TestCompareCRNBitIdentity(t *testing.T) {
 func TestSessionTargetCIStopsEarly(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var streamed []int
-	s := driver.NewSession(
-		driver.WithWorkers(3),
-		driver.WithKeepResults(true),
-		driver.WithKeepWasteRatios(true),
-		driver.WithOnResult(func(i int, r Result) { streamed = append(streamed, i) }),
-		driver.WithTargetCI(10, 0, 0, 0), // waste ratios are O(1): satisfied immediately
+	s := NewSession(
+		WithWorkers(3),
+		WithKeepResults(true),
+		WithKeepWasteRatios(true),
+		WithOnResult(func(i int, r engine.Result) { streamed = append(streamed, i) }),
+		WithTargetCI(10, 0, 0, 0), // waste ratios are O(1): satisfied immediately
 	)
-	mc, err := s.MonteCarlo(context.Background(), TinyConfig(OrderedNBDaly(), 3), 10_000)
+	mc, err := s.MonteCarlo(context.Background(), tinyConfig(engine.OrderedNBDaly(), 3), 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,9 +101,9 @@ func TestSessionTargetCIStopsEarly(t *testing.T) {
 // decision.
 func TestSessionTargetCIBounds(t *testing.T) {
 	ctx := context.Background()
-	cfg := TinyConfig(OrderedNBDaly(), 5)
+	cfg := tinyConfig(engine.OrderedNBDaly(), 5)
 
-	unreachable := driver.NewSession(driver.WithTargetCI(1e-12, 0, 0, 0))
+	unreachable := NewSession(WithTargetCI(1e-12, 0, 0, 0))
 	mc, err := unreachable.MonteCarlo(ctx, cfg, 12)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +112,7 @@ func TestSessionTargetCIBounds(t *testing.T) {
 		t.Fatalf("unreachable target stopped at %d runs, want the full 12", mc.RunsUsed)
 	}
 
-	extended := driver.NewSession(driver.WithTargetCI(1e-12, 0, 0, 17))
+	extended := NewSession(WithTargetCI(1e-12, 0, 0, 17))
 	mc, err = extended.MonteCarlo(ctx, cfg, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +121,7 @@ func TestSessionTargetCIBounds(t *testing.T) {
 		t.Fatalf("MaxRuns=17 ran %d replicates, want 17 (beyond the runs argument)", mc.RunsUsed)
 	}
 
-	minimum := driver.NewSession(driver.WithTargetCI(10, 0, 11, 0))
+	minimum := NewSession(WithTargetCI(10, 0, 11, 0))
 	mc, err = minimum.MonteCarlo(ctx, cfg, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -138,13 +137,13 @@ func TestSessionTargetCIBounds(t *testing.T) {
 // replicate computes.
 func TestSessionTargetCIPrefixBitIdentity(t *testing.T) {
 	ctx := context.Background()
-	cfg := TinyConfig(LeastWaste(), 43)
-	stopped, err := driver.NewSession(driver.WithWorkers(2), driver.WithKeepResults(true), driver.WithKeepWasteRatios(true),
-		driver.WithTargetCI(10, 0, 0, 0)).MonteCarlo(ctx, cfg, 1000)
+	cfg := tinyConfig(engine.LeastWaste(), 43)
+	stopped, err := NewSession(WithWorkers(2), WithKeepResults(true), WithKeepWasteRatios(true),
+		WithTargetCI(10, 0, 0, 0)).MonteCarlo(ctx, cfg, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := driver.NewSession(driver.WithWorkers(2), driver.WithKeepResults(true), driver.WithKeepWasteRatios(true)).
+	fixed, err := NewSession(WithWorkers(2), WithKeepResults(true), WithKeepWasteRatios(true)).
 		MonteCarlo(ctx, cfg, stopped.RunsUsed)
 	if err != nil {
 		t.Fatal(err)
@@ -160,14 +159,14 @@ func TestSessionTargetCIPrefixBitIdentity(t *testing.T) {
 // stays per-replicate.
 func TestSessionAntitheticArenaPairing(t *testing.T) {
 	ctx := context.Background()
-	cfg := TinyConfig(OrderedNBDaly(), 17)
+	cfg := tinyConfig(engine.OrderedNBDaly(), 17)
 	const runs = 6
-	mc, err := driver.NewSession(driver.WithWorkers(2), driver.WithKeepResults(true), driver.WithKeepWasteRatios(true),
-		driver.WithAntithetic(true)).MonteCarlo(ctx, cfg, runs)
+	mc, err := NewSession(WithWorkers(2), WithKeepResults(true), WithKeepWasteRatios(true),
+		WithAntithetic(true)).MonteCarlo(ctx, cfg, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	arena, err := NewArena(cfg)
+	arena, err := engine.NewArena(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +201,8 @@ func TestSessionAntitheticArenaPairing(t *testing.T) {
 // stopping rule only fires at pair boundaries, so RunsUsed is always
 // even.
 func TestSessionAntitheticTargetCIPairBoundary(t *testing.T) {
-	mc, err := driver.NewSession(driver.WithAntithetic(true), driver.WithTargetCI(10, 0, 9, 0)).
-		MonteCarlo(context.Background(), TinyConfig(OrderedNBDaly(), 11), 100)
+	mc, err := NewSession(WithAntithetic(true), WithTargetCI(10, 0, 9, 0)).
+		MonteCarlo(context.Background(), tinyConfig(engine.OrderedNBDaly(), 11), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,17 +222,17 @@ func TestSessionTargetCICancelDrain(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	delivered := 0
-	s := driver.NewSession(
-		driver.WithWorkers(4),
-		driver.WithTargetCI(1e-12, 0, 0, 0), // unreachable: only cancel can stop it
-		driver.WithOnResult(func(i int, r Result) {
+	s := NewSession(
+		WithWorkers(4),
+		WithTargetCI(1e-12, 0, 0, 0), // unreachable: only cancel can stop it
+		WithOnResult(func(i int, r engine.Result) {
 			delivered++
 			if delivered == 5 {
 				cancel()
 			}
 		}),
 	)
-	_, err := s.MonteCarlo(ctx, TinyConfig(OrderedNBDaly(), 3), 10_000)
+	_, err := s.MonteCarlo(ctx, tinyConfig(engine.OrderedNBDaly(), 3), 10_000)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled sequential experiment returned %v, want context.Canceled", err)
 	}
@@ -246,11 +245,11 @@ func TestSessionTargetCICancelDrain(t *testing.T) {
 // match a PairedAccumulator fed the two materialised series.
 func TestSessionComparePaired(t *testing.T) {
 	ctx := context.Background()
-	base := TinyConfig(Strategy{}, 37)
-	strategies := []Strategy{OrderedNBDaly(), LeastWaste(), OrderedDaly()}
+	base := tinyConfig(engine.Strategy{}, 37)
+	strategies := []engine.Strategy{engine.OrderedNBDaly(), engine.LeastWaste(), engine.OrderedDaly()}
 	const runs = 8
 
-	s := driver.NewSession(driver.WithWorkers(2), driver.WithKeepWasteRatios(true))
+	s := NewSession(WithWorkers(2), WithKeepWasteRatios(true))
 	mcs, cmps, err := s.ComparePaired(ctx, base, strategies, runs)
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +260,7 @@ func TestSessionComparePaired(t *testing.T) {
 
 	refCfg := base
 	refCfg.Strategy = strategies[0]
-	solo, err := driver.NewSession(driver.WithWorkers(2), driver.WithKeepWasteRatios(true)).MonteCarlo(ctx, refCfg, runs)
+	solo, err := NewSession(WithWorkers(2), WithKeepWasteRatios(true)).MonteCarlo(ctx, refCfg, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,9 +308,9 @@ func TestSessionComparePaired(t *testing.T) {
 // replicate count (pairing needs both series at every index).
 func TestSessionComparePairedTargetCI(t *testing.T) {
 	ctx := context.Background()
-	base := TinyConfig(Strategy{}, 59)
-	strategies := []Strategy{OrderedNBDaly(), LeastWaste()}
-	s := driver.NewSession(driver.WithWorkers(2), driver.WithTargetCI(0.02, 0, 0, 0))
+	base := tinyConfig(engine.Strategy{}, 59)
+	strategies := []engine.Strategy{engine.OrderedNBDaly(), engine.LeastWaste()}
+	s := NewSession(WithWorkers(2), WithTargetCI(0.02, 0, 0, 0))
 	mcs, cmps, err := s.ComparePaired(ctx, base, strategies, 60)
 	if err != nil {
 		t.Fatal(err)
@@ -334,10 +333,10 @@ func TestSessionMinBandwidthTargetCI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bisection search in -short mode")
 	}
-	cfg := TinyConfig(OrderedNBDaly(), 19)
+	cfg := tinyConfig(engine.OrderedNBDaly(), 19)
 	cfg.HorizonDays = 4
 	cfg.Gen.MinDays = 4
-	s := driver.NewSession(driver.WithWorkers(2), driver.WithTargetCI(10, 0, 2, 0))
+	s := NewSession(WithWorkers(2), WithTargetCI(10, 0, 2, 0))
 	got, err := s.MinBandwidth(context.Background(), cfg, 0.6, 0.05e9, 50e9, 8, 5)
 	if err != nil {
 		t.Fatal(err)

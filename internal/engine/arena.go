@@ -132,8 +132,8 @@ func (a *Arena) Reconfigure(cfg Config) error {
 }
 
 // Run executes one replicate with the given seed, reusing the arena's
-// state. The result is bit-identical to engine.Run of the arena's
-// configuration with that seed.
+// state. The result is bit-identical to a freshly built arena's run of
+// the same configuration and seed.
 func (a *Arena) Run(seed uint64) (Result, error) { return a.RunAnti(seed, false) }
 
 // RunAnti executes one replicate with antithetic sampling switched on or

@@ -228,7 +228,7 @@ func TestBurstBufferResilientNoDrain(t *testing.T) {
 func TestBurstBufferInvalidConfigRejected(t *testing.T) {
 	bb := burstbuffer.Config{PerNodeBandwidthBps: 0, DrainToPFS: true}
 	cfg := bbConfig(OrderedDaly(), 1, &bb)
-	if _, err := Run(cfg); err == nil {
+	if _, err := NewArena(cfg); err == nil {
 		t.Fatal("invalid burst-buffer config accepted")
 	}
 }

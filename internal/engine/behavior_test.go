@@ -61,9 +61,7 @@ func TestCheckpointArmingRuleExact(t *testing.T) {
 		DisableFailures: true,
 		Trace:           func(ev TraceEvent) { events = append(events, ev) },
 	}
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, cfg)
 	// Only consider the first job instance's requests (job id 0), before
 	// any job switch muddies the sequence.
 	var requests []float64
@@ -116,9 +114,7 @@ func TestDalyArmingRuleExact(t *testing.T) {
 		DisableFailures: true,
 		Trace:           func(ev TraceEvent) { events = append(events, ev) },
 	}
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, cfg)
 	wantC := 0.5 * units.TB / units.GBps(1)
 	wantP := ckpt.DalyPeriod(p.NodeMTBFSeconds, p.Nodes, wantC)
 	var requests []float64
@@ -151,10 +147,7 @@ func TestNonBlockingThroughputAtLeastBlocking(t *testing.T) {
 			Gen:             workload.GenConfig{MinDays: 6, Buffer: 1.2, ShareTol: 0.05},
 			DisableFailures: true,
 		}
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mustRun(t, cfg)
 		if res.JobsCompleted == 0 {
 			t.Fatal("no jobs completed")
 		}
@@ -180,10 +173,7 @@ func TestCieloUtilizationStaysHigh(t *testing.T) {
 		Strategy: LeastWaste(),
 		Seed:     3,
 	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, cfg)
 	if res.Utilization < 0.90 {
 		t.Fatalf("Cielo utilization %.3f below 0.90", res.Utilization)
 	}

@@ -52,9 +52,14 @@ func tinyConfig(strat Strategy, seed uint64) Config {
 	}
 }
 
+// mustRun is the fresh-build path: a single-use arena, run once.
 func mustRun(t *testing.T, cfg Config) Result {
 	t.Helper()
-	res, err := Run(cfg)
+	a, err := NewArena(cfg)
+	if err != nil {
+		t.Fatalf("NewArena(%s): %v", cfg.Strategy.Name(), err)
+	}
+	res, err := a.Run(cfg.Seed)
 	if err != nil {
 		t.Fatalf("Run(%s): %v", cfg.Strategy.Name(), err)
 	}
@@ -353,9 +358,7 @@ func TestTraceEventsOrdered(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	good := tinyConfig(OrderedDaly(), 1)
-	if _, err := Run(good); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
-	}
+	mustRun(t, good)
 	cases := []struct {
 		name   string
 		mutate func(*Config)
@@ -368,7 +371,7 @@ func TestConfigValidation(t *testing.T) {
 	for _, tc := range cases {
 		cfg := tinyConfig(OrderedDaly(), 1)
 		tc.mutate(&cfg)
-		if _, err := Run(cfg); err == nil {
+		if _, err := NewArena(cfg); err == nil {
 			t.Errorf("%s: invalid config accepted", tc.name)
 		}
 	}

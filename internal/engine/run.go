@@ -87,19 +87,6 @@ func (s *simulation) fireTimer(j *jobRun, kind timerKind) {
 	}
 }
 
-// Run executes one simulation and returns its measurements. It is the
-// fresh-build path: a single-use Arena is assembled and run once. Code
-// that replicates a configuration over many seeds should hold an Arena
-// (or use a Session, which holds one per worker) so the per-run setup is
-// reused instead of rebuilt.
-func Run(cfg Config) (Result, error) {
-	a, err := NewArena(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return a.Run(cfg.Seed)
-}
-
 // newInstance creates and enqueues a job instance for the spec, inheriting
 // committed progress (a failure restart when attempts > 0). The jobRun
 // comes zeroed from the arena's pool.

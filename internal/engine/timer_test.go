@@ -136,7 +136,7 @@ func checkJobTimer(t *testing.T, s *simulation, j *jobRun) {
 // removals and in-place re-keys) one 3-year replicate of each legend
 // strategy cost, summed, while each job had separate compute-boundary
 // and checkpoint events and a fired event always left the queue: 4 422 725
-// operations for the same 1 372 882 fired events (README, "Event queue").
+// operations for the same 1 372 882 fired events.
 const (
 	queueOpsBefore   = 4422725
 	legendFired3Year = 1372882

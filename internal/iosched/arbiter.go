@@ -4,7 +4,7 @@ import (
 	"repro/internal/iomodel"
 )
 
-// Scenario carries the per-scenario parameters an Arbiter needs to
+// Scenario carries the per-scenario parameters a Discipline needs to
 // instantiate its token selector. The engine fills it from the validated
 // run configuration at arena (re)configuration time.
 type Scenario struct {
@@ -13,27 +13,27 @@ type Scenario struct {
 	// BandwidthBps is the aggregated device bandwidth in bytes/s.
 	BandwidthBps float64
 	// Classes is the number of workload classes (sizes the per-class
-	// accounting of fair-share arbiters).
+	// accounting of fair-share disciplines).
 	Classes int
 	// Background asks the selector to demote burst-buffer Drain transfers
-	// behind foreground requests (drain-when-idle). Arbiters whose
+	// behind foreground requests (drain-when-idle). Disciplines whose
 	// scoring already arbitrates drains — the Least-Waste family, via
 	// Equation (2) — may ignore it.
 	Background bool
 }
 
-// Arbiter is a first-class I/O-arbitration discipline: it owns both
+// Discipline is one I/O-arbitration rule of §3 as a value: it owns both
 // behaviours the engine needs from §3 — how a due checkpoint waits
 // (blocking vs non-blocking) and, for token disciplines, how token grants
 // are ordered. Adding a discipline means implementing this interface and
 // registering a strategy for it with engine.RegisterStrategy; no engine
 // switch is involved.
 //
-// The canonical arbiters are exported as package-level Discipline values
+// The canonical disciplines are exported as package-level values
 // (Oblivious, Ordered, OrderedNB, LeastWaste, ShortestFirst, RandomToken,
 // FairShare); all are comparable, so they can key maps and be compared
 // with ==.
-type Arbiter interface {
+type Discipline interface {
 	// Name is the discipline's display label, e.g. "Ordered-NB".
 	Name() string
 	// UsesToken reports whether the discipline serialises I/O behind
@@ -53,10 +53,6 @@ type Arbiter interface {
 	// name.
 	StrategyLabel(policyLabel string) string
 }
-
-// Discipline is the historical name of the arbitration axis, kept as an
-// alias now that the closed enum is a full interface.
-type Discipline = Arbiter
 
 // The discipline values of §3 plus the registry extensions.
 var (

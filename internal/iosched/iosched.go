@@ -1,5 +1,5 @@
 // Package iosched implements the I/O-arbitration layer of the paper (§3):
-// the Arbiter interface every discipline satisfies (see arbiter.go), the
+// the Discipline interface every discipline satisfies (see arbiter.go), the
 // canonical discipline values shared by the engine, and the Least-Waste
 // token selector of §3.5.
 //

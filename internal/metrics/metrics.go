@@ -7,7 +7,7 @@
 // The window excludes the first and last day of the simulated segment
 // ("during the first day, jobs may be synchronized artificially ... and
 // during the last day, large amounts of resources may not be used").
-// All Add* methods clip the supplied interval to the window, so callers
+// The Add* methods that take an interval clip it to the window, so callers
 // simply report real intervals.
 package metrics
 
@@ -99,9 +99,6 @@ func (l *Ledger) Reset(w0, w1 float64) {
 	*l = Ledger{w0: w0, w1: w1}
 }
 
-// Window returns the measurement bounds.
-func (l *Ledger) Window() (w0, w1 float64) { return l.w0, l.w1 }
-
 // Clip returns the length of [a, b] ∩ [w0, w1] (zero if disjoint or
 // reversed).
 func (l *Ledger) Clip(a, b float64) float64 {
@@ -111,11 +108,6 @@ func (l *Ledger) Clip(a, b float64) float64 {
 		return 0
 	}
 	return hi - lo
-}
-
-// AddUseful credits q nodes over [a, b] as useful time.
-func (l *Ledger) AddUseful(q int, a, b float64) {
-	l.useful += float64(q) * l.Clip(a, b)
 }
 
 // AddUsefulSeconds credits pre-clipped useful node-seconds directly (used
@@ -132,28 +124,6 @@ func (l *Ledger) AddWaste(cat Category, q int, a, b float64) {
 // AddWasteSeconds charges pre-clipped wasted node-seconds directly.
 func (l *Ledger) AddWasteSeconds(cat Category, nodeSeconds float64) {
 	l.waste[cat] += nodeSeconds
-}
-
-// AddIO splits a completed non-CR I/O interval [a, b] whose
-// interference-free duration is nominal: the nominal fraction is useful,
-// the dilation is waste. The attribution is spread uniformly over the
-// interval so that window clipping remains exact when the interval
-// straddles a window edge.
-func (l *Ledger) AddIO(q int, a, b, nominal float64) {
-	length := b - a
-	if length <= 0 {
-		return
-	}
-	clipped := l.Clip(a, b)
-	if clipped <= 0 {
-		return
-	}
-	frac := nominal / length
-	if frac > 1 {
-		frac = 1
-	}
-	l.useful += float64(q) * clipped * frac
-	l.waste[CatDilation] += float64(q) * clipped * (1 - frac)
 }
 
 // AddAllocated records that q nodes were held (allocated to a job) over
@@ -188,16 +158,6 @@ func (l *Ledger) WasteRatio() float64 {
 		return 0
 	}
 	return l.Waste() / total
-}
-
-// WasteRatioAgainst divides waste by an external baseline denominator
-// (node-seconds), the paper's exact definition when a paired baseline run
-// is available. Returns 0 for a non-positive baseline.
-func (l *Ledger) WasteRatioAgainst(baselineUseful float64) float64 {
-	if baselineUseful <= 0 {
-		return 0
-	}
-	return l.Waste() / baselineUseful
 }
 
 // Utilization returns allocated node-seconds over the window capacity of a

@@ -23,9 +23,6 @@ const (
 	CieloCoresPerNode = 8
 	CieloNodes        = CieloCores / CieloCoresPerNode // 17 888 failure units
 	CieloMemoryBytes  = 286 * units.TB
-	// CieloMaxBandwidth is the theoretical peak PFS bandwidth (160 GB/s),
-	// the top of the Figure 1 sweep.
-	CieloMaxBandwidth = 160 * units.GB
 )
 
 // Prospective-system constants (paper §6.2: "7PB of main memory and 50,000

@@ -140,7 +140,7 @@ func (r *RNG) Split() *RNG {
 // flipped produces the mirror-image sample path. Exponential and Weibull
 // inter-arrivals are antithetically (negatively) correlated with their
 // plain counterparts, Normal variates are reflected about the mean, and
-// Uniform(a,b) maps to a+b-x. Integer draws (Uint64, Intn, Shuffle, Perm)
+// Uniform(a,b) maps to a+b-x. Integer draws (Uint64, Intn, Shuffle)
 // are unaffected — antithetic pairs share every discrete choice and
 // mirror only the continuous ones, which is what keeps pair averages
 // unbiased while cancelling first-order noise.
@@ -251,14 +251,4 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }

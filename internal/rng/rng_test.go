@@ -214,13 +214,23 @@ func TestWeibullScaleForMean(t *testing.T) {
 	}
 }
 
+// shuffled returns [0, n) in the order one Shuffle leaves it.
+func shuffled(r *RNG, n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
+	return p
+}
+
 func TestShuffleIsPermutation(t *testing.T) {
 	r := New(19)
-	p := r.Perm(100)
+	p := shuffled(r, 100)
 	seen := make([]bool, 100)
 	for _, v := range p {
 		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("Perm produced invalid permutation at value %d", v)
+			t.Fatalf("Shuffle produced invalid permutation at value %d", v)
 		}
 		seen[v] = true
 	}
@@ -231,12 +241,12 @@ func TestShuffleUniformFirstElement(t *testing.T) {
 	counts := make([]int, 5)
 	const n = 50000
 	for i := 0; i < n; i++ {
-		p := r.Perm(5)
+		p := shuffled(r, 5)
 		counts[p[0]]++
 	}
 	for v, c := range counts {
 		if math.Abs(float64(c)-n/5.0) > 6*math.Sqrt(n/5.0) {
-			t.Errorf("Perm(5) first element %d count %d deviates from %v", v, c, n/5.0)
+			t.Errorf("Shuffle of 5 first element %d count %d deviates from %v", v, c, n/5.0)
 		}
 	}
 }

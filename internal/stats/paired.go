@@ -31,17 +31,8 @@ func (p *PairedAccumulator) N() int { return p.diff.N() }
 // MeanDiff returns the mean difference x-y (NaN before the first pair).
 func (p *PairedAccumulator) MeanDiff() float64 { return p.diff.Mean() }
 
-// MeanX and MeanY return the marginal means.
-func (p *PairedAccumulator) MeanX() float64 { return p.x.Mean() }
-
-// MeanY returns the mean of the second series.
-func (p *PairedAccumulator) MeanY() float64 { return p.y.Mean() }
-
 // VarianceDiff returns the sample variance of the differences.
 func (p *PairedAccumulator) VarianceDiff() float64 { return p.diff.Variance() }
-
-// StdDevDiff returns the sample standard deviation of the differences.
-func (p *PairedAccumulator) StdDevDiff() float64 { return p.diff.StdDev() }
 
 // HalfWidth returns the half-width of the paired confidence interval on
 // the mean difference at the given confidence level (+Inf below two

@@ -109,13 +109,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// Candlestick renders the summary in the paper's candlestick convention:
-// mean with [P10 P25 P75 P90] whiskers/box bounds.
-func (s Summary) Candlestick() string {
-	return fmt.Sprintf("mean=%.4f box=[%.4f %.4f] whiskers=[%.4f %.4f] n=%d",
-		s.Mean, s.P25, s.P75, s.P10, s.P90, s.N)
-}
-
 // TSVHeader returns the column header matching TSVRow.
 func TSVHeader() string {
 	return "n\tmean\tstddev\tmin\tp10\tp25\tp50\tp75\tp90\tmax"

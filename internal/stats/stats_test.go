@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -90,8 +91,9 @@ func TestSummarizeEmpty(t *testing.T) {
 
 func TestCandlestickAndTSV(t *testing.T) {
 	s := Summarize([]float64{0.1, 0.2, 0.3})
-	if s.Candlestick() == "" || s.TSVRow() == "" || TSVHeader() == "" {
-		t.Fatal("formatting produced empty strings")
+	row, header := strings.Split(s.TSVRow(), "\t"), strings.Split(TSVHeader(), "\t")
+	if len(row) != len(header) {
+		t.Fatalf("TSVRow has %d columns, TSVHeader %d", len(row), len(header))
 	}
 }
 

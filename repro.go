@@ -347,7 +347,7 @@ func StrategyNames() []string { return engine.StrategyNames() }
 
 // RegisterStrategy adds a named strategy to the registry consumed by
 // AllStrategies, StrategyByName, the sweep drivers and the CLIs. Pair a
-// custom iosched.Arbiter-style discipline with a checkpoint policy and
+// custom iosched.Discipline with a checkpoint policy and
 // every driver picks it up by name. Registration is meant for init time.
 func RegisterStrategy(name string, mk func() Strategy) { engine.RegisterStrategy(name, mk) }
 
