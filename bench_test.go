@@ -1,6 +1,6 @@
 // Benchmarks regenerating the paper's evaluation artefacts (one per table
-// and figure, §6) plus ablations of the design choices called out in
-// DESIGN.md. Each figure bench exercises exactly the code path of the
+// and figure, §6) plus ablations of the model's design choices. Each
+// figure bench exercises exactly the code path of the
 // corresponding cmd/paperfigs command at a reduced Monte-Carlo replication
 // (the printed rows come from the same API); wall-clock comparisons
 // between strategies, not absolute paper numbers, are the point.
@@ -149,8 +149,8 @@ func BenchmarkLowerBound(b *testing.B) {
 
 // BenchmarkEngine measures the standard scenario — one full 60-day
 // Ordered-NB-Daly simulation on Cielo at 40 GB/s with a 2-year node MTBF —
-// and reports events/sec alongside the allocation profile. This is the
-// canonical perf-trajectory benchmark recorded in BENCH_*.json across PRs.
+// and reports events/sec alongside the allocation profile. BENCH_2.json
+// to BENCH_9.json hold its past runs; perfbench is the current record.
 func BenchmarkEngine(b *testing.B) {
 	cfg := benchConfig(repro.Cielo(40, 2), repro.OrderedNBDaly())
 	cfg.HorizonDays = 60
@@ -218,7 +218,8 @@ func BenchmarkLargeHorizon(b *testing.B) {
 // comparing the reused-arena path (build once, re-seed per replicate; the
 // path the Monte-Carlo drivers use, one arena per worker) against a fresh
 // simulation build per replicate. Both run sequentially so the numbers are
-// per-core replicate rates. Recorded in BENCH_*.json across PRs.
+// per-core replicate rates. BENCH_2.json to BENCH_9.json hold its past
+// runs.
 func BenchmarkMonteCarlo(b *testing.B) {
 	cfg := benchConfig(repro.Cielo(40, 2), repro.OrderedNBDaly())
 	cfg.HorizonDays = 60
@@ -254,7 +255,7 @@ func BenchmarkMonteCarlo(b *testing.B) {
 // warm Session pulling a whole scenario grid (its per-worker arenas
 // reconfigured per point) against a fresh pool per sweep — the cost
 // chained per-call entry points paid before sessions. Single worker, so
-// the numbers are per-core grid rates. Recorded in BENCH_*.json.
+// the numbers are per-core grid rates. BENCH_*.json hold its past runs.
 func BenchmarkSessionReuse(b *testing.B) {
 	ctx := context.Background()
 	base := benchConfig(repro.Cielo(40, 2), repro.OrderedNBDaly())
@@ -403,8 +404,7 @@ func BenchmarkSingleRun(b *testing.B) {
 }
 
 // BenchmarkAblationInterference compares the linear model against the
-// footnote-2 adversarial model under Oblivious scheduling (design choice:
-// DESIGN.md §4, S5).
+// footnote-2 adversarial model under Oblivious scheduling.
 func BenchmarkAblationInterference(b *testing.B) {
 	models := []struct {
 		name  string
@@ -430,9 +430,10 @@ func BenchmarkAblationInterference(b *testing.B) {
 
 // BenchmarkAblationBurstBuffer compares the §8 two-tier checkpoint path
 // against direct PFS commits under the blocking FCFS discipline: none vs
-// node-local NVRAM vs a resilient buffer appliance (design choice:
-// DESIGN.md S16). The node-local case on a starved PFS is the trap
-// documented in EXPERIMENTS.md.
+// node-local NVRAM (cooperative and naive periods) vs a resilient buffer
+// appliance. The node-local-naive case on this starved PFS is the trap in
+// which the buffer raises waste
+// (TestNaiveNodeLocalBufferOnStarvedPFSBackfires, internal/engine).
 func BenchmarkAblationBurstBuffer(b *testing.B) {
 	configs := []struct {
 		name string
@@ -466,7 +467,7 @@ func BenchmarkAblationBurstBuffer(b *testing.B) {
 }
 
 // BenchmarkAblationFailureLaw compares exponential against Weibull failure
-// processes of equal mean rate (design choice: DESIGN.md §4, S4).
+// processes of equal mean rate.
 func BenchmarkAblationFailureLaw(b *testing.B) {
 	laws := []struct {
 		name  string

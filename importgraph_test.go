@@ -41,7 +41,7 @@ var importGraph = map[string][]string{
 	"campaign":    {"driver", "engine", "faultinject"},
 	"resultcache": {"driver", "engine"},
 	"api": {"burstbuffer", "campaign", "driver", "engine", "failure", "iomodel",
-		"platform", "stats", "units", "workload"},
+		"platform", "stats", "workload"},
 	"server":  {"api", "campaign", "driver"},
 	"cliutil": {"campaign", "driver", "engine", "platform", "resultcache"},
 }

@@ -27,7 +27,6 @@ import (
 	"repro/internal/iomodel"
 	"repro/internal/platform"
 	"repro/internal/stats"
-	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -349,13 +348,11 @@ func (p Platform) Resolve() (platform.Platform, error) {
 	if p.MemoryBytes != 0 || p.BandwidthBps != 0 || p.NodeMTBFSeconds != 0 {
 		return platform.Platform{}, errors.New("api: platform: preset form must not set memory_bytes/bandwidth_bps/node_mtbf_seconds (set nodes for the explicit form)")
 	}
-	switch p.Name {
-	case "cielo":
-		return platform.Cielo(p.BandwidthGBps, p.NodeMTBFYears), nil
-	case "prospective":
-		return platform.Prospective(p.BandwidthGBps, p.NodeMTBFYears), nil
+	plat, ok := platform.Preset(p.Name, p.BandwidthGBps, p.NodeMTBFYears)
+	if !ok {
+		return platform.Platform{}, fmt.Errorf("api: unknown platform preset %q (cielo or prospective; set nodes for an explicit platform)", p.Name)
 	}
-	return platform.Platform{}, fmt.Errorf("api: unknown platform preset %q (cielo or prospective; set nodes for an explicit platform)", p.Name)
+	return plat, nil
 }
 
 // Resolve lowers the wire grid onto driver.SweepGrid, collecting every
@@ -671,10 +668,3 @@ func EncodeJSON(v any) ([]byte, error) {
 	}
 	return buf.Bytes(), nil
 }
-
-// GBps converts the human bandwidth unit to the wire's bytes/s exactly
-// as the CLIs do — a convenience for spec builders.
-func GBps(gbps float64) float64 { return units.GBps(gbps) }
-
-// Years converts years to the wire's seconds exactly as the CLIs do.
-func Years(y float64) float64 { return units.Years(y) }

@@ -119,6 +119,29 @@ func mustPlatform(t *testing.T, name string, bwGBps, mtbfYears float64) platform
 	return plat
 }
 
+// TestPlatformPresetResolve pins the preset form of the wire platform:
+// each name lands on its platform constructor, and an unknown name fails
+// with the wire's own message.
+func TestPlatformPresetResolve(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		bw, years float64
+		want      platform.Platform
+	}{
+		{"cielo", 40, 2, platform.Cielo(40, 2)},
+		{"prospective", 1000, 15, platform.Prospective(1000, 15)},
+	} {
+		if got := mustPlatform(t, tc.name, tc.bw, tc.years); got != tc.want {
+			t.Errorf("%s resolved to %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+	_, err := Platform{Name: "vax", BandwidthGBps: 40, NodeMTBFYears: 2}.Resolve()
+	const want = `api: unknown platform preset "vax" (cielo or prospective; set nodes for an explicit platform)`
+	if err == nil || err.Error() != want {
+		t.Fatalf("unknown preset: err = %v, want %q", err, want)
+	}
+}
+
 // TestGridRoundTrip pins that a full sweep grid survives the wire with
 // all five axes intact: the decoded, resolved wire grid enumerates the
 // points of the driver grid it names.

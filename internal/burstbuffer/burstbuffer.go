@@ -47,7 +47,9 @@ const (
 	// With a non-resilient buffer this is a documented trap: the
 	// shortened period generates drain traffic the PFS cannot absorb,
 	// durability collapses, and failures roll back catastrophically
-	// (see EXPERIMENTS.md). Kept for the ablation benches.
+	// (TestNaiveNodeLocalBufferOnStarvedPFSBackfires, internal/engine).
+	// The wire ("period":"naive") and the façade
+	// (BurstBufferPeriodNaive) expose it.
 	PeriodNaive
 )
 

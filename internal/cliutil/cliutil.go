@@ -46,13 +46,11 @@ func Strategies(spec string) ([]engine.Strategy, error) {
 // Platform resolves a -platform flag value with the given bandwidth
 // (GB/s) and node MTBF (years): "cielo" or "prospective".
 func Platform(name string, bwGBps, mtbfYears float64) (platform.Platform, error) {
-	switch name {
-	case "cielo":
-		return platform.Cielo(bwGBps, mtbfYears), nil
-	case "prospective":
-		return platform.Prospective(bwGBps, mtbfYears), nil
+	p, ok := platform.Preset(name, bwGBps, mtbfYears)
+	if !ok {
+		return platform.Platform{}, fmt.Errorf("unknown platform %q (cielo or prospective)", name)
 	}
-	return platform.Platform{}, fmt.Errorf("unknown platform %q (cielo or prospective)", name)
+	return p, nil
 }
 
 // Channels parses a -channels flag value: a comma-separated list of

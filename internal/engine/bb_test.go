@@ -35,14 +35,15 @@ func TestBurstBufferRunsAllStrategies(t *testing.T) {
 }
 
 // The §8 effect has two working regimes, and one genuine failure mode the
-// model exposes (recorded in EXPERIMENTS.md):
+// model exposes:
 //
 //  1. a resilient buffer makes checkpoints durable at (cheap) commit
 //     time, slashing waste whenever failures matter;
 //  2. a node-local buffer pays off when the PFS can absorb its drain
 //     traffic at the shortened Daly period;
-//  3. a node-local buffer against a starved PFS is a TRAP: drains rarely
-//     land, durability collapses, and rollbacks grow — waste increases.
+//  3. a node-local buffer on the naive period (PeriodNaive) against a
+//     starved PFS is a TRAP: drains rarely land, durability collapses,
+//     and rollbacks grow — waste increases.
 func TestResilientBufferReducesWasteUnderFrequentFailures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed comparison in -short mode")

@@ -40,8 +40,8 @@ func TestUnconstrainedAtHighBandwidth(t *testing.T) {
 			t.Errorf("class %d: unconstrained period %v != Daly %v", i, sol.Periods[i], sol.DalyPeriods[i])
 		}
 	}
-	// Back-of-envelope platform waste ~0.2 (see DESIGN.md §3 and the
-	// Figure 1 theory curve at 160 GB/s).
+	// Back-of-envelope platform waste ~0.2 (the Figure 1 theory curve at
+	// 160 GB/s).
 	if sol.Waste < 0.12 || sol.Waste > 0.30 {
 		t.Errorf("waste lower bound at 160 GB/s = %v, expected ~0.2", sol.Waste)
 	}

@@ -7,7 +7,7 @@
 // for roughly 17 900 failure units; Cielo's 143 104 cores therefore map to
 // 17 888 8-core sockets, the "nodes" this package schedules and fails. The
 // prospective system's 15-year/2.6-hour equivalence confirms its 50 000
-// nodes directly (see DESIGN.md §3).
+// nodes directly.
 package platform
 
 import (
@@ -68,6 +68,19 @@ func Prospective(bandwidthGBps, nodeMTBFYears float64) Platform {
 		BandwidthBps:    units.GBps(bandwidthGBps),
 		NodeMTBFSeconds: units.Years(nodeMTBFYears),
 	}
+}
+
+// Preset resolves a preset name, "cielo" or "prospective", to its
+// platform with the given PFS bandwidth (GB/s) and node MTBF (years). ok
+// is false for any other name.
+func Preset(name string, bandwidthGBps, nodeMTBFYears float64) (Platform, bool) {
+	switch name {
+	case "cielo":
+		return Cielo(bandwidthGBps, nodeMTBFYears), true
+	case "prospective":
+		return Prospective(bandwidthGBps, nodeMTBFYears), true
+	}
+	return Platform{}, false
 }
 
 // SystemMTBF returns the platform-level mean time between failures,

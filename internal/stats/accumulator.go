@@ -90,60 +90,6 @@ func (a *Accumulator) HalfWidth(confidence float64) float64 {
 	return ZScore(confidence) * a.StdDev() / math.Sqrt(float64(a.n))
 }
 
-// Merge folds the other accumulator's observations into a, as if every
-// observation of both streams had been Added to a single accumulator.
-// Count, sum, mean, variance, min and max merge exactly (mean and M2 via
-// the Chan et al. parallel update, equal to single-stream accumulation up
-// to floating-point rounding, independent of merge order). The P²
-// quantile markers merge exactly while either side still holds its raw
-// head sample (n ≤ 64, replayed observation by observation); two
-// large-sample estimators merge approximately — marker heights blend by
-// sample weight, marker positions add — which is the same estimate-of-an-
-// estimate trade every P² value already makes. other is not modified.
-func (a *Accumulator) Merge(other *Accumulator) {
-	if other == nil || other.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *other
-		return
-	}
-	if other.n <= smallN {
-		// other's head is its complete observation set: replay is an
-		// exact merge.
-		for _, x := range other.head[:other.n] {
-			a.Add(x)
-		}
-		return
-	}
-	if a.n <= smallN {
-		// Symmetric case: replay a's complete head into a copy of other.
-		merged := *other
-		for _, x := range a.head[:a.n] {
-			merged.Add(x)
-		}
-		*a = merged
-		return
-	}
-	// Both sides are beyond the exact window: combine the moments exactly
-	// and the quantile markers approximately.
-	na, nb := float64(a.n), float64(other.n)
-	delta := other.mean - a.mean
-	a.m2 += other.m2 + delta*delta*na*nb/(na+nb)
-	a.mean += delta * nb / (na + nb)
-	a.sum += other.sum
-	if other.min < a.min {
-		a.min = other.min
-	}
-	if other.max > a.max {
-		a.max = other.max
-	}
-	for i := range a.quant {
-		a.quant[i].merge(&other.quant[i], quantileProbs[i])
-	}
-	a.n += other.n
-}
-
 // Min returns the smallest observation (NaN when empty).
 func (a *Accumulator) Min() float64 {
 	if a.n == 0 {
@@ -319,7 +265,7 @@ func (e *p2) linear(i int, d float64) float64 {
 // quantile of the sorted collected sample for n < 5 (the collection
 // phase keeps q[:n] sorted). Callers normally answer n ≤ 64 from the
 // accumulator's exact head instead; this guard makes the estimator
-// well-defined on its own, e.g. straight after a Merge.
+// well-defined on its own.
 func (e *p2) value(p float64) float64 {
 	if e.n == 0 {
 		return math.NaN()
@@ -328,39 +274,4 @@ func (e *p2) value(p float64) float64 {
 		return Quantile(e.q[:e.n], p)
 	}
 	return e.q[2]
-}
-
-// merge approximately folds another initialised estimator for the same
-// probability p into e (both with n >= 5): marker heights blend by
-// sample weight, marker counts add, and the desired positions are
-// recomputed from the combined count. The merged markers are repaired to
-// the P² invariants — heights non-decreasing, positions strictly
-// increasing with pos[0] = 1 and pos[4] = n — so subsequent adds stay
-// well-defined.
-func (e *p2) merge(o *p2, p float64) {
-	wa := float64(e.n) / float64(e.n+o.n)
-	for k := 0; k < 5; k++ {
-		e.q[k] = wa*e.q[k] + (1-wa)*o.q[k]
-		e.pos[k] += o.pos[k]
-	}
-	insertionSort(e.q[:])
-	e.n += o.n
-	n := float64(e.n)
-	e.pos[0] = 1
-	e.pos[4] = n
-	for k := 1; k <= 3; k++ {
-		if e.pos[k] <= e.pos[k-1] {
-			e.pos[k] = e.pos[k-1] + 1
-		}
-	}
-	for k := 3; k >= 1; k-- {
-		if e.pos[k] >= e.pos[k+1] {
-			e.pos[k] = e.pos[k+1] - 1
-		}
-	}
-	e.want = [5]float64{1, 1 + 2*p, 1 + 4*p, 3 + 2*p, 5}
-	inc := [5]float64{0, p / 2, p, (1 + p) / 2, 1}
-	for k := range e.want {
-		e.want[k] += (n - 5) * inc[k]
-	}
 }

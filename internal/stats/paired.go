@@ -31,16 +31,6 @@ func (p *PairedAccumulator) N() int { return p.diff.N() }
 // MeanDiff returns the mean difference x-y (NaN before the first pair).
 func (p *PairedAccumulator) MeanDiff() float64 { return p.diff.Mean() }
 
-// VarianceDiff returns the sample variance of the differences.
-func (p *PairedAccumulator) VarianceDiff() float64 { return p.diff.Variance() }
-
-// HalfWidth returns the half-width of the paired confidence interval on
-// the mean difference at the given confidence level (+Inf below two
-// pairs), exactly Accumulator.HalfWidth over the difference series.
-func (p *PairedAccumulator) HalfWidth(confidence float64) float64 {
-	return p.diff.HalfWidth(confidence)
-}
-
 // Correlation estimates the sample correlation between the paired series
 // from the variance identity Var(x-y) = Var(x) + Var(y) - 2·Cov(x,y),
 // clamped to [-1, 1]. NaN below two pairs or when either marginal is
@@ -73,15 +63,4 @@ func (p *PairedAccumulator) VarianceReduction() float64 {
 		return math.Inf(1)
 	}
 	return indep / vd
-}
-
-// Merge folds another paired accumulator into p (cross-worker sharding;
-// see Accumulator.Merge for the exactness contract).
-func (p *PairedAccumulator) Merge(other *PairedAccumulator) {
-	if other == nil {
-		return
-	}
-	p.diff.Merge(&other.diff)
-	p.x.Merge(&other.x)
-	p.y.Merge(&other.y)
 }

@@ -68,29 +68,3 @@ func (a *Accumulator) Restore(st AccumulatorState) error {
 	}
 	return nil
 }
-
-// PairedAccumulatorState is the complete serializable state of a
-// PairedAccumulator.
-type PairedAccumulatorState struct {
-	Diff AccumulatorState `json:"diff"`
-	X    AccumulatorState `json:"x"`
-	Y    AccumulatorState `json:"y"`
-}
-
-// State captures the paired accumulator's complete state.
-func (p *PairedAccumulator) State() PairedAccumulatorState {
-	return PairedAccumulatorState{
-		Diff: p.diff.State(), X: p.x.State(), Y: p.y.State(),
-	}
-}
-
-// Restore overwrites the paired accumulator with the captured state.
-func (p *PairedAccumulator) Restore(st PairedAccumulatorState) error {
-	if err := p.diff.Restore(st.Diff); err != nil {
-		return err
-	}
-	if err := p.x.Restore(st.X); err != nil {
-		return err
-	}
-	return p.y.Restore(st.Y)
-}

@@ -78,42 +78,3 @@ func TestAccumulatorStateZeroValue(t *testing.T) {
 		t.Fatal("restored zero accumulator diverged")
 	}
 }
-
-func TestPairedAccumulatorStateRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var full, pre PairedAccumulator
-	type pair struct{ x, y float64 }
-	ps := make([]pair, 300)
-	for i := range ps {
-		x := rng.NormFloat64()
-		ps[i] = pair{x, x*0.9 + rng.NormFloat64()*0.1}
-	}
-	const cut = 123
-	for _, p := range ps {
-		full.Add(p.x, p.y)
-	}
-	for _, p := range ps[:cut] {
-		pre.Add(p.x, p.y)
-	}
-	blob, err := json.Marshal(pre.State())
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	var st PairedAccumulatorState
-	if err := json.Unmarshal(blob, &st); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	var resumed PairedAccumulator
-	if err := resumed.Restore(st); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	for _, p := range ps[cut:] {
-		resumed.Add(p.x, p.y)
-	}
-	if resumed != full {
-		t.Fatal("resumed paired accumulator differs from uninterrupted")
-	}
-	if got, want := resumed.Correlation(), full.Correlation(); got != want {
-		t.Fatalf("correlation %v != %v", got, want)
-	}
-}

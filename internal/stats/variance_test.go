@@ -53,87 +53,6 @@ func TestAccumulatorHalfWidth(t *testing.T) {
 	}
 }
 
-// mergeSplit feeds xs[:cut] and xs[cut:] into two accumulators, merges
-// them, and cross-validates against the single-stream accumulation of the
-// whole sequence.
-func mergeSplit(t *testing.T, xs []float64, cut int) {
-	t.Helper()
-	var single, a, b Accumulator
-	for _, x := range xs {
-		single.Add(x)
-	}
-	for _, x := range xs[:cut] {
-		a.Add(x)
-	}
-	for _, x := range xs[cut:] {
-		b.Add(x)
-	}
-	a.Merge(&b)
-
-	if a.N() != single.N() {
-		t.Fatalf("cut %d: merged N = %d, want %d", cut, a.N(), single.N())
-	}
-	if a.Min() != single.Min() || a.Max() != single.Max() {
-		t.Fatalf("cut %d: merged extremes (%v, %v) != (%v, %v)",
-			cut, a.Min(), a.Max(), single.Min(), single.Max())
-	}
-	relClose := func(name string, got, want, tol float64) {
-		t.Helper()
-		if math.Abs(got-want) > tol*math.Max(1, math.Abs(want)) {
-			t.Fatalf("cut %d: merged %s = %v, want %v", cut, name, got, want)
-		}
-	}
-	relClose("mean", a.Mean(), single.Mean(), 1e-12)
-	relClose("variance", a.Variance(), single.Variance(), 1e-9)
-	// Quantiles: exact (same add sequence or exact replay) while either
-	// side holds its full head; estimate-vs-estimate otherwise — pin them
-	// to the exact sample quantiles within a coarse P² tolerance.
-	spread := single.Max() - single.Min()
-	for _, q := range []float64{0.10, 0.25, 0.50, 0.75, 0.90} {
-		got := a.Quantile(q)
-		want := single.Quantile(q)
-		if len(xs)-cut <= smallN {
-			if got != want {
-				t.Fatalf("cut %d: merged P%v = %v, want exact-replay %v", cut, q*100, got, want)
-			}
-		} else if math.Abs(got-want) > 0.15*spread {
-			t.Fatalf("cut %d: merged P%v = %v, too far from single-stream %v", cut, q*100, got, want)
-		}
-	}
-}
-
-// TestAccumulatorMergeCrossValidation covers every merge regime — both
-// sides small, small into large, large into small, both large — against
-// single-stream accumulation of the same observations.
-func TestAccumulatorMergeCrossValidation(t *testing.T) {
-	r := rng.New(31)
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = r.Normal(10, 3)
-	}
-	for _, cut := range []int{1, 30, 64, 100, 436, 470, 499} {
-		mergeSplit(t, xs, cut)
-	}
-	// Small totals stay exact end to end.
-	mergeSplit(t, xs[:40], 15)
-
-	// Merging the empty accumulator is the identity in both directions.
-	var a, empty Accumulator
-	for _, x := range xs[:10] {
-		a.Add(x)
-	}
-	before := a
-	a.Merge(&empty)
-	a.Merge(nil)
-	if a != before {
-		t.Fatal("merging an empty accumulator changed the receiver")
-	}
-	empty.Merge(&a)
-	if empty != a {
-		t.Fatal("merging into an empty accumulator is not a copy")
-	}
-}
-
 // TestAccumulatorConstantSamples: a constant stream must report the
 // constant for every statistic, however long it runs — the P² parabolic
 // step must not drift off a run of exactly equal observations.
@@ -206,9 +125,6 @@ func TestPairedAccumulator(t *testing.T) {
 	if got, want := p.MeanDiff(), diff.Mean(); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("MeanDiff = %v, want %v", got, want)
 	}
-	if got, want := p.HalfWidth(0.95), diff.HalfWidth(0.95); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("HalfWidth = %v, want %v", got, want)
-	}
 	if c := p.Correlation(); c < 0.99 || c > 1 {
 		t.Fatalf("Correlation = %v, want ~1 for near-identical series", c)
 	}
@@ -239,24 +155,5 @@ func TestPairedAccumulator(t *testing.T) {
 	}
 	if vr := indep.VarianceReduction(); vr < 0.7 || vr > 1.4 {
 		t.Fatalf("independent VarianceReduction = %v, want ~1", vr)
-	}
-
-	// Merge cross-validation: shard the same pairs across two
-	// accumulators and fold them back together.
-	r2 := rng.New(78)
-	var whole, sa, sb PairedAccumulator
-	for i := 0; i < 60; i++ {
-		x, y := r2.Normal(0, 1), r2.Normal(0, 1)
-		whole.Add(x, y)
-		if i < 25 {
-			sa.Add(x, y)
-		} else {
-			sb.Add(x, y)
-		}
-	}
-	sa.Merge(&sb)
-	if sa.N() != whole.N() || math.Abs(sa.MeanDiff()-whole.MeanDiff()) > 1e-12 ||
-		math.Abs(sa.VarianceDiff()-whole.VarianceDiff()) > 1e-9 {
-		t.Fatal("PairedAccumulator.Merge diverged from single-stream accumulation")
 	}
 }

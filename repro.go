@@ -52,8 +52,9 @@
 // NewArena(cfg) then Arena.Run(seed).
 //
 // The exported identifiers are aliases over the internal packages, so the
-// whole public surface lives here; see DESIGN.md for the architecture and
-// EXPERIMENTS.md for the paper-vs-measured record.
+// whole public surface lives here. The Examples run the paper's reduced
+// Figures 1 and 3, the §8 burst buffer and a custom workload with their
+// output pinned.
 package repro
 
 import (
@@ -183,9 +184,8 @@ type (
 	// Campaign is the durable sweep driver built by NewCampaign.
 	Campaign = campaign.Campaign
 	// CampaignOptions configures a Campaign: journal path and resume,
-	// snapshot/fsync cadence, the per-point deadline, and the
-	// session-level knobs (workers, antithetic pairing, sequential
-	// stopping, progress).
+	// the per-point deadline, the session-level knobs (workers,
+	// antithetic pairing, sequential stopping) and the result cache.
 	CampaignOptions = campaign.Options
 	// PointResult is one grid point's campaign outcome: the MCResult on
 	// success, or the failure with its error.
@@ -259,7 +259,9 @@ const (
 	// drain occupancy) — the default.
 	BurstBufferPeriodCooperative = burstbuffer.PeriodCooperative
 	// BurstBufferPeriodNaive applies Young/Daly to the buffer-commit
-	// time alone (the documented starved-PFS trap; see EXPERIMENTS.md).
+	// time alone. On a starved PFS a non-resilient buffer with this
+	// period backfires: drains rarely land, and waste rises above direct
+	// checkpointing.
 	BurstBufferPeriodNaive = burstbuffer.PeriodNaive
 )
 
