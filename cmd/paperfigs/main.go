@@ -9,9 +9,11 @@
 //
 // The whole campaign runs through one repro.Session, so fig1 + fig2 +
 // fig3 share a single warm set of per-worker simulation arenas instead of
-// rebuilding them per figure, and SIGINT cancels gracefully: in-flight
-// workers drain, rows already printed stay flushed, and the command exits
-// 130.
+// rebuilding them per figure. Under -journal, -resume or -point-timeout,
+// fig1 and fig2 each run as a durable campaign, which builds its own
+// session and arenas; fig3 still uses the shared one. SIGINT cancels
+// gracefully: in-flight workers drain, rows already printed stay flushed,
+// and the command exits 130.
 //
 // Candlesticks (mean, first/last decile, first/last quartile) follow the
 // paper's statistics; the theoretical lower bound of §4 accompanies each

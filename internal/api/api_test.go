@@ -7,6 +7,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/driver"
 	"repro/internal/engine"
@@ -262,6 +263,50 @@ func TestMCResultInfRoundTrip(t *testing.T) {
 	out := back.Engine()
 	if !math.IsInf(out.CIHalfWidth, 1) {
 		t.Fatalf("CIHalfWidth came back as %v, want +Inf", out.CIHalfWidth)
+	}
+}
+
+// TestCampaignInfoJSON pins the bytes of a campaign listing with every
+// progress field set: key names, their order and the omitempty rules of
+// the progress object are part of the /v1/campaigns wire.
+func TestCampaignInfoJSON(t *testing.T) {
+	info := CampaignInfo{
+		ID:          "c-0123456789ab",
+		Name:        "fig1",
+		State:       "running",
+		SubmittedAt: time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC),
+		Runs:        8,
+		Points:      14,
+		Results:     3,
+		Progress: Progress{
+			PointsDone:       3,
+			PointsFailed:     1,
+			PointsRestored:   2,
+			PointsTotal:      14,
+			ReplicatesFolded: 40,
+			ReplicatesTotal:  112,
+			CacheHits:        1,
+		},
+		Error: "boom",
+	}
+	blob, err := json.Marshal(info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"id":"c-0123456789ab","name":"fig1","state":"running","submitted_at":"2026-01-02T03:04:05Z",` +
+		`"runs":8,"points":14,"results":3,"progress":{"points_done":3,"points_failed":1,"points_restored":2,` +
+		`"points_total":14,"replicates_folded":40,"replicates_total":112,"cache_hits":1},"error":"boom"}`
+	if string(blob) != want {
+		t.Fatalf("CampaignInfo encodes as\n  %s\nwant\n  %s", blob, want)
+	}
+	blob, err = json.Marshal(CampaignInfo{Progress: Progress{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const zero = `{"id":"","state":"","submitted_at":"0001-01-01T00:00:00Z","runs":0,"points":0,"results":0,` +
+		`"progress":{"points_done":0,"points_total":0,"replicates_folded":0,"replicates_total":0}}`
+	if string(blob) != zero {
+		t.Fatalf("zero CampaignInfo encodes as\n  %s\nwant\n  %s", blob, zero)
 	}
 }
 

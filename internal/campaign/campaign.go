@@ -131,22 +131,28 @@ const (
 // replayed from the journal count as done (and restored), replicates
 // folded includes the in-flight points' progress, and cache hits count
 // points served from the result cache or a repeated cell instead of
-// simulated.
+// simulated. Its JSON form is the progress object of the daemon's
+// campaign listings (api.Progress).
 type Progress struct {
 	// PointsDone and PointsFailed classify the points the run has
-	// concluded so far; PointsTotal is the grid size.
-	PointsDone, PointsFailed, PointsTotal int
+	// concluded so far.
+	PointsDone   int `json:"points_done"`
+	PointsFailed int `json:"points_failed,omitempty"`
 	// PointsRestored counts the done points that were replayed from the
 	// journal rather than simulated or cache-served this run.
-	PointsRestored int
+	PointsRestored int `json:"points_restored,omitempty"`
+	// PointsTotal is the grid size.
+	PointsTotal int `json:"points_total"`
 	// ReplicatesFolded / ReplicatesTotal measure replicate progress
-	// across the whole grid (total = points × runs; a point stopped
-	// early by a target CI or served whole from cache/journal advances
-	// by its RunsUsed, and a failed point by the replicates it folded,
-	// so the ratio may finish below 1).
-	ReplicatesFolded, ReplicatesTotal int
+	// across the whole grid (total = points × each point's replicate
+	// budget, TargetCI.MaxRuns when set and runs otherwise; a point
+	// stopped early by a target CI or served whole from cache/journal
+	// advances by its RunsUsed, and a failed point by the replicates it
+	// folded, so the ratio may finish below 1).
+	ReplicatesFolded int `json:"replicates_folded"`
+	ReplicatesTotal  int `json:"replicates_total"`
 	// CacheHits counts points served Cached this run.
-	CacheHits int
+	CacheHits int `json:"cache_hits,omitempty"`
 }
 
 // Campaign runs sweeps durably over one driver.Session.
@@ -362,17 +368,6 @@ func (c *Campaign) RunSweep(ctx context.Context, base engine.Config, grid driver
 	return seq, func() error { return campErr }
 }
 
-// Run evaluates a single configuration durably — a one-point campaign.
-func (c *Campaign) Run(ctx context.Context, cfg engine.Config, runs int) (PointResult, error) {
-	grid := driver.SweepGrid{}
-	var out PointResult
-	seq, errf := c.RunSweep(ctx, cfg, grid, runs)
-	for pr := range seq {
-		out = pr
-	}
-	return out, errf()
-}
-
 func (c *Campaign) runSweep(ctx context.Context, base engine.Config, grid driver.SweepGrid, runs int, yield func(PointResult) bool) error {
 	if err := base.Validate(); err != nil {
 		return err
@@ -394,7 +389,14 @@ func (c *Campaign) runSweep(ctx context.Context, base engine.Config, grid driver
 		}
 	}()
 
-	c.progressTotal = len(pts) * runs
+	// Each point's replicate budget is TargetCI.MaxRuns under a target
+	// CI that sets it, else runs: the total the session's progress hook
+	// counts against.
+	budget := runs
+	if t := c.opts.TargetCI; t.HalfWidth > 0 && t.MaxRuns > 0 {
+		budget = t.MaxRuns
+	}
+	c.progressTotal = len(pts) * budget
 	c.folded, c.served = 0, 0
 	c.note(func(p *Progress) {
 		*p = Progress{PointsTotal: len(pts), ReplicatesTotal: c.progressTotal}

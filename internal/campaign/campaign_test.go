@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -531,6 +532,16 @@ func TestCampaignPointTimeout(t *testing.T) {
 	}
 }
 
+// runPoint runs a one-point campaign over cfg and returns its result.
+func runPoint(c *Campaign, cfg engine.Config, runs int) (PointResult, error) {
+	var out PointResult
+	seq, errf := c.RunSweep(context.Background(), cfg, driver.SweepGrid{}, runs)
+	for pr := range seq {
+		out = pr
+	}
+	return out, errf()
+}
+
 // TestCampaignFailedPointResumesFromSnapshot: a journaled point that
 // fails past its first snapshot boundary is quarantined after one
 // attempt; the resume re-attempts it from that snapshot — simulating
@@ -551,8 +562,7 @@ func TestCampaignFailedPointResumesFromSnapshot(t *testing.T) {
 		return nil
 	})
 	path := filepath.Join(t.TempDir(), "campaign.journal")
-	pr, err := New(Options{JournalPath: path, Workers: 1, snapshotEvery: every}).
-		Run(context.Background(), base, runs)
+	pr, err := runPoint(New(Options{JournalPath: path, Workers: 1, snapshotEvery: every}), base, runs)
 	restore()
 	if err != nil {
 		t.Fatal(err)
@@ -574,8 +584,7 @@ func TestCampaignFailedPointResumesFromSnapshot(t *testing.T) {
 		simulated.Add(1)
 		return nil
 	})()
-	pr, err = New(Options{JournalPath: path, Resume: true, Workers: 1, snapshotEvery: every}).
-		Run(context.Background(), base, runs)
+	pr, err = runPoint(New(Options{JournalPath: path, Resume: true, Workers: 1, snapshotEvery: every}), base, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -890,5 +899,40 @@ func TestCampaignProgressSnapshot(t *testing.T) {
 	want := Progress{PointsDone: 2, PointsTotal: 2, ReplicatesFolded: 2 * runs, ReplicatesTotal: 2 * runs}
 	if final != want {
 		t.Fatalf("terminal snapshot %+v, want %+v", final, want)
+	}
+}
+
+// TestCampaignProgressTotalTargetCIMaxRuns: under a target CI whose
+// MaxRuns exceeds runs, each point's budget is MaxRuns, and the progress
+// total counts that budget, so folded never passes total.
+func TestCampaignProgressTotalTargetCIMaxRuns(t *testing.T) {
+	base := tinyConfig(mustStrategy(t, "Least-Waste"), 7)
+	base.HorizonDays = 3
+	const runs, maxRuns = 4, 8
+	var over []string
+	c := New(Options{
+		Workers:  2,
+		TargetCI: driver.TargetCI{HalfWidth: 1e-9, MinRuns: 2, MaxRuns: maxRuns},
+		progress: func(done, total int) {
+			if done > total {
+				over = append(over, fmt.Sprintf("%d/%d", done, total))
+			}
+		},
+	})
+	seq, errf := c.RunSweep(context.Background(), base, driver.SweepGrid{}, runs)
+	for pr := range seq {
+		if pr.MC.RunsUsed != maxRuns {
+			t.Fatalf("unreachable target stopped at %d runs, want MaxRuns %d", pr.MC.RunsUsed, maxRuns)
+		}
+	}
+	if err := errf(); err != nil {
+		t.Fatal(err)
+	}
+	want := Progress{PointsDone: 1, PointsTotal: 1, ReplicatesFolded: maxRuns, ReplicatesTotal: maxRuns}
+	if p := c.Snapshot(); p != want {
+		t.Fatalf("terminal snapshot %+v, want %+v", p, want)
+	}
+	if over != nil {
+		t.Fatalf("progress passed its total: %v", over)
 	}
 }

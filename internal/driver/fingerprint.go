@@ -74,7 +74,7 @@ type experimentSpec struct {
 // ExperimentKey returns the content-address of the Monte-Carlo experiment
 // (cfg, runs, opts) — the sha256 of its canonical spec, in hex — and
 // whether the experiment is cacheable at all. Experiments with per-run
-// observers (OnResult, Trace) or a transformed CI estimand are not
+// observers (onResult, Trace) or a transformed CI estimand are not
 // cacheable: a cache hit would skip the simulation their hooks observe.
 //
 // Strategies are identified by Name(); user-registered strategies must
@@ -82,7 +82,7 @@ type experimentSpec struct {
 // requires.
 func ExperimentKey(cfg engine.Config, runs int, opts MCOptions) (string, bool) {
 	if runs <= 0 || cfg.Trace != nil ||
-		opts.OnResult != nil || opts.ciValue != nil {
+		opts.onResult != nil || opts.ciValue != nil {
 		return "", false
 	}
 	c := cfg.WithDefaults()

@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/faultinject"
 )
 
 // This file is the grid coordinator, the one replicate scheduler every
@@ -166,10 +164,6 @@ type gridSweep struct {
 // folded replicates, a resumed point's snapshot included. It returns
 // ctx.Err() if the context ends the run first — the first undelivered
 // point is then the count of yields so far — and nil otherwise.
-//
-// With WithOnResult the lookahead is one point, so the per-run hook sees
-// whole-experiment run order: point p+1 dispatches only once point p has
-// been yielded.
 func (s *Session) runGrid(ctx context.Context, pts []gridPoint, memoise bool, progress func(done int), yield func(p int, mc MCResult, err error) bool) error {
 	g := &gridSweep{
 		ctx:      ctx,
@@ -202,9 +196,6 @@ func (s *Session) runGrid(ctx context.Context, pts []gridPoint, memoise bool, pr
 	workers := min(len(g.arenas), work)
 	g.window = 4 * workers
 	g.lookahead = 2*workers + 2
-	if s.opts.OnResult != nil {
-		g.lookahead = 1
-	}
 	// A fixed-runs chunk is at most window/workers runs, so every worker
 	// can hold a chunk of the same point, and at most an even share of
 	// the outstanding work, so a small one-point grid still fans out.
@@ -413,15 +404,7 @@ func (g *gridSweep) work(w int, resCh chan<- gridItem) {
 			reconfigured = false
 		}
 		pt := &g.pts[p]
-		var claimErr error
-		if faultinject.Armed() {
-			claimErr = fireGridDispatch(pctx, p, i, n)
-		}
 		for k := i; k < i+n; k++ {
-			if claimErr != nil {
-				resCh <- gridItem{p: p, i: k, err: claimErr}
-				continue
-			}
 			if err := pctx.Err(); err != nil {
 				resCh <- gridItem{p: p, i: k, err: err}
 				continue
@@ -430,19 +413,6 @@ func (g *gridSweep) work(w int, resCh chan<- gridItem) {
 			resCh <- gridItem{p: p, i: k, r: r, err: err}
 		}
 	}
-}
-
-// fireGridDispatch fires the dispatch fault-injection site under the same
-// panic guard runReplicate gives user code: an injected panic surfaces as
-// a *PanicError on the chunk's first run instead of killing the process.
-func fireGridDispatch(ctx context.Context, p, i, n int) (err error) {
-	defer func() {
-		if pv := recover(); pv != nil {
-			err = &PanicError{Run: i, Value: pv, Stack: debug.Stack()}
-		}
-	}()
-	return faultinject.Fire(ctx, faultinject.SiteGridDispatch,
-		faultinject.GridDispatch{Point: p, Run: i, Len: n})
 }
 
 // next claims the next work item for a worker, sure work first: the next
@@ -541,7 +511,7 @@ func (g *gridSweep) eligibleLocked(p int, sure bool) bool {
 // when its stopping rule fires, its budget completes, a replicate fails
 // or its deadline has passed. Items for points that already concluded
 // (runs speculated past a stop, or past a failure) are dropped. Once the
-// grid's context is done nothing more folds, so the OnResult and
+// grid's context is done nothing more folds, so the per-run and
 // progress deliveries made before the cancellation was observed form an
 // exact in-order prefix.
 func (g *gridSweep) process(it gridItem) {

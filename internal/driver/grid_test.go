@@ -476,14 +476,14 @@ func TestSweepGridEarlyBreak(t *testing.T) {
 	}
 }
 
-// TestSweepGridDispatchFaultError: a SiteGridDispatch hook failing one
-// point's claims aborts the sweep at exactly that point — earlier points
-// still deliver, the error names the point, and the workers drain.
+// TestSweepGridDispatchFaultError: a SiteWorkerReplicate hook failing
+// one point's replicates aborts the sweep at exactly that point — earlier
+// points still deliver, the error names the point, and the workers drain.
 func TestSweepGridDispatchFaultError(t *testing.T) {
 	before := runtime.NumGoroutine()
 	boom := errors.New("injected dispatch failure")
-	restore := faultinject.Set(faultinject.SiteGridDispatch, func(_ context.Context, detail any) error {
-		if d := detail.(faultinject.GridDispatch); d.Point == 2 {
+	restore := faultinject.Set(faultinject.SiteWorkerReplicate, func(_ context.Context, detail any) error {
+		if d := detail.(faultinject.WorkerReplicate); d.Point == 2 {
 			return boom
 		}
 		return nil
@@ -509,12 +509,12 @@ func TestSweepGridDispatchFaultError(t *testing.T) {
 	checkNoGoroutineLeak(t, before)
 }
 
-// TestSweepGridDispatchFaultPanic: a panicking dispatch hook is caught by
-// the claim guard and surfaces as a PanicError on that point.
+// TestSweepGridDispatchFaultPanic: a panicking replicate hook is caught
+// by the worker's guard and surfaces as a PanicError on that point.
 func TestSweepGridDispatchFaultPanic(t *testing.T) {
 	before := runtime.NumGoroutine()
-	restore := faultinject.Set(faultinject.SiteGridDispatch, faultinject.PanicOn("injected dispatch panic", func(detail any) bool {
-		return detail.(faultinject.GridDispatch).Point == 1
+	restore := faultinject.Set(faultinject.SiteWorkerReplicate, faultinject.PanicOn("injected dispatch panic", func(detail any) bool {
+		return detail.(faultinject.WorkerReplicate).Point == 1
 	}))
 	defer restore()
 
@@ -538,12 +538,12 @@ func TestSweepGridDispatchFaultPanic(t *testing.T) {
 	checkNoGoroutineLeak(t, before)
 }
 
-// TestSweepGridDispatchFaultHang: a dispatch hook blocking on ctx
+// TestSweepGridDispatchFaultHang: a replicate hook blocking on ctx
 // simulates a stalled worker; an expiring deadline reaps it and the sweep
 // reports DeadlineExceeded without leaking.
 func TestSweepGridDispatchFaultHang(t *testing.T) {
 	before := runtime.NumGoroutine()
-	restore := faultinject.Set(faultinject.SiteGridDispatch, faultinject.HangUntilCancel())
+	restore := faultinject.Set(faultinject.SiteWorkerReplicate, faultinject.HangUntilCancel())
 	defer restore()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
@@ -551,7 +551,7 @@ func TestSweepGridDispatchFaultHang(t *testing.T) {
 	s := NewSession(WithWorkers(2))
 	points, errf := s.Sweep(ctx, tinyConfig(engine.OrderedDaly(), 5), SweepGrid{Strategies: engine.AllStrategies()}, 3)
 	for range points {
-		t.Fatal("a point completed despite every dispatch hanging")
+		t.Fatal("a point completed despite every replicate hanging")
 	}
 	if err := errf(); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("errf = %v, want context.DeadlineExceeded", err)
@@ -606,8 +606,8 @@ func TestExperimentKey(t *testing.T) {
 
 	// Uncacheable experiments: per-run observation hooks, traces, and
 	// non-positive run counts.
-	if _, ok := ExperimentKey(cfg, 4, MCOptions{OnResult: func(int, engine.Result) {}}); ok {
-		t.Error("OnResult experiment reported cacheable")
+	if _, ok := ExperimentKey(cfg, 4, MCOptions{onResult: func(int, engine.Result) {}}); ok {
+		t.Error("onResult experiment reported cacheable")
 	}
 	traced := cfg
 	traced.Trace = func(engine.TraceEvent) {}
@@ -616,28 +616,6 @@ func TestExperimentKey(t *testing.T) {
 	}
 	if _, ok := ExperimentKey(cfg, 0, MCOptions{}); ok {
 		t.Error("zero-run experiment reported cacheable")
-	}
-}
-
-// TestSweepOnResultCrossPointRunOrder: the per-run observation hook
-// guarantees strict run order within and across points, so under
-// WithOnResult no point starts before the previous one is complete.
-func TestSweepOnResultCrossPointRunOrder(t *testing.T) {
-	var order []string
-	s := NewSession(WithWorkers(4), WithOnResult(func(i int, r engine.Result) {
-		order = append(order, fmt.Sprintf("%s/%d", r.Strategy, i))
-	}))
-	base := tinyConfig(engine.Strategy{}, 2)
-	grid := SweepGrid{Strategies: []engine.Strategy{engine.ObliviousDaly(), engine.OrderedDaly(), engine.LeastWaste()}}
-	collectSweep(t, s, base, grid, 3)
-	var want []string
-	for _, strat := range grid.Strategies {
-		for i := 0; i < 3; i++ {
-			want = append(want, fmt.Sprintf("%s/%d", strat.Name(), i))
-		}
-	}
-	if !reflect.DeepEqual(order, want) {
-		t.Fatalf("OnResult order = %v, want strict cross-point run order %v", order, want)
 	}
 }
 

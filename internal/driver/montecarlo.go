@@ -55,7 +55,7 @@ type MCResult struct {
 // MCOptions selects what a Monte-Carlo experiment materialises. The zero
 // value is the fully streaming path: O(1) result memory regardless of the
 // replication count. Session configures the same choices through the
-// WithKeepResults / WithKeepWasteRatios / WithOnResult options.
+// WithKeepResults / WithKeepWasteRatios options.
 type MCOptions struct {
 	// KeepResults retains every per-run Result in MCResult.Results —
 	// convenient for small experiments, O(runs) memory.
@@ -65,10 +65,6 @@ type MCOptions struct {
 	// batch API) at 8 bytes per run. When false the Summary comes from
 	// the online stats.Accumulator in O(1) memory.
 	KeepWasteRatios bool
-	// OnResult, when non-nil, receives every run's Result in strict run
-	// order (i ascending, 0-based). The Result is passed by value; the
-	// callback runs on the caller's goroutine.
-	OnResult func(i int, r engine.Result)
 	// TargetCI enables sequential stopping: the experiment halts at the
 	// first replicate boundary where the confidence interval on the
 	// estimator mean is at least as tight as TargetCI.HalfWidth. The
@@ -78,11 +74,15 @@ type MCOptions struct {
 	// with the odd member drawing from the complemented uniform streams
 	// (rng.SetAntithetic): pair averages estimate the same mean with the
 	// first-order noise cancelled. Per-run outputs (Results, WasteRatios,
-	// OnResult, Summary) stay per-replicate; only the CI estimator and
-	// sequential stopping operate on the pair averages. Use an even run
-	// count — a trailing unpaired replicate still counts in the summary
-	// but not in the CI estimator.
+	// Summary) stay per-replicate; only the CI estimator and sequential
+	// stopping operate on the pair averages. Use an even run count — a
+	// trailing unpaired replicate still counts in the summary but not in
+	// the CI estimator.
 	Antithetic bool
+	// onResult, when non-nil, receives every run's Result in strict run
+	// order (i ascending, 0-based) on the caller's goroutine — the hook
+	// ComparePaired folds each strategy's paired differences through.
+	onResult func(i int, r engine.Result)
 	// ciValue, when non-nil, maps run i's waste ratio to the value the
 	// CI estimator (and sequential stopping) accumulates — the hook
 	// ComparePaired uses to stop on the paired difference against a
@@ -163,7 +163,7 @@ type mcFold struct {
 	total   int // replicate budget (MaxRuns under sequential stopping)
 	minRuns int // stopping-rule floor, rounded up to a pair boundary
 	// progress, when set, is called after each folded run, once its
-	// OnResult delivery has been made.
+	// onResult delivery has been made.
 	progress func()
 	// onSnapshot, when set, receives the fold state after every
 	// snapshotEvery-th folded run (GridPoint's hook; snapshotEvery >= 1).
@@ -218,8 +218,8 @@ func (f *mcFold) restore(rs *MCSnapshot) error {
 // fold incorporates run i's result and reports whether the sequential
 // stopping rule fired on it. Runs must arrive in strict run order.
 func (f *mcFold) fold(i int, r engine.Result) (stop bool) {
-	if f.opts.OnResult != nil {
-		f.opts.OnResult(i, r)
+	if f.opts.onResult != nil {
+		f.opts.onResult(i, r)
 	}
 	if f.mc.Results != nil {
 		f.mc.Results[i] = r

@@ -25,8 +25,8 @@ import (
 // Every method takes a context.Context and honours cancellation and
 // deadlines at replicate boundaries: no new replicate starts once the
 // context is done, in-flight workers drain, and the method returns
-// ctx.Err() without leaking goroutines. Results delivered through
-// WithOnResult before the cancellation was observed form an exact,
+// ctx.Err() without leaking goroutines. Progress reported through
+// WithProgress before the cancellation was observed counts an exact,
 // in-order prefix of the experiment.
 //
 // A Session is not safe for concurrent use: its arenas are single-owner
@@ -75,15 +75,6 @@ func WithKeepResults(keep bool) SessionOption {
 // stats.Accumulator in O(1) memory.
 func WithKeepWasteRatios(keep bool) SessionOption {
 	return func(s *Session) { s.opts.KeepWasteRatios = keep }
-}
-
-// WithOnResult streams every run's Result to fn in strict run order
-// (i ascending, 0-based) on the caller's goroutine, then drops it —
-// the O(1)-memory observation hook. Across the points of a Sweep or
-// Compare the order is whole-experiment: such a session runs the points
-// one at a time, point p+1 starting only once point p is complete.
-func WithOnResult(fn func(i int, r engine.Result)) SessionOption {
-	return func(s *Session) { s.opts.OnResult = fn }
 }
 
 // WithTargetCI enables sequential stopping for the session's experiments:
@@ -138,9 +129,9 @@ func WithProgress(fn func(done, total int)) SessionOption {
 // point the sweep consults the cache by the point's ExperimentKey, and
 // every computed or replayed point is stored back. A hit is
 // returned with MCResult.Cached set; its values are bit-identical to the
-// simulation it replaced. Points with per-run observers (WithOnResult,
-// Config.Trace) bypass the cache — see ExperimentKey. Repeated cells
-// within one grid are deduplicated even without a cache installed.
+// simulation it replaced. Traced points (Config.Trace) bypass the cache
+// — see ExperimentKey. Repeated cells within one grid are deduplicated
+// even without a cache installed.
 func WithResultCache(c ResultCache) SessionOption {
 	return func(s *Session) { s.cache = c }
 }
@@ -304,7 +295,6 @@ func (s *Session) Sweep(ctx context.Context, base engine.Config, grid SweepGrid,
 // Cached clone of its first cell (or with that cell's failure). Neither
 // changes a result: each replicate is a pure function of the
 // configuration seed and run index, and each point folds in run order.
-// A session with WithOnResult runs the points one at a time.
 func (s *Session) SweepPoints(ctx context.Context, pts []GridPoint, runs int, yield func(p int, mc MCResult, err error) bool) error {
 	gps := make([]gridPoint, len(pts))
 	for i, pt := range pts {
@@ -406,12 +396,8 @@ func (s *Session) ComparePaired(ctx context.Context, base engine.Config, strateg
 	for k, strat := range rest {
 		opts := s.opts
 		pa := &pas[k]
-		user := opts.OnResult
-		opts.OnResult = func(i int, r engine.Result) {
+		opts.onResult = func(i int, r engine.Result) {
 			pa.Add(r.WasteRatio, refVals[i])
-			if user != nil {
-				user(i, r)
-			}
 		}
 		opts.ciValue = func(i int, wasteRatio float64) float64 {
 			return wasteRatio - refVals[i]
@@ -458,12 +444,12 @@ func (s *Session) ComparePaired(ctx context.Context, base engine.Config, strateg
 // warm arenas and streams its replications in O(1) memory; the
 // accumulator's mean is the same ordered sum as the batch path, so the
 // bisection decisions are bit-identical to materialising every run. The
-// probes bypass the session's WithOnResult and WithProgress hooks (the
-// probe count is search-dependent, so there is no campaign total to
-// report against) but honour WithTargetCI and WithAntithetic: a target
-// CI lets every probe stop as soon as its mean is resolved tightly
-// enough, which is where sequential stopping pays off most — the
-// bisection multiplies any per-probe saving by its depth.
+// probes bypass the session's WithProgress hook (the probe count is
+// search-dependent, so there is no campaign total to report against) but
+// honour WithTargetCI and WithAntithetic: a target CI lets every probe
+// stop as soon as its mean is resolved tightly enough, which is where
+// sequential stopping pays off most — the bisection multiplies any
+// per-probe saving by its depth.
 func (s *Session) MinBandwidth(ctx context.Context, cfg engine.Config, targetEfficiency, loBps, hiBps float64, runs, steps int) (float64, error) {
 	if targetEfficiency <= 0 || targetEfficiency >= 1 {
 		return 0, fmt.Errorf("engine: target efficiency %v outside (0,1)", targetEfficiency)

@@ -44,6 +44,12 @@ func checkNoGoroutineLeak(t *testing.T, before int) {
 	}
 }
 
+// withOnResult sets the per-run hook that ComparePaired folds through,
+// so tests can observe each run's Result in strict run order.
+func withOnResult(fn func(i int, r engine.Result)) SessionOption {
+	return func(s *Session) { s.opts.onResult = fn }
+}
+
 // TestSessionCancelMonteCarlo pins the cancellation contract: cancelling
 // mid-experiment returns ctx.Err() promptly (a 10k-replicate experiment
 // ends after a handful of runs), the results delivered before the
@@ -57,7 +63,7 @@ func TestSessionCancelMonteCarlo(t *testing.T) {
 	var delivered []int
 	s := NewSession(
 		WithWorkers(4),
-		WithOnResult(func(i int, r engine.Result) {
+		withOnResult(func(i int, r engine.Result) {
 			delivered = append(delivered, i)
 			if len(delivered) == cancelAfter {
 				cancel()

@@ -37,9 +37,9 @@ func TestMonteCarloStreamMatchesBatch(t *testing.T) {
 
 	var streamed []float64
 	wantIdx := 0
-	mc, err := NewSession(WithWorkers(3), WithOnResult(func(i int, r engine.Result) {
+	mc, err := NewSession(WithWorkers(3), withOnResult(func(i int, r engine.Result) {
 		if i != wantIdx {
-			t.Fatalf("OnResult index %d, want %d (strict run order)", i, wantIdx)
+			t.Fatalf("onResult index %d, want %d (strict run order)", i, wantIdx)
 		}
 		wantIdx++
 		streamed = append(streamed, r.WasteRatio)
@@ -125,7 +125,7 @@ func TestMonteCarloStreamLargeReplication(t *testing.T) {
 		t.Fatal(err)
 	}
 	collected := make([]float64, 0, runs)
-	stream, err := NewSession(WithOnResult(func(i int, r engine.Result) {
+	stream, err := NewSession(withOnResult(func(i int, r engine.Result) {
 		collected = append(collected, r.WasteRatio)
 	})).MonteCarlo(ctx, cfg, runs)
 	if err != nil {

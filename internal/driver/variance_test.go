@@ -67,7 +67,7 @@ func TestSessionTargetCIStopsEarly(t *testing.T) {
 		WithWorkers(3),
 		WithKeepResults(true),
 		WithKeepWasteRatios(true),
-		WithOnResult(func(i int, r engine.Result) { streamed = append(streamed, i) }),
+		withOnResult(func(i int, r engine.Result) { streamed = append(streamed, i) }),
 		WithTargetCI(10, 0, 0, 0), // waste ratios are O(1): satisfied immediately
 	)
 	mc, err := s.MonteCarlo(context.Background(), tinyConfig(engine.OrderedNBDaly(), 3), 10_000)
@@ -225,7 +225,7 @@ func TestSessionTargetCICancelDrain(t *testing.T) {
 	s := NewSession(
 		WithWorkers(4),
 		WithTargetCI(1e-12, 0, 0, 0), // unreachable: only cancel can stop it
-		WithOnResult(func(i int, r engine.Result) {
+		withOnResult(func(i int, r engine.Result) {
 			delivered++
 			if delivered == 5 {
 				cancel()

@@ -64,14 +64,18 @@ type run struct {
 	submittedAt time.Time
 	res         api.Resolved
 	points      int
-	camp        *campaign.Campaign
 	cancel      context.CancelFunc
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	state   string
-	results []api.PointResult
-	err     error
+	mu   sync.Mutex
+	cond *sync.Cond
+	// camp runs the campaign until it ends; finish then drops it, and
+	// with it the session's per-worker arenas, keeping only its final
+	// progress.
+	camp     *campaign.Campaign
+	progress campaign.Progress
+	state    string
+	results  []api.PointResult
+	err      error
 	// userCancelled marks a DELETE: the campaign's files are removed
 	// so a restart does not resurrect it. A drain (server shutdown)
 	// keeps them so boot resumes the campaign.
@@ -216,17 +220,10 @@ func (s *Server) resumeAll() error {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		b, err := os.ReadFile(s.specPath(id))
+		st, res, err := s.readSpec(id)
 		if err != nil {
-			return fmt.Errorf("server: resume %s: %w", id, err)
-		}
-		var st storedSpec
-		if err := json.Unmarshal(b, &st); err != nil {
-			return fmt.Errorf("server: resume %s: corrupt spec: %w", id, err)
-		}
-		res, err := st.Spec.Resolve()
-		if err != nil {
-			return fmt.Errorf("server: resume %s: %w", id, err)
+			s.addFailed(id, st, fmt.Errorf("server: resume %s: %w", id, err))
+			continue
 		}
 		if err := s.reserve(false); err != nil {
 			return err
@@ -234,6 +231,48 @@ func (s *Server) resumeAll() error {
 		s.startRun(id, st.Spec.Name, st.SubmittedAt, res)
 	}
 	return nil
+}
+
+// readSpec reads, decodes and resolves campaign id's stored spec.
+func (s *Server) readSpec(id string) (storedSpec, api.Resolved, error) {
+	var st storedSpec
+	b, err := os.ReadFile(s.specPath(id))
+	if err != nil {
+		return st, api.Resolved{}, err
+	}
+	if err := json.Unmarshal(b, &st); err != nil {
+		return st, api.Resolved{}, fmt.Errorf("corrupt spec: %w", err)
+	}
+	res, err := st.Spec.Resolve()
+	return st, res, err
+}
+
+// addFailed registers a stored campaign that cannot resume (its spec no
+// longer reads, decodes or resolves, say because it names a strategy
+// that is no longer registered) in state failed with the cause, so the
+// other campaigns still boot. It takes no admission slot; it shows in
+// List and Info, its stream ends with the error, and Cancel removes its
+// files.
+func (s *Server) addFailed(id string, st storedSpec, err error) {
+	r := &run{
+		id:          id,
+		name:        st.Spec.Name,
+		submittedAt: st.SubmittedAt,
+		res:         api.Resolved{Runs: st.Spec.Runs},
+		cancel:      func() {},
+		state:       StateFailed,
+		err:         err,
+	}
+	s.register(r)
+}
+
+// register lists r among the server's campaigns, in submission order.
+func (s *Server) register(r *run) {
+	r.cond = sync.NewCond(&r.mu)
+	s.mu.Lock()
+	s.runs[r.id] = r
+	s.order = append(s.order, r.id)
+	s.mu.Unlock()
 }
 
 func newID() string {
@@ -370,12 +409,7 @@ func (s *Server) startRun(id, name string, submittedAt time.Time, res api.Resolv
 		// reserve already counted the campaign as queued.
 		state: StateQueued,
 	}
-	r.cond = sync.NewCond(&r.mu)
-
-	s.mu.Lock()
-	s.runs[id] = r
-	s.order = append(s.order, id)
-	s.mu.Unlock()
+	s.register(r)
 
 	go func() {
 		defer s.wg.Done()
@@ -412,6 +446,7 @@ func (s *Server) execute(ctx context.Context, r *run) {
 func (s *Server) finish(r *run, err error) {
 	r.mu.Lock()
 	cancelled := r.userCancelled
+	r.progress, r.camp = r.camp.Snapshot(), nil
 	r.mu.Unlock()
 	switch {
 	case err == nil:
@@ -451,7 +486,6 @@ func (s *Server) Cancel(id string) error {
 
 // info snapshots one run for listings.
 func (s *Server) info(r *run) api.CampaignInfo {
-	p := r.camp.Snapshot()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	info := api.CampaignInfo{
@@ -462,15 +496,10 @@ func (s *Server) info(r *run) api.CampaignInfo {
 		Runs:        r.res.Runs,
 		Points:      r.points,
 		Results:     len(r.results),
-		Progress: api.Progress{
-			PointsDone:       p.PointsDone,
-			PointsFailed:     p.PointsFailed,
-			PointsRestored:   p.PointsRestored,
-			PointsTotal:      p.PointsTotal,
-			ReplicatesFolded: p.ReplicatesFolded,
-			ReplicatesTotal:  p.ReplicatesTotal,
-			CacheHits:        p.CacheHits,
-		},
+		Progress:    r.progress,
+	}
+	if r.camp != nil {
+		info.Progress = r.camp.Snapshot()
 	}
 	if info.Progress.PointsTotal == 0 {
 		info.Progress.PointsTotal = r.points

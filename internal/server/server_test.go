@@ -268,6 +268,123 @@ func TestResumeLegacyJournal(t *testing.T) {
 	}
 }
 
+// TestBootWithUnresumableSpec: a stored spec that no longer resolves
+// (it names an unregistered strategy) does not stop the daemon from
+// booting. That campaign is registered as failed with the cause and
+// holds no admission slot; the sealed campaign next to it resumes to
+// done; the failed one's stream ends with its error, and DELETE removes
+// its files.
+func TestBootWithUnresumableSpec(t *testing.T) {
+	const good, bad = "c-e62ceb9aca65", "c-000000000bad"
+	dataDir := t.TempDir()
+	for _, suffix := range []string{".spec.json", ".journal"} {
+		b, err := os.ReadFile("testdata/legacy-campaign/" + good + suffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dataDir, good+suffix), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var spec api.CampaignSpec
+	if err := json.Unmarshal(specJSON(t, "retired", []string{"No-Such-Strategy"}, 3, 3), &spec); err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(storedSpec{ID: bad, SubmittedAt: time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC), Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	badSpec := filepath.Join(dataDir, bad+".spec.json")
+	if err := os.WriteFile(badSpec, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := New(Options{DataDir: dataDir, MaxConcurrent: 1, MaxQueue: 1})
+	if err != nil {
+		t.Fatalf("boot with one unresumable spec: %v", err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	})
+
+	info, err := s.Info(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.State != StateFailed || info.Name != "retired" || info.Runs != 3 ||
+		!strings.Contains(info.Error, "server: resume "+bad) || !strings.Contains(info.Error, "No-Such-Strategy") {
+		t.Fatalf("unresumable campaign reports %+v", info)
+	}
+	if _, end := readStream(t, ts, bad, 0); end.State != StateFailed || end.Error != info.Error {
+		t.Fatalf("unresumable campaign's stream ended %+v", end)
+	}
+	if _, end := readStream(t, ts, good, 0); end.State != StateDone {
+		t.Fatalf("sealed campaign next to it ended %+v", end)
+	}
+	if infos := s.List(); len(infos) != 2 || infos[0].ID != bad || infos[1].ID != good {
+		t.Fatalf("List = %+v, want both campaigns in id order", infos)
+	}
+	// The failed campaign holds no slot: with the good one done, two
+	// reservations fill MaxConcurrent+MaxQueue.
+	if h := s.Health(); h.Queued != 0 || h.Running != 0 || h.Total != 2 {
+		t.Fatalf("health %+v, want nothing queued or running of 2", h)
+	}
+	for i := 0; i < 2; i++ {
+		if err := s.reserve(true); err != nil {
+			t.Fatalf("reservation %d refused: %v", i, err)
+		}
+		defer s.unreserve()
+	}
+
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/campaigns/"+bad, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		t.Fatalf("DELETE of the failed campaign: status %d", resp.StatusCode)
+	}
+	if _, err := os.Stat(badSpec); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("DELETE left the unresumable spec in place (stat: %v)", err)
+	}
+}
+
+// TestFinishedCampaignDropsSession: once a campaign ends, its run keeps
+// only the final progress and no longer holds the campaign (its session
+// and per-worker arenas), and Info still reports that progress.
+func TestFinishedCampaignDropsSession(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+	id := submit(t, ts.URL, specJSON(t, "retention", identityStrategies, 3, 2))
+	if _, end := readStream(t, ts, id, 0); end.State != StateDone {
+		t.Fatalf("campaign ended %+v", end)
+	}
+	s.mu.Lock()
+	r := s.runs[id]
+	s.mu.Unlock()
+	r.mu.Lock()
+	held := r.camp != nil
+	r.mu.Unlock()
+	if held {
+		t.Error("a finished campaign still holds its campaign and session")
+	}
+	info, err := s.Info(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := api.Progress{PointsDone: 2, PointsTotal: 2, ReplicatesFolded: 4, ReplicatesTotal: 4}
+	if info.Progress != want {
+		t.Fatalf("finished campaign progress %+v, want %+v", info.Progress, want)
+	}
+}
+
 // TestInterruptedSpecWrite: a submit interrupted mid-write leaves a
 // truncated temp file, not a torn spec, and the next boot removes it
 // without resuming it, leaving other files alone; a spec written

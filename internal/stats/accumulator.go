@@ -90,46 +90,6 @@ func (a *Accumulator) HalfWidth(confidence float64) float64 {
 	return ZScore(confidence) * a.StdDev() / math.Sqrt(float64(a.n))
 }
 
-// Min returns the smallest observation (NaN when empty).
-func (a *Accumulator) Min() float64 {
-	if a.n == 0 {
-		return math.NaN()
-	}
-	return a.min
-}
-
-// Max returns the largest observation (NaN when empty).
-func (a *Accumulator) Max() float64 {
-	if a.n == 0 {
-		return math.NaN()
-	}
-	return a.max
-}
-
-// Quantile returns the online estimate of the q-quantile for the
-// candlestick probabilities (0.10, 0.25, 0.50, 0.75, 0.90); other
-// probabilities panic. Small samples (n ≤ 64) are answered exactly.
-func (a *Accumulator) Quantile(q float64) float64 {
-	for i, p := range quantileProbs {
-		if p == q {
-			if a.n <= smallN {
-				return a.exactQuantile(q)
-			}
-			return a.quant[i].value(p)
-		}
-	}
-	panic("stats: Accumulator tracks only the candlestick quantiles")
-}
-
-// exactQuantile sorts a copy of the retained head sample.
-func (a *Accumulator) exactQuantile(q float64) float64 {
-	var buf [smallN]float64
-	s := buf[:a.n]
-	copy(s, a.head[:a.n])
-	insertionSort(s)
-	return Quantile(s, q)
-}
-
 // Summary assembles the candlestick set. For n ≤ 64 it equals
 // Summarize over the same observations exactly; beyond that the
 // quantiles are P² estimates while N, Mean, Min and Max remain exact and
@@ -156,15 +116,6 @@ func (a *Accumulator) Summary() Summary {
 		s.StdDev = a.StdDev()
 	}
 	return s
-}
-
-// insertionSort keeps the exact small-n path allocation-free.
-func insertionSort(s []float64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // p2 is one P² quantile estimator: five markers whose heights track the

@@ -104,19 +104,3 @@ func TestAccumulatorConstantMemory(t *testing.T) {
 		t.Fatalf("Add allocates %v per op, want 0", allocs)
 	}
 }
-
-func TestAccumulatorQuantileAccessor(t *testing.T) {
-	var a Accumulator
-	for _, x := range synth(3, 300) {
-		a.Add(x)
-	}
-	if a.Quantile(0.50) != a.Summary().P50 {
-		t.Fatal("Quantile(0.5) disagrees with Summary().P50")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("untracked quantile did not panic")
-		}
-	}()
-	a.Quantile(0.42)
-}

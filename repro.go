@@ -115,8 +115,8 @@ type (
 	// plus a campaign runner's hooks (replay, resume, snapshots, deadline).
 	GridPoint = driver.GridPoint
 	// SessionOption configures a Session at construction (WithWorkers,
-	// WithKeepResults, WithKeepWasteRatios, WithOnResult, WithProgress,
-	// WithTargetCI, WithAntithetic, WithResultCache).
+	// WithKeepResults, WithKeepWasteRatios, WithProgress, WithTargetCI,
+	// WithAntithetic, WithResultCache).
 	SessionOption = driver.SessionOption
 	// ResultCache is the content-addressed Monte-Carlo result store a
 	// session consults under WithResultCache; resultcache.New builds the
@@ -219,13 +219,12 @@ const (
 	StatusFailed = campaign.StatusFailed
 )
 
-// NewCampaign builds a durable sweep driver. Campaign.RunSweep and
-// Campaign.Run mirror Session.Sweep and Session.MonteCarlo but journal
-// progress to CampaignOptions.JournalPath, resume bit-identically when
-// CampaignOptions.Resume is set, and degrade gracefully — a panicking or
-// timed-out point is quarantined as a PointResult instead of aborting
-// the campaign, and a resume re-attempts it from its last journaled
-// snapshot.
+// NewCampaign builds a durable sweep driver. Campaign.RunSweep mirrors
+// Session.Sweep but journals progress to CampaignOptions.JournalPath,
+// resumes bit-identically when CampaignOptions.Resume is set, and
+// degrades gracefully — a panicking or timed-out point is quarantined as
+// a PointResult instead of aborting the campaign, and a resume
+// re-attempts it from its last journaled snapshot.
 func NewCampaign(opts CampaignOptions) *Campaign { return campaign.New(opts) }
 
 // ReadJournal replays a campaign journal read-only — for inspecting
@@ -370,10 +369,6 @@ func WithKeepResults(keep bool) SessionOption { return driver.WithKeepResults(ke
 // WithKeepWasteRatios retains per-run waste ratios and computes each
 // Summary by the exact sorted path (8 bytes per run).
 func WithKeepWasteRatios(keep bool) SessionOption { return driver.WithKeepWasteRatios(keep) }
-
-// WithOnResult streams every run's Result to fn in strict run order on
-// the caller's goroutine — the O(1)-memory observation hook.
-func WithOnResult(fn func(i int, r Result)) SessionOption { return driver.WithOnResult(fn) }
 
 // WithProgress reports campaign progress as (done, total) replicate
 // counts; within Sweep and Compare the total spans the whole grid.
